@@ -1,10 +1,11 @@
 """Amplitude machinery for the asymptotic series.
 
-Functionals C0 and C1 of the dressed charge, Cauchy transforms on the Fermi
-interval, the smooth amplitude via contour Fredholm determinants, the
-discrete amplitude built from Gamma/Barnes factors over quantum numbers,
-the configuration sum W and its closed form, the assembled term amplitude,
-and the finite-temperature discrete factor with its edge and double-integral
+Functionals C0 and C1 of the dressed charge, the smooth amplitude via
+contour Fredholm determinants, the discrete amplitude built from
+Gamma/Barnes factors over quantum numbers, the configuration sum W and its
+closed form, the assembled term amplitude on a plan that holds its
+twist-independent parts (with the closed-form harmonic coefficients), and
+the finite-temperature discrete factor with its edge and double-integral
 verification operations.
 """
 
@@ -16,7 +17,8 @@ import numpy as np
 
 from .excitation import USolution, z_function
 from .groundstate import GroundState, kernel
-from .numerics import Contour, SampledFunction, fredholm_logdet
+from .numerics import (Contour, NumericsError, SampledFunction,
+                       cauchy_transform, fredholm_logdet)
 from .specfun import GammaRatioSpec, barnes_g, gamma_ratio, ln_barnes_g
 
 
@@ -64,19 +66,14 @@ def edge_charge_integral(gs: GroundState) -> float:
     return float(np.real(np.sum(grid.weights * vals)))
 
 
-def cauchy_charge(gs: GroundState, omega: complex) -> complex:
-    """Cauchy transform L[Z](omega) = int Z(m)/(m - omega) dm on [-q, q]."""
-    from .numerics import cauchy_transform
-    return cauchy_transform(gs.Z, omega)
-
-
 # ---------------------------------------------------------------------------
 # smooth amplitude (contour Fredholm determinants)
 # ---------------------------------------------------------------------------
 
-def k_alpha(lam, alpha: complex, c: float):
-    """Twisted Cauchy kernel 1/(l + ic) - e^{2 pi i alpha}/(l - ic)."""
-    return 1.0 / (lam + 1j * c) - np.exp(2.0j * np.pi * alpha) / (lam - 1j * c)
+def k_alpha(lam, phase: complex, c: float):
+    """Twisted Cauchy kernel 1/(l + ic) - phase/(l - ic), where
+    phase = e^{2 pi i alpha}."""
+    return 1.0 / (lam + 1j * c) - phase / (lam - 1j * c)
 
 
 def smooth_contour(gs: GroundState, n: int = 256) -> Contour:
@@ -88,51 +85,6 @@ def smooth_contour(gs: GroundState, n: int = 256) -> Contour:
     """
     c = gs.params.c
     return Contour.ellipse(0.0, 1.4 * gs.q, min(0.35 * c, 2.0 * gs.q), n)
-
-
-def smooth_amplitude(gs: GroundState, alpha: complex, ell: int,
-                     theta_pair=None, contour_n: int = 256) -> complex:
-    """Smooth part of the term amplitude from the ratio of contour
-    Fredholm determinants; equals 1 when alpha + ell = 0 and vanishes
-    quadratically at integer alpha for ell != 0."""
-    al = alpha + ell
-    phase = np.exp(2.0j * np.pi * alpha)
-    if al == 0:
-        return 1.0 + 0.0j
-    if phase == 1.0:  # integer alpha, nonzero al: prefactor kills everything
-        return 0.0 + 0.0j
-    c = gs.params.c
-    q = gs.q
-    theta1, theta2 = theta_pair if theta_pair is not None else (-q, q)
-    contour = smooth_contour(gs, contour_n)
-    w = contour.nodes
-
-    lz = np.array([cauchy_charge(gs, om) for om in w])
-    lz_up = np.array([cauchy_charge(gs, om + 1j * c) for om in w])
-    lz_dn = np.array([cauchy_charge(gs, om - 1j * c) for om in w])
-
-    ka = k_alpha(w[:, None] - w[None, :], alpha, c)
-    denom1 = np.exp(-al * lz_up) - phase * np.exp(-al * lz_dn)
-    u1_mat = (-np.exp(-al * lz)[:, None]
-              * (ka - k_alpha(theta1 - w[None, :], alpha, c)) / denom1[:, None])
-    denom2 = np.exp(al * lz_dn) - phase * np.exp(al * lz_up)
-    u2_mat = (np.exp(al * lz)[None, :]
-              * (ka - k_alpha(w[:, None] - theta2, alpha, c)) / denom2[None, :])
-
-    pref = 1.0 / (2.0j * np.pi)
-    ld1 = fredholm_logdet(lambda x, y: u1_mat, contour, prefactor=pref)
-    ld2 = fredholm_logdet(lambda x, y: u2_mat, contour, prefactor=pref)
-    ld_k = fredholm_logdet(lambda x, y: kernel(x - y, c), gs.grid,
-                           prefactor=-1.0 / (2.0 * np.pi))
-
-    c0 = c0_functional(gs.Z, al, c)
-    bracket1 = (np.exp(-al * cauchy_charge(gs, theta1 + 1j * c))
-                - phase * np.exp(-al * cauchy_charge(gs, theta1 - 1j * c)))
-    bracket2 = (np.exp(al * cauchy_charge(gs, theta2 - 1j * c))
-                - phase * np.exp(al * cauchy_charge(gs, theta2 + 1j * c)))
-    return complex((phase - 1.0) ** 2
-                   * np.exp(-c0 + ld1 + ld2 - 2.0 * ld_k)
-                   / (bracket1 * bracket2))
 
 
 # ---------------------------------------------------------------------------
@@ -301,27 +253,137 @@ class AmplitudeResult:
     diagnostics: dict = field(default_factory=dict, repr=False)
 
 
+class AmplitudePlan:
+    """The part of the term amplitudes that depends on neither the twist
+    alpha nor the distance x, for one ground state and contour size.
+
+    Holds the determinant contour; the Cauchy transforms L[Z] at its nodes
+    w and at w +- ic, and at the edge points +-q +- ic; the Cauchy kernel
+    1/(w_i - w_j + ic); the interval log-determinant; and the
+    offset and edge functionals of the dressed charge at unit twist (both
+    are homogeneous of degree 2, so C0 and C1 of alpha_ell Z are
+    alpha_ell^2 times these).
+    """
+
+    def __init__(self, gs: GroundState, contour_n: int = 256):
+        c, q = gs.params.c, gs.q
+        self.gs = gs
+        self.contour_n = contour_n
+        self.contour = smooth_contour(gs, contour_n)
+        w = self.contour.nodes
+        n = w.size
+        lz = cauchy_transform(gs.Z, np.concatenate(
+            [w, w + 1j * c, w - 1j * c, self._edge_points(-q, q)]))
+        self.lz, self.lz_up, self.lz_dn = lz[:n], lz[n:2 * n], lz[2 * n:3 * n]
+        self.lz_edges = lz[3 * n:]
+        # 1/(w_i - w_j + ic); its partner 1/(w_i - w_j - ic) is -k_up.T
+        self.k_up = 1.0 / (w[:, None] - w[None, :] + 1j * c)
+        self.ld_k = fredholm_logdet(lambda x, y: kernel(x - y, c), gs.grid,
+                                    prefactor=-1.0 / (2.0 * np.pi))
+        self.c0 = c0_functional(gs.Z, 1.0, c)
+        self.c1 = c1_functional(SampledFunction(gs.grid, gs.Z.values))
+
+    def _edge_points(self, theta1, theta2):
+        c = self.gs.params.c
+        return np.array([theta1 + 1j * c, theta1 - 1j * c,
+                         theta2 - 1j * c, theta2 + 1j * c])
+
+    def _smooth_factor(self, al, phase, theta1, theta2) -> complex:
+        """Ratio of contour Fredholm determinants at shifted twist al and
+        phase e^{2 pi i alpha}, with reference points theta1, theta2: the
+        smooth amplitude with its (phase - 1)^2 prefactor divided out,
+        regular at integer alpha."""
+        c = self.gs.params.c
+        w = self.contour.nodes
+        if (theta1, theta2) == (-self.gs.q, self.gs.q):
+            lz_edges = self.lz_edges
+        else:
+            lz_edges = cauchy_transform(self.gs.Z,
+                                        self._edge_points(theta1, theta2))
+
+        ka = self.k_up + phase * self.k_up.T
+        denom1 = np.exp(-al * self.lz_up) - phase * np.exp(-al * self.lz_dn)
+        denom2 = np.exp(al * self.lz_dn) - phase * np.exp(al * self.lz_up)
+        pref = 1.0 / (2.0j * np.pi)
+        # each kernel matrix is built inside its determinant and freed after
+        ld1 = fredholm_logdet(
+            lambda x, y: ((-np.exp(-al * self.lz) / denom1)[:, None]
+                          * (ka - k_alpha(theta1 - w[None, :], phase, c))),
+            self.contour, prefactor=pref)
+        ld2 = fredholm_logdet(
+            lambda x, y: ((np.exp(al * self.lz) / denom2)[None, :]
+                          * (ka - k_alpha(w[:, None] - theta2, phase, c))),
+            self.contour, prefactor=pref)
+        up1, dn1, dn2, up2 = lz_edges
+        bracket1 = np.exp(-al * up1) - phase * np.exp(-al * dn1)
+        bracket2 = np.exp(al * dn2) - phase * np.exp(al * up2)
+        return complex(np.exp(-al ** 2 * self.c0 + ld1 + ld2 - 2.0 * self.ld_k)
+                       / (bracket1 * bracket2))
+
+    def _discrete_factor(self, al) -> complex:
+        """Barnes, edge-functional and normalisation factors of the term
+        amplitude at shifted twist al; G^2(1, x) carries the squared
+        symmetric Barnes pair."""
+        gs = self.gs
+        exponent = 2.0 * al ** 2 * gs.Zq ** 2
+        norm = np.exp(-exponent * np.log(2.0 * gs.q * gs.Zq))
+        return complex(barnes_g_one_sq(al * gs.Zq) * np.exp(al ** 2 * self.c1)
+                       * norm)
+
+    def amplitude(self, alpha: complex, ell: int,
+                  theta_pair=None) -> AmplitudeResult:
+        """Constant coefficient of one oscillating harmonic of the series.
+
+        The smooth part equals 1 when alpha + ell = 0 and vanishes
+        quadratically at integer alpha for ell != 0.
+        """
+        gs = self.gs
+        theta1, theta2 = theta_pair if theta_pair is not None else (-gs.q, gs.q)
+        al = alpha + ell
+        phase = np.exp(2.0j * np.pi * alpha)
+        if al == 0:
+            b_s = a_tilde = 1.0 + 0.0j
+        elif phase == 1.0:  # integer alpha, nonzero al: prefactor kills everything
+            b_s = a_tilde = 0.0 + 0.0j
+        else:
+            b_s = complex((phase - 1.0) ** 2
+                          * self._smooth_factor(al, phase, theta1, theta2))
+            a_tilde = b_s * self._discrete_factor(al)
+        return AmplitudeResult(
+            ell=ell, alpha=alpha, B_smooth=b_s, A_tilde=a_tilde,
+            exponent=2.0 * al ** 2 * gs.Zq ** 2,
+            diagnostics={"theta_pair": (theta1, theta2),
+                         "contour_n": self.contour_n})
+
+    def harmonic(self, ell: int) -> complex:
+        """Coefficient of the e^{2 i x ell kF} harmonic of the correlator.
+
+        The term amplitude is A(alpha) = (e^{2 pi i alpha} - 1)^2 F(alpha)
+        with F regular at zero twist, so the coefficient D^2 ell^2 A''(0)/2
+        is -4 pi^2 D^2 ell^2 F(0): one determinant evaluation at phase 1.
+        """
+        if ell == 0:
+            raise ValueError("the ell = 0 term has a closed form")
+        f0 = (self._smooth_factor(ell, 1.0, -self.gs.q, self.gs.q)
+              * self._discrete_factor(ell))
+        value = complex(-4.0 * np.pi ** 2 * self.gs.D ** 2 * ell ** 2 * f0)
+        if not np.isfinite(value):
+            raise NumericsError(f"non-finite harmonic amplitude at ell = {ell}")
+        return value
+
+
+def smooth_amplitude(gs: GroundState, alpha: complex, ell: int,
+                     theta_pair=None, contour_n: int = 256) -> complex:
+    """Smooth part of one term amplitude (see ``AmplitudePlan.amplitude``)."""
+    return AmplitudePlan(gs, contour_n).amplitude(alpha, ell,
+                                                  theta_pair).B_smooth
+
+
 def amplitude_tilde(gs: GroundState, alpha: complex, ell: int,
                     theta_pair=None, contour_n: int = 256) -> AmplitudeResult:
-    """Constant coefficient of one oscillating harmonic of the series."""
-    al = alpha + ell
-    exponent = 2.0 * al ** 2 * gs.Zq ** 2
-    b_s = smooth_amplitude(gs, alpha, ell, theta_pair, contour_n)
-    if al == 0:
-        a_tilde = 1.0 + 0.0j
-    else:
-        c1 = c1_functional(SampledFunction(gs.grid, al * gs.Z.values))
-        x = al * gs.Zq
-        norm = np.exp(-exponent * np.log(2.0 * gs.q * gs.Zq))
-        a_tilde = complex(b_s * barnes_g(1.0 + x) * barnes_g(1.0 - x)
-                          * np.exp(c1) * norm)
-        # G^2(1, x) carries one more symmetric Barnes pair
-        a_tilde *= complex(barnes_g(1.0 + x) * barnes_g(1.0 - x))
-    theta1, theta2 = theta_pair if theta_pair is not None else (-gs.q, gs.q)
-    return AmplitudeResult(
-        ell=ell, alpha=alpha, B_smooth=b_s, A_tilde=a_tilde,
-        exponent=exponent,
-        diagnostics={"theta_pair": (theta1, theta2), "contour_n": contour_n})
+    """Constant coefficient of one oscillating harmonic of the series (see
+    ``AmplitudePlan.amplitude``)."""
+    return AmplitudePlan(gs, contour_n).amplitude(alpha, ell, theta_pair)
 
 
 # ---------------------------------------------------------------------------

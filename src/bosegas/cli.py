@@ -17,8 +17,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .amplitude import amplitude_tilde
-from .correlator import ell0_closed, envelope_power, harmonic_amplitude
+from .amplitude import AmplitudePlan
+from .correlator import density_correlator
 from .groundstate import ModelParams, build_ground_state
 from .numerics import NumericsError
 from .thermal import solve_yang_yang
@@ -39,7 +39,6 @@ class RunConfig:
     alpha: float = 0.0
     ell_max: int = 2
     x: tuple = (10.0,)
-    fd_step: float = 1e-3
     grid_n: int = 96
     contour_n: int = 256
 
@@ -200,9 +199,10 @@ def cmd_lengths(cfg: RunConfig, out, fmt) -> int:
 def cmd_amplitudes(cfg: RunConfig, out, fmt) -> int:
     gs = build_ground_state(ModelParams(c=cfg.c, h=cfg.h),
                             n_nodes=cfg.grid_n)
+    plan = AmplitudePlan(gs, cfg.contour_n)
     rows = []
     for ell in range(0, cfg.ell_max + 1):
-        res = amplitude_tilde(gs, cfg.alpha, ell, contour_n=cfg.contour_n)
+        res = plan.amplitude(cfg.alpha, ell)
         rows.append({"ell": ell, "alpha_ell": cfg.alpha + ell,
                      "B_smooth": complex(res.B_smooth),
                      "A_tilde": complex(res.A_tilde),
@@ -219,30 +219,25 @@ def cmd_amplitudes(cfg: RunConfig, out, fmt) -> int:
 def cmd_correlator(cfg: RunConfig, out, fmt) -> int:
     gs = build_ground_state(ModelParams(c=cfg.c, h=cfg.h),
                             n_nodes=cfg.grid_n)
-    amps = {ell: harmonic_amplitude(gs, ell, cfg.fd_step, cfg.contour_n)
-            for ell in range(1, cfg.ell_max + 1)}
     rows = []
-    for x in cfg.x:
-        row = {"x": x, "T": cfg.T, "constant": gs.D ** 2,
-               "ell0_term": ell0_closed(gs, x, cfg.T)}
-        total = row["constant"] + row["ell0_term"]
-        for ell, amp in amps.items():
-            exponent = 2.0 * ell ** 2 * gs.Zq ** 2
-            env = float(np.real(envelope_power(gs, x, cfg.T, exponent)))
+    for series in density_correlator(gs, cfg.x, cfg.T, cfg.ell_max,
+                                     cfg.contour_n):
+        row = {"x": series.x, "T": series.T, "constant": series.constant,
+               "ell0_term": series.ell0_term}
+        by_ell = {t.ell: t for t in series.harmonics}
+        for ell in range(1, cfg.ell_max + 1):
             # the -ell harmonic is the conjugate, so the pair sum is real
-            pair = 2.0 * np.real(amp * np.exp(2.0j * x * ell * gs.kF)) * env
-            row[f"A_{ell}"] = complex(amp)
-            row[f"envelope_{ell}"] = env
-            row[f"pair_{ell}"] = float(pair)
-            total += pair
-        row["total"] = float(total)
+            row[f"A_{ell}"] = by_ell[ell].amplitude
+            row[f"envelope_{ell}"] = by_ell[ell].envelope
+            row[f"pair_{ell}"] = 2.0 * by_ell[ell].value.real
+        row["total"] = series.total.real
         rows.append(row)
     prov = {"x": ("correlator", "distance"),
             "T": ("thermal", "temperature"),
             "constant": ("correlator", "constant_term"),
             "ell0_term": ("correlator", "hyperbolic_term"),
             "total": ("correlator", "assembled_series")}
-    for ell in amps:
+    for ell in range(1, cfg.ell_max + 1):
         prov[f"A_{ell}"] = ("correlator", "harmonic_amplitude")
         prov[f"envelope_{ell}"] = ("correlator", "harmonic_envelope")
         prov[f"pair_{ell}"] = ("correlator", "conjugate_pair_term")

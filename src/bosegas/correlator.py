@@ -1,9 +1,9 @@
 """Assembly of the long-distance asymptotic series.
 
-Harmonic terms of the generating-function expansion, the twist-derivative
-extraction of the harmonic amplitudes by finite differences, and the final
-density-density correlator with its constant, hyperbolic and oscillating
-parts.
+Harmonic terms of the generating-function expansion, the closed-form
+harmonic amplitudes of the correlator, and the final density-density
+correlator with its constant, hyperbolic and oscillating parts.  Every
+function here takes its amplitudes from one ``AmplitudePlan``.
 """
 
 from __future__ import annotations
@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .amplitude import amplitude_tilde
+from .amplitude import AmplitudePlan
 from .groundstate import GroundState
-from .numerics import NumericsError
 
 
 def envelope_power(gs: GroundState, x: float, T: float, exponent) -> complex:
@@ -39,22 +38,24 @@ class AsymptoticTerm:
 
 def generating_asymptotics(gs: GroundState, alpha: complex, x: float,
                            T: float, ell_max: int,
-                           contour_n: int = 256):
+                           contour_n: int = 256, plan: AmplitudePlan = None):
     """Truncated harmonic sum of the generating function at one (x, T).
 
     Returns (total, terms) with the terms sorted by decreasing envelope
     magnitude; valid deep in the decaying regime x -> infinity, T -> 0,
-    x T -> infinity.
+    x T -> infinity.  ``plan`` is a prebuilt plan of ``gs``; without one,
+    a plan is built with ``contour_n`` nodes.
     """
     if not (x > 0 and T > 0):
         raise ValueError("need x > 0 and T > 0")
     if np.pi * T * x / gs.v0 < 1.0:
         warnings.warn("x T below the asymptotic regime; terms of comparable "
                       "size are being dropped", stacklevel=2)
+    plan = plan or AmplitudePlan(gs, contour_n)
     terms = []
     for ell in sorted(range(-ell_max, ell_max + 1), key=lambda l: (abs(l), -l)):
         al = alpha + ell
-        res = amplitude_tilde(gs, alpha, ell, contour_n=contour_n)
+        res = plan.amplitude(alpha, ell)
         env = envelope_power(gs, x, T, res.exponent)
         osc = 2.0 * al * gs.kF
         value = np.exp(1j * osc * x) * env * res.A_tilde
@@ -67,33 +68,11 @@ def generating_asymptotics(gs: GroundState, alpha: complex, x: float,
     return total, terms
 
 
-def harmonic_amplitude(gs: GroundState, ell: int, fd_step: float = 1e-3,
+def harmonic_amplitude(gs: GroundState, ell: int,
                        contour_n: int = 256) -> complex:
-    """Coefficient of the e^{2 i x ell kF} harmonic of the correlator.
-
-    Second twist derivative of the term coefficient at zero twist by
-    central finite differences with one Richardson refinement; the
-    coefficient vanishes quadratically there, so two evaluations per step
-    suffice.
-    """
-    if ell == 0:
-        raise ValueError("the ell = 0 term has a closed form")
-
-    def second_diff(h):
-        plus = amplitude_tilde(gs, h, ell, contour_n=contour_n).A_tilde
-        minus = amplitude_tilde(gs, -h, ell, contour_n=contour_n).A_tilde
-        return (plus + minus) / h ** 2
-
-    d_h = second_diff(fd_step)
-    d_2 = second_diff(0.5 * fd_step)
-    d_4 = second_diff(0.25 * fd_step)
-    r_coarse = (4.0 * d_2 - d_h) / 3.0
-    r_fine = (4.0 * d_4 - d_2) / 3.0
-    if abs(r_fine - r_coarse) > 1e-4 * max(abs(r_fine), 1e-300):
-        raise NumericsError(
-            f"finite-difference noise floor at step {fd_step:g}: "
-            f"Richardson disagreement {abs(r_fine - r_coarse):.2e}")
-    return complex(0.5 * gs.D ** 2 * ell ** 2 * r_fine)
+    """Coefficient of the e^{2 i x ell kF} harmonic of the correlator, in
+    closed form (see ``AmplitudePlan.harmonic``)."""
+    return AmplitudePlan(gs, contour_n).harmonic(ell)
 
 
 @dataclass(frozen=True)
@@ -125,22 +104,33 @@ def ell0_closed(gs: GroundState, x: float, T: float) -> float:
                  / (2.0 * np.sinh(np.pi * T * x / gs.v0) ** 2))
 
 
-def density_correlator(gs: GroundState, x: float, T: float, ell_max: int = 2,
-                       fd_step: float = 1e-3,
-                       contour_n: int = 256) -> CorrelatorSeries:
-    """Long-distance density-density correlator.
+def density_correlator(gs: GroundState, x, T: float, ell_max: int = 2,
+                       contour_n: int = 256, plan: AmplitudePlan = None):
+    """Long-distance density-density correlator at one x or over an array.
 
     The constant part is the squared density, the non-oscillating
     hyperbolic term is coded in closed form, and each oscillating harmonic
-    carries the finite-difference amplitude with its power of the
-    hyperbolic envelope.  Negative harmonics are the conjugates of the
-    positive ones, so the assembled series is real for real inputs.
+    carries its closed-form amplitude with its power of the hyperbolic
+    envelope.  Negative harmonics are the conjugates of the positive ones,
+    so the assembled series is real for real inputs.  The amplitudes are
+    computed once, from ``plan`` (a prebuilt plan of ``gs``) or from a plan
+    built with ``contour_n`` nodes, and shared by every x.  Returns one
+    CorrelatorSeries for a scalar x and a tuple of them for an array.
     """
-    if not (x > 0 and T > 0):
+    xs = np.asarray(x, dtype=float)
+    if not (np.all(xs > 0) and T > 0):
         raise ValueError("need x > 0 and T > 0")
+    plan = plan or AmplitudePlan(gs, contour_n)
+    amps = {ell: plan.harmonic(ell) for ell in range(1, ell_max + 1)}
+    series = tuple(_series_at(gs, float(xx), T, amps)
+                   for xx in xs.reshape(-1))
+    return series[0] if xs.ndim == 0 else series
+
+
+def _series_at(gs: GroundState, x: float, T: float,
+               amps: dict) -> CorrelatorSeries:
     harmonics = []
-    for ell in range(1, ell_max + 1):
-        amp = harmonic_amplitude(gs, ell, fd_step, contour_n)
+    for ell, amp in amps.items():
         exponent = 2.0 * ell ** 2 * gs.Zq ** 2
         env = float(np.real(envelope_power(gs, x, T, exponent)))
         for sgn_ell, sgn_amp in ((ell, amp), (-ell, np.conj(amp))):
@@ -157,17 +147,19 @@ def density_correlator(gs: GroundState, x: float, T: float, ell_max: int = 2,
 
 
 def ell0_term_fd(gs: GroundState, x: float, T: float,
-                 contour_n: int = 256) -> float:
+                 contour_n: int = 256, plan: AmplitudePlan = None) -> float:
     """Non-oscillating part of the correlator by the full finite-difference
     route: second twist derivative of the zero-harmonic term followed by a
     Richardson second x-derivative; reproduces D^2 plus the closed
-    hyperbolic term up to higher-order thermal corrections."""
-
+    hyperbolic term up to higher-order thermal corrections.  ``plan`` is
+    a prebuilt plan of ``gs``; without one, a plan is built with
+    ``contour_n`` nodes."""
+    plan = plan or AmplitudePlan(gs, contour_n)
     cache = {}
 
     def zero_harmonic(alpha, xx):
         if alpha not in cache:
-            cache[alpha] = amplitude_tilde(gs, alpha, 0, contour_n=contour_n)
+            cache[alpha] = plan.amplitude(alpha, 0)
         res = cache[alpha]
         return (np.exp(2.0j * alpha * gs.kF * xx)
                 * envelope_power(gs, xx, T, res.exponent) * res.A_tilde)

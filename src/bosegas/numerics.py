@@ -327,26 +327,34 @@ def _log_ratio(a_shift, b_shift):
     return np.log(b_shift) - np.log(a_shift)
 
 
-def cauchy_transform(f: SampledFunction, omega: complex) -> complex:
+def cauchy_transform(f: SampledFunction, omega):
     """L[f](omega) = int_a^b f(x) / (x - omega) dx for omega off [a, b].
 
-    Direct quadrature far from the interval; close to it, the singular part
-    is subtracted at the nearest endpoint and integrated in closed form.
+    ``omega`` may be a scalar (complex result) or an array (array result of
+    the same shape).  Direct quadrature at points far from the interval;
+    close to it, the singular part is subtracted at the nearest endpoint and
+    integrated in closed form, point by point.
     """
     grid = f.grid
     a, b = grid.a, grid.b
-    om = complex(omega)
-    if om.imag == 0.0 and a <= om.real <= b:
+    om = np.asarray(omega, dtype=complex)
+    flat = om.reshape(-1)
+    inside = (a <= flat.real) & (flat.real <= b)
+    if np.any(inside & (flat.imag == 0.0)):
         raise NumericsError("Cauchy transform evaluated on the integration interval")
     spacing = (b - a) / grid.size
-    dist = abs(om.imag) if a <= om.real <= b else min(abs(om - a), abs(om - b))
-    log_term = _log_ratio(a - om, b - om)
-    if dist > 4.0 * spacing:
-        return complex(np.sum(f.weights * f.values / (f.nodes - om)))
-    edge = a if abs(om - a) < abs(om - b) else b
-    f_edge = f(edge)
-    reg = np.sum(f.weights * (f.values - f_edge) / (f.nodes - om))
-    return complex(reg + f_edge * log_term)
+    dist_a, dist_b = np.abs(flat - a), np.abs(flat - b)
+    dist = np.where(inside, np.abs(flat.imag), np.minimum(dist_a, dist_b))
+    near = dist <= 4.0 * spacing
+    # far points subtract nothing, which leaves the plain quadrature
+    f_edge = np.zeros(flat.shape, dtype=complex)
+    if np.any(near):
+        fa, fb = f(np.array([a, b]))
+        f_edge[near] = np.where(dist_a[near] < dist_b[near], fa, fb)
+    reg = np.sum(f.weights * (f.values - f_edge[:, None])
+                 / (f.nodes - flat[:, None]), axis=1)
+    out = reg + f_edge * _log_ratio(a - flat, b - flat)
+    return complex(out[0]) if om.ndim == 0 else out.reshape(om.shape)
 
 
 def cauchy_transform_line(f: SampledFunction, omega: complex) -> complex:

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .amplitude import (amplitude_tilde, bd_finite_T, discrete_amplitude,
-                        smooth_amplitude, verify_cauchy_edge,
-                        verify_double_integral, w_closed, w_series)
+from .amplitude import (AmplitudePlan, bd_finite_T, discrete_amplitude,
+                        verify_cauchy_edge, verify_double_integral, w_closed,
+                        w_series)
 from .correlator import (density_correlator, ell0_closed, ell0_term_fd,
                          generating_asymptotics)
 from .excitation import (ExcitationClass, decay_rate_closed,
@@ -53,6 +53,7 @@ class Workspace:
         self.grid_n = grid_n
         self.contour_n = contour_n
         self._gs = {}
+        self._plan = None
         self._usol = {}
 
     def ground_state(self, c: float = 1.0, h: float = 1.0, n_nodes=None):
@@ -62,6 +63,12 @@ class Workspace:
             self._gs[key] = build_ground_state(ModelParams(c=c, h=h),
                                                n_nodes=n)
         return self._gs[key]
+
+    def plan(self) -> AmplitudePlan:
+        """Amplitude plan of the benchmark ground state (c = h = 1)."""
+        if self._plan is None:
+            self._plan = AmplitudePlan(self.ground_state(), self.contour_n)
+        return self._plan
 
     def benchmark_solution(self, T: float):
         if T not in self._usol:
@@ -189,20 +196,19 @@ def check_smooth_amplitude(ws: Workspace):
     """Contour-determinant amplitude invariances: independence of the
     auxiliary reference points, the identity limit at zero twist, and the
     quadratic vanishing at integer twist for a nonzero umklapp number."""
-    gs = ws.ground_state()
-    q = gs.q
-    b_ref = smooth_amplitude(gs, 0.2, 1, contour_n=ws.contour_n)
-    b_alt = smooth_amplitude(gs, 0.2, 1,
-                             theta_pair=(-q + 0.1j * q, q - 0.1j * q),
-                             contour_n=ws.contour_n)
+    plan = ws.plan()
+    q = plan.gs.q
+
+    def b_smooth(alpha, ell, theta_pair=None):
+        return plan.amplitude(alpha, ell, theta_pair).B_smooth
+
+    b_ref = b_smooth(0.2, 1)
+    b_alt = b_smooth(0.2, 1, theta_pair=(-q + 0.1j * q, q - 0.1j * q))
     theta_dev = abs(b_alt / b_ref - 1.0)
-    near_one = abs(smooth_amplitude(gs, 1e-4, 0, contour_n=ws.contour_n)
-                   - 1.0)
-    at_integer = abs(smooth_amplitude(gs, 0.0, 1, contour_n=ws.contour_n))
+    near_one = abs(b_smooth(1e-4, 0) - 1.0)
+    at_integer = abs(b_smooth(0.0, 1))
     step = 1e-6
-    fd = abs(smooth_amplitude(gs, step, 1, contour_n=ws.contour_n)
-             - smooth_amplitude(gs, -step, 1, contour_n=ws.contour_n)
-             ) / (2.0 * step)
+    fd = abs(b_smooth(step, 1) - b_smooth(-step, 1)) / (2.0 * step)
     details = {"theta_dev": theta_dev, "near_one_err": near_one,
                "at_integer": at_integer, "fd_slope": fd,
                "tolerances": {"theta": 1e-6, "near_one": 1e-3,
@@ -250,58 +256,86 @@ def check_edge_asymptotics(ws: Workspace):
     return passed, details
 
 
+def harmonic_fd(plan: AmplitudePlan, ell: int, step: float = 1e-3):
+    """Harmonic coefficient by the finite-difference route, the independent
+    cross-check of ``AmplitudePlan.harmonic``.
+
+    Central second twist differences of the term amplitude at steps h, h/2
+    and h/4 (it vanishes quadratically at zero twist, so two evaluations
+    per step suffice), with one Richardson refinement.  Returns the
+    coefficient and the relative gap between the two Richardson values.
+    """
+    def second_diff(h):
+        return (plan.amplitude(h, ell).A_tilde
+                + plan.amplitude(-h, ell).A_tilde) / h ** 2
+
+    d_h, d_2, d_4 = (second_diff(f * step) for f in (1.0, 0.5, 0.25))
+    r_coarse = (4.0 * d_2 - d_h) / 3.0
+    r_fine = (4.0 * d_4 - d_2) / 3.0
+    gap = abs(r_fine - r_coarse) / max(abs(r_fine), 1e-300)
+    return complex(0.5 * plan.gs.D ** 2 * ell ** 2 * r_fine), float(gap)
+
+
 def check_assembly(ws: Workspace):
     """Assembled series sanity: unit-twist periodicity of the harmonic
-    terms, reality of the correlator, and agreement of the closed
-    non-oscillating term with the full finite-difference route."""
-    gs = ws.ground_state()
+    terms, reality of the correlator, agreement of the closed-form ell = 1
+    amplitude with the finite-difference route (whose Richardson gap is
+    bounded too), and agreement of the closed non-oscillating term with
+    the full finite-difference route."""
+    plan = ws.plan()
+    gs = plan.gs
     T = 0.01
     x = 2.0 * gs.v0 / (np.pi * T)
-    _, terms_a = generating_asymptotics(gs, 0.2, x, T, 2,
-                                        contour_n=ws.contour_n)
-    _, terms_b = generating_asymptotics(gs, 1.2, x, T, 2,
-                                        contour_n=ws.contour_n)
+    _, terms_a = generating_asymptotics(gs, 0.2, x, T, 2, plan=plan)
+    _, terms_b = generating_asymptotics(gs, 1.2, x, T, 2, plan=plan)
     va = {t.ell: t.value for t in terms_a}
     vb = {t.ell: t.value for t in terms_b}
     period_dev = max(abs(va[l] - vb[l - 1]) for l in va if l - 1 in vb)
 
-    series = density_correlator(gs, x, T, ell_max=2, contour_n=ws.contour_n)
+    series = density_correlator(gs, x, T, ell_max=2, plan=plan)
     reality = abs(series.total.imag) / abs(series.total.real)
     colsum = (series.constant + series.ell0_term
               + sum(t.value for t in series.harmonics))
     colsum_dev = abs(colsum - series.total)
 
+    closed = next(t.amplitude for t in series.harmonics if t.ell == 1)
+    fd_amp, richardson = harmonic_fd(plan, 1)
+    closed_fd_rel = abs(fd_amp - closed) / abs(closed)
+
     T_fd = 0.05
     x_fd = 1.5 * gs.v0 / (np.pi * T_fd)
-    fd = ell0_term_fd(gs, x_fd, T_fd, contour_n=ws.contour_n)
-    closed = gs.D ** 2 + ell0_closed(gs, x_fd, T_fd)
-    fd_rel = abs(fd - closed) / abs(closed)
+    fd = ell0_term_fd(gs, x_fd, T_fd, plan=plan)
+    ell0 = gs.D ** 2 + ell0_closed(gs, x_fd, T_fd)
+    fd_rel = abs(fd - ell0) / abs(ell0)
 
     details = {"period_dev": period_dev, "reality": reality,
-               "colsum_dev": colsum_dev, "ell0_fd_rel": fd_rel,
+               "colsum_dev": colsum_dev, "richardson_gap": richardson,
+               "closed_fd_rel": closed_fd_rel, "ell0_fd_rel": fd_rel,
                "tolerances": {"period": 1e-10, "reality": 1e-9,
+                              "richardson": 1e-4, "closed_fd": 1e-6,
                               "ell0_fd": 1e-6}}
     passed = (period_dev <= 1e-10 and reality <= 1e-9
-              and colsum_dev <= 1e-12 and fd_rel <= 1e-6)
+              and colsum_dev <= 1e-12 and richardson <= 1e-4
+              and closed_fd_rel <= 1e-6 and fd_rel <= 1e-6)
     return passed, details
 
 
 def check_grid_hygiene(ws: Workspace):
     """Doubling the interval grid and the determinant contour moves every
     golden scalar by at most 1e-8 relative."""
-    gs = ws.ground_state()
     gs2 = ws.ground_state(n_nodes=2 * ws.grid_n)
     alpha = 0.2
 
-    def scalars(g, contour_n):
+    def scalars(plan):
+        g = plan.gs
         return {
             "q": g.q, "Zq": g.Zq, "v0": g.v0,
-            "A0": amplitude_tilde(g, alpha, 0, contour_n=contour_n).A_tilde,
-            "A1": amplitude_tilde(g, alpha, 1, contour_n=contour_n).A_tilde,
+            "A0": plan.amplitude(alpha, 0).A_tilde,
+            "A1": plan.amplitude(alpha, 1).A_tilde,
         }
 
-    base = scalars(gs, ws.contour_n)
-    fine = scalars(gs2, 2 * ws.contour_n)
+    base = scalars(ws.plan())
+    fine = scalars(AmplitudePlan(gs2, 2 * ws.contour_n))
     rel = {k: abs(fine[k] - base[k]) / abs(fine[k]) for k in base}
     details = {"base": {k: complex(v) for k, v in base.items()},
                "doubled": {k: complex(v) for k, v in fine.items()},

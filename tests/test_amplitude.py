@@ -204,3 +204,44 @@ class TestAssembledAmplitude:
         b = amplitude_tilde(gs, 0.2, 1,
                             theta_pair=(-q + 0.1j * q, q - 0.1j * q)).A_tilde
         assert abs(b - a) <= 1e-6 * abs(a)
+
+
+class TestAmplitudePlan:
+    # A(0.2, ell) at c = h = 1 (grid 96, contour 256) from the per-call
+    # implementation the plan replaced: (B_smooth, A_tilde)
+    PER_CALL = {
+        0: (1.6979437288369905 + 4.2919855714803947e-16j,
+            0.6528020040220736 + 1.6501234609319685e-16j),
+        1: (0.8340925922091914 + 2.962024709241748e-14j,
+            4.961075245906202e-14 + 1.725320734843024e-27j),
+    }
+
+    @pytest.fixture(scope="class")
+    def plan(self, workspace):
+        return workspace.plan()
+
+    @pytest.mark.parametrize("ell", [0, 1])
+    def test_matches_per_call_result(self, plan, ell):
+        res = plan.amplitude(0.2, ell)
+        b_ref, a_ref = self.PER_CALL[ell]
+        assert abs(res.B_smooth - b_ref) <= 1e-12 * abs(b_ref)
+        assert abs(res.A_tilde - a_ref) <= 1e-12 * abs(a_ref)
+
+    def test_wrappers_share_the_plan(self, gs, plan):
+        res = plan.amplitude(0.2, 1)
+        assert amplitude_tilde(gs, 0.2, 1).A_tilde == res.A_tilde
+        assert smooth_amplitude(gs, 0.2, 1) == res.B_smooth
+
+    def test_exact_identities(self, plan):
+        assert plan.amplitude(0.0, 0).B_smooth == 1.0 + 0.0j
+        assert plan.amplitude(0.0, 1).B_smooth == 0.0 + 0.0j
+        assert plan.amplitude(0.0, 1).A_tilde == 0.0 + 0.0j
+
+    def test_c1_homogeneous_of_degree_two(self, gs, plan):
+        al = 1.2
+        direct = c1_functional(SampledFunction(gs.grid, al * gs.Z.values))
+        assert abs(al ** 2 * plan.c1 - direct) <= 1e-12 * abs(direct)
+
+    def test_zero_harmonic_rejected(self, plan):
+        with pytest.raises(ValueError):
+            plan.harmonic(0)

@@ -138,6 +138,12 @@ class TestExitCodes:
         cfg.write_text("mystery = 1\n")
         assert main(["thermal", "--config", str(cfg)]) == 2
 
+    def test_fd_step_is_unknown(self, tmp_path):
+        # the harmonic amplitudes are closed-form; no step size is left
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("fd_step = 1e-3\n")
+        assert main(["correlator", "--config", str(cfg)]) == 2
+
     def test_bad_subcommand(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

@@ -1,13 +1,17 @@
-"""Assembled series: hyperbolic envelopes, harmonic amplitudes by finite
-differences, free-fermion anchor and structural properties of the
-density-density correlator."""
+"""Assembled series: hyperbolic envelopes, closed-form harmonic amplitudes
+against finite differences, free-fermion anchor and structural properties
+of the density-density correlator."""
 
 import numpy as np
 import pytest
 
+from bosegas.amplitude import AmplitudePlan
 from bosegas.correlator import (density_correlator, ell0_closed,
                                 envelope_power, generating_asymptotics,
                                 harmonic_amplitude)
+from bosegas.groundstate import ModelParams, build_ground_state
+from bosegas.numerics import NumericsError
+from bosegas.verification import harmonic_fd
 
 
 class TestEnvelope:
@@ -86,6 +90,38 @@ class TestHarmonicAmplitude:
         assert abs(harmonic_amplitude(gs, 2)) < abs(harmonic_amplitude(gs, 1))
 
 
+@pytest.fixture(scope="module", params=[0.01, 0.1, 1.0],
+                ids=lambda r: f"h/c2={r}")
+def coupling_plan(request):
+    gs = build_ground_state(ModelParams(c=1.0 / np.sqrt(request.param),
+                                        h=1.0))
+    return AmplitudePlan(gs)
+
+
+@pytest.mark.parametrize("ell", [1, 2, -1])
+def test_closed_form_matches_finite_differences(coupling_plan, ell):
+    closed = coupling_plan.harmonic(ell)
+    fd, _ = harmonic_fd(coupling_plan, ell)
+    assert abs(closed - fd) <= 1e-6 * abs(closed)
+
+
+@pytest.mark.xfail(strict=True, reason="weak coupling h/c^2 = 8: the "
+                   "default contour does not resolve A_1, and nothing "
+                   "refuses it (ROADMAP item 3)")
+def test_weak_coupling_a1_survives_doubling_or_refuses():
+    c = 1.0 / np.sqrt(8.0)
+    try:
+        base = harmonic_amplitude(
+            build_ground_state(ModelParams(c=c, h=1.0), n_nodes=96), 1,
+            contour_n=256)
+        fine = harmonic_amplitude(
+            build_ground_state(ModelParams(c=c, h=1.0), n_nodes=192), 1,
+            contour_n=512)
+    except NumericsError:
+        return
+    assert abs(fine - base) <= 1e-6 * abs(fine)
+
+
 @pytest.fixture(scope="module")
 def series(gs):
     T = 0.05
@@ -127,6 +163,19 @@ class TestDensityCorrelator:
         # the dropped ell = 3 harmonic is far below the kept terms
         by_ell = {t.ell: t for t in series.harmonics}
         assert abs(by_ell[2].value) < 1e-3 * abs(by_ell[1].value)
+
+    def test_x_array_equals_per_x_calls(self, gs):
+        T = 0.05
+        xs = np.array([1.5, 2.5, 4.0]) * gs.v0 / (np.pi * T)
+        plan = AmplitudePlan(gs)
+        over_array = density_correlator(gs, xs, T, plan=plan)
+        assert len(over_array) == len(xs)
+        for xx, got in zip(xs, over_array):
+            assert got == density_correlator(gs, xx, T, plan=plan)
+
+    def test_x_array_rejects_nonpositive(self, gs):
+        with pytest.raises(ValueError):
+            density_correlator(gs, np.array([10.0, -1.0]), 0.05)
 
     def test_approaches_constant_far_out(self, gs):
         T = 0.05

@@ -164,6 +164,35 @@ class TestCauchyTransforms:
         with pytest.raises(NumericsError):
             cauchy_transform(self._unit(), 0.5)
 
+    def _smooth(self, n=24):
+        grid = composite_grid([-1.0, 0.0, 1.0], n)
+        return SampledFunction(grid, np.cos(grid.nodes) + 0.3j * grid.nodes)
+
+    @pytest.mark.parametrize("points", [
+        [2.0 + 1.5j, -3.0 - 0.5j, 0.1 + 4.0j],            # far
+        [1.0 + 1e-3j, -1.0 - 1e-3j, 1.02, -1.01 + 0.01j],  # near an edge
+        [2.0 + 1.5j, 1.0 + 1e-3j, 0.3 + 0.05j, -1.5],      # mixed
+    ])
+    def test_vectorised_equals_scalar(self, points):
+        f = self._smooth()
+        om = np.array(points, dtype=complex)
+        vec = cauchy_transform(f, om)
+        scalar = np.array([cauchy_transform(f, p) for p in om])
+        assert vec.shape == om.shape
+        assert np.all(np.abs(vec - scalar) <= 1e-14 * np.abs(scalar))
+
+    def test_vectorised_keeps_shape(self):
+        f = self._smooth()
+        om = np.array([[2.0 + 1.5j, 1.0 + 1e-3j], [0.3 + 0.05j, -1.5]])
+        out = cauchy_transform(f, om)
+        assert out.shape == (2, 2)
+        assert np.array_equal(out.reshape(-1),
+                              cauchy_transform(f, om.reshape(-1)))
+
+    def test_vectorised_on_interval_raises(self):
+        with pytest.raises(NumericsError):
+            cauchy_transform(self._smooth(), np.array([2.0 + 1.0j, 0.5]))
+
     def test_line_transform_near_interior(self):
         f = self._unit(32)
         om = 0.2 + 1e-4j                      # just above the interior
