@@ -19,7 +19,8 @@ from .excitation import USolution, z_function
 from .groundstate import GroundState, kernel
 from .numerics import (Contour, NumericsError, SampledFunction,
                        cauchy_transform, fredholm_logdet)
-from .specfun import GammaRatioSpec, barnes_g, gamma_ratio, ln_barnes_g
+from .specfun import (GammaRatioSpec, barnes_g, barnes_g_one, gamma_ratio,
+                      ln_barnes_g)
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +92,28 @@ def smooth_contour(gs: GroundState, n: int = 256) -> Contour:
 # discrete amplitude (Gamma / Barnes factors over quantum numbers)
 # ---------------------------------------------------------------------------
 
+def _cauchy_sq(xs, ys):
+    """prod_{j<k} (x_j - x_k)^2 (y_j - y_k)^2 / prod_{j,k} (x_j - y_k)^2.
+
+    The products run over the last axis; leading axes broadcast, and only
+    the cross product takes their joint shape.
+    """
+    xs, ys = np.asarray(xs), np.asarray(ys)
+    vander = []
+    for v in (xs, ys):
+        out = np.ones(v.shape[:-1], dtype=v.dtype)
+        for j in range(v.shape[-1]):
+            for k in range(j):
+                out = out * (v[..., j] - v[..., k]) ** 2
+        vander.append(out)
+    cross = np.ones(np.broadcast_shapes(xs.shape[:-1], ys.shape[:-1]),
+                    dtype=np.result_type(xs, ys))
+    for j in range(xs.shape[-1]):
+        for k in range(ys.shape[-1]):
+            cross = cross * (xs[..., j] - ys[..., k]) ** 2
+    return vander[0] * vander[1] / cross
+
+
 def r_factor(ps, hs, nu: complex) -> complex:
     """Rational-Gamma weight of one particle/hole configuration.
 
@@ -99,25 +122,11 @@ def r_factor(ps, hs, nu: complex) -> complex:
     particles by +nu and the holes by -nu.
     """
     ps, hs = tuple(ps), tuple(hs)
-    rat = 1.0
-    for j in range(len(ps)):
-        for k in range(j):
-            rat *= (ps[j] - ps[k]) ** 2
-    for j in range(len(hs)):
-        for k in range(j):
-            rat *= (hs[j] - hs[k]) ** 2
-    for p in ps:
-        for h in hs:
-            rat /= (p + h - 1) ** 2
+    rat = _cauchy_sq(np.array(ps, dtype=float), 1.0 - np.array(hs, dtype=float))
     gammas = gamma_ratio(GammaRatioSpec(
         numerators=[p + nu for p in ps] + [h - nu for h in hs],
         denominators=list(ps) + list(hs)))
     return complex(rat * gammas ** 2)
-
-
-def barnes_g_one_sq(x: complex) -> complex:
-    """(G(1+x) G(1-x))^2, the squared symmetric Barnes product."""
-    return complex(barnes_g(1.0 + complex(x)) * barnes_g(1.0 - complex(x))) ** 2
 
 
 def discrete_amplitude(gs: GroundState, cls, alpha: complex) -> complex:
@@ -126,7 +135,7 @@ def discrete_amplitude(gs: GroundState, cls, alpha: complex) -> complex:
     nu = al * gs.Zq - cls.ell
     c1 = c1_functional(SampledFunction(gs.grid, al * gs.Z.values))
     sine = (np.sin(np.pi * al * gs.Zq) / np.pi) ** (2 * cls.n)
-    return complex(np.exp(c1) * sine * barnes_g_one_sq(nu)
+    return complex(np.exp(c1) * sine * barnes_g_one(nu) ** 2
                    * r_factor(cls.p_plus, cls.h_plus, nu)
                    * r_factor(cls.p_minus, cls.h_minus, -nu))
 
@@ -160,26 +169,12 @@ def _config_sum(ps: np.ndarray, hs: np.ndarray, gp: np.ndarray,
                 gh: np.ndarray, tau: float, budget: float) -> complex:
     """Sum of weighted rational-Gamma factors over all pairings of the
     particle rows with the hole rows whose joint cost fits the budget."""
-    n_p, n_h = ps.shape[1], hs.shape[1]
-    cost = (ps.sum(axis=1) - n_p)[:, None] + hs.sum(axis=1)[None, :]
-    # squared Vandermonde factors within each species
-    vp = np.ones(len(ps))
-    for j in range(n_p):
-        for k in range(j):
-            vp *= (ps[:, j] - ps[:, k]) ** 2
-    vh = np.ones(len(hs))
-    for j in range(n_h):
-        for k in range(j):
-            vh *= (hs[:, j] - hs[:, k]) ** 2
-    # squared cross pairings and the per-quantum-number Gamma-ratio tables
-    cross = np.ones((len(ps), len(hs)))
-    for j in range(n_p):
-        for k in range(n_h):
-            cross *= (ps[:, j, None] + hs[None, :, k] - 1.0) ** 2
+    cost = (ps.sum(axis=1) - ps.shape[1])[:, None] + hs.sum(axis=1)[None, :]
+    weight = np.where(cost <= budget, np.exp(-tau * cost), 0.0)
+    weight *= _cauchy_sq(ps[:, None, :], 1.0 - hs[None, :, :])
     gam_p = np.prod(gp[ps.astype(int)], axis=1)
     gam_h = np.prod(gh[hs.astype(int)], axis=1)
-    weight = np.where(cost <= budget, np.exp(-tau * cost), 0.0) / cross
-    return complex((vp * gam_p) @ weight @ (vh * gam_h))
+    return complex(gam_p @ weight @ gam_h)
 
 
 def w_series(nu: complex, r: int, tau: float, cutoff: int) -> complex:
@@ -327,7 +322,7 @@ class AmplitudePlan:
         gs = self.gs
         exponent = 2.0 * al ** 2 * gs.Zq ** 2
         norm = np.exp(-exponent * np.log(2.0 * gs.q * gs.Zq))
-        return complex(barnes_g_one_sq(al * gs.Zq) * np.exp(al ** 2 * self.c1)
+        return complex(barnes_g_one(al * gs.Zq) ** 2 * np.exp(al ** 2 * self.c1)
                        * norm)
 
     def amplitude(self, alpha: complex, ell: int,
@@ -430,42 +425,8 @@ def double_integral(sol: USolution) -> complex:
 
 def cauchy_det_sq(s_plus, s_minus) -> complex:
     """Squared Cauchy determinant over the placed roots, in product form."""
-    out = 1.0 + 0.0j
-    n = len(s_plus)
-    for j in range(n):
-        for k in range(j):
-            out *= (s_plus[j] - s_plus[k]) ** 2 * (s_minus[j] - s_minus[k]) ** 2
-    for sp in s_plus:
-        for sm in s_minus:
-            out /= (sp - sm) ** 2
-    return out
-
-
-def cauchy_det_sq_limit(gs: GroundState, cls, alpha: complex,
-                        T: float) -> complex:
-    """Leading low-T value of the squared Cauchy determinant, from the
-    quantum numbers alone (with the T^{n - ell^2} weight removed)."""
-    epsp = gs.eps0_prime_q
-    n, ell = cls.n, cls.ell
-
-    def vandermonde_ratio(ps, hs):
-        out = 1.0
-        for j in range(len(ps)):
-            for k in range(j):
-                out *= (ps[j] - ps[k]) ** 2
-        for j in range(len(hs)):
-            for k in range(j):
-                out *= (hs[j] - hs[k]) ** 2
-        for p in ps:
-            for h in hs:
-                out /= (p + h - 1) ** 2
-        return out
-
-    lead = ((-1.0) ** (n + ell) * (gs.q * epsp / np.pi) ** (-2 * ell ** 2)
-            * (epsp / (2.0 * np.pi)) ** (2 * n)
-            * vandermonde_ratio(cls.p_plus, cls.h_plus)
-            * vandermonde_ratio(cls.p_minus, cls.h_minus))
-    return complex(lead * T ** (-2 * (n - ell ** 2)))
+    return complex(_cauchy_sq(np.array(s_plus, dtype=complex),
+                              np.array(s_minus, dtype=complex)))
 
 
 def _root_series(sol: USolution):

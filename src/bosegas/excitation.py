@@ -3,7 +3,7 @@
 Bookkeeping of umklapp/particle-hole classes, closed low-temperature forms
 for the linear and quadratic corrections of the excited-state energy u, the
 leading-order placement of its complex roots, the full nonlinear solve for
-u on the real line, the auxiliary phase function z, and the correlation
+u on a deformed contour, the auxiliary phase function z, and the correlation
 decay rates by the direct-integral and closed routes.
 """
 
@@ -15,8 +15,8 @@ import numpy as np
 
 from .groundstate import GroundState, ModelParams, build_ground_state, kernel
 from .numerics import NumericsError, SampledFunction
-from .thermal import (ThermalSolution, kernel_prime, solve_yang_yang,
-                      stable_log1pexp)
+from .thermal import (_TOL_FACTOR, ThermalSolution, _fixed_point,
+                      kernel_prime, solve_yang_yang, stable_log1pexp)
 
 
 class ConstraintError(ValueError):
@@ -269,10 +269,10 @@ class USolution:
 
 def solve_u(params: ModelParams, cls: ExcitationClass,
             thermal: ThermalSolution = None, gs: GroundState = None,
-            max_iter: int = 50, tol_factor: float = 1e-12,
             enforce_constraint: bool = False) -> USolution:
-    """Newton solve of the excited-state integral equation with the roots
-    fixed at their leading-order positions.
+    """Solve of the excited-state integral equation with the roots fixed at
+    their leading-order positions, by the damped fixed point that also
+    serves the thermal energy.
 
     The equation is solved on the deformed contour of excitation_contour,
     which realizes the analytic continuation in alpha of the
@@ -303,37 +303,8 @@ def solve_u(params: ModelParams, cls: ExcitationClass,
     for sp, sm in zip(s_plus, s_minus):
         src += theta_odd(lam - sp, params.c) - theta_odd(lam - sm, params.c)
     bare = lam ** 2 - h_alpha + 1j * T * src
-    tol = tol_factor * max(params.h, T)
-
-    def defect(u):
-        lw = branch_log_weight(u, T)
-        return bare - (T / (2.0 * np.pi)) * (kmat @ lw) - u, lw
-
-    # Newton iteration: the Jacobian of the defect is -(I - K theta / 2 pi)
-    # with theta the occupation factor of the current iterate.
-    u = bare.copy()
-    res_vec, lw = defect(u)
-    residual = float(np.max(np.abs(res_vec)))
-    for it in range(1, max_iter + 1):
-        if residual <= tol:
-            break
-        theta = np.exp(-stable_log1pexp(-u / T))  # 1/(1+e^{u/T})
-        jac = np.eye(lam.size) - kmat * theta[None, :] / (2.0 * np.pi)
-        step = np.linalg.solve(jac, res_vec)
-        # backtracking line search on the sup-norm of the defect
-        factor = 1.0
-        for _ in range(8):
-            trial = u + factor * step
-            trial_res, trial_lw = defect(trial)
-            if np.max(np.abs(trial_res)) < residual or factor < 0.1:
-                break
-            factor *= 0.5
-        u, res_vec, lw = trial, trial_res, trial_lw
-        residual = float(np.max(np.abs(res_vec)))
-    else:
-        raise NumericsError(
-            f"excited-state Newton iteration not converged in {max_iter} "
-            f"iterations (residual {residual:.2e})")
+    u, lw, it, residual = _fixed_point(bare, kmat, T,
+                                       _TOL_FACTOR * max(params.h, T))
     tail_decay = max(abs(lw[0]), abs(lw[-1]))
     if tail_decay > 1e-8:
         raise NumericsError(
@@ -345,29 +316,6 @@ def solve_u(params: ModelParams, cls: ExcitationClass,
                      log_weight_eps=lw_eps,
                      s_plus=s_plus, s_minus=s_minus, offsets=offsets,
                      iterations=it, residual=residual)
-
-
-def polish_roots(sol: USolution, n_steps: int = 1) -> tuple:
-    """Optional Newton refinement of the root conditions
-    1 + exp(-u(s)/T) = 0, using the continued u and its derivative.
-
-    The leading-order placement is kept in the solver by default; this
-    helper reports where the roots would move.  Each root s satisfies
-    u(s) = u(s0) + (s - s0) u'(s0) + ..., and the target values of u are the
-    odd multiples of i pi T nearest to the current u(s)/T.
-    """
-    T = sol.params.T
-
-    def refine(s):
-        for _ in range(n_steps):
-            val = sol.u_at(s)
-            target = 1j * np.pi * T * (2.0 * np.round(
-                (val / (1j * np.pi * T) - 1.0) / 2.0) + 1.0)
-            s = s - (val - target) / sol.u_prime_at(s)
-        return s
-
-    return (tuple(refine(s) for s in sol.s_plus),
-            tuple(refine(s) for s in sol.s_minus))
 
 
 def z_function(sol: USolution) -> np.ndarray:

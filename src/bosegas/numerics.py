@@ -56,22 +56,6 @@ class Grid:
             fits.append(((lo, hi), _legfit(x, y, deg, lo, hi)))
         return fits
 
-    def interpolate(self, values, x):
-        """Evaluate the panel-wise polynomial interpolant of ``values`` at x."""
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xf = np.atleast_1d(x)
-        out = np.empty(xf.shape, dtype=np.result_type(values, float))
-        edges = self.breakpoints
-        idx = np.clip(np.searchsorted(edges, xf, side="right") - 1,
-                      0, len(self.panel_slices) - 1)
-        fits = self._panel_interpolators(np.asarray(values))
-        for k, (_, fit) in enumerate(fits):
-            sel = idx == k
-            if np.any(sel):
-                out[sel] = fit(xf[sel])
-        return out[0] if scalar else out
-
     def derivative(self, values, order: int = 1):
         """Panel-wise spectral derivative of sampled values, on the nodes."""
         values = np.asarray(values)
@@ -292,17 +276,6 @@ def nystrom_solve(kernel, rhs: SampledFunction, sign: int = 1,
 # Fredholm determinants
 # ---------------------------------------------------------------------------
 
-def fredholm_det(kernel, domain, prefactor: complex = 1.0) -> complex:
-    """det(I + prefactor * K) discretized on a Grid or a Contour."""
-    x = domain.nodes
-    w = domain.weights
-    k = np.asarray(kernel(x[:, None], x[None, :]))
-    if not np.all(np.isfinite(k)):
-        raise NumericsError("non-finite kernel sample in Fredholm determinant")
-    mat = np.eye(x.size, dtype=complex) + prefactor * k * w[None, :]
-    return complex(np.linalg.det(mat))
-
-
 def fredholm_logdet(kernel, domain, prefactor: complex = 1.0) -> complex:
     """log det(I + prefactor * K); avoids overflow when factors are combined."""
     x = domain.nodes
@@ -321,19 +294,14 @@ def fredholm_logdet(kernel, domain, prefactor: complex = 1.0) -> complex:
 # Cauchy transforms
 # ---------------------------------------------------------------------------
 
-def _log_ratio(a_shift, b_shift):
-    # log(b_shift) - log(a_shift) for endpoints shifted by the same omega;
-    # principal logs are safe because Im(lambda - omega) has a fixed sign.
-    return np.log(b_shift) - np.log(a_shift)
-
-
 def cauchy_transform(f: SampledFunction, omega):
     """L[f](omega) = int_a^b f(x) / (x - omega) dx for omega off [a, b].
 
     ``omega`` may be a scalar (complex result) or an array (array result of
     the same shape).  Direct quadrature at points far from the interval;
-    close to it, the singular part is subtracted at the nearest endpoint and
-    integrated in closed form, point by point.
+    close to it, f is subtracted at the nearest point of [a, b] (Re omega
+    clipped to the interval) and the subtracted constant is integrated in
+    closed form, point by point.
     """
     grid = f.grid
     a, b = grid.a, grid.b
@@ -347,49 +315,11 @@ def cauchy_transform(f: SampledFunction, omega):
     dist = np.where(inside, np.abs(flat.imag), np.minimum(dist_a, dist_b))
     near = dist <= 4.0 * spacing
     # far points subtract nothing, which leaves the plain quadrature
-    f_edge = np.zeros(flat.shape, dtype=complex)
+    f_near = np.zeros(flat.shape, dtype=complex)
     if np.any(near):
-        fa, fb = f(np.array([a, b]))
-        f_edge[near] = np.where(dist_a[near] < dist_b[near], fa, fb)
-    reg = np.sum(f.weights * (f.values - f_edge[:, None])
+        f_near[near] = f(np.clip(flat.real[near], a, b))
+    reg = np.sum(f.weights * (f.values - f_near[:, None])
                  / (f.nodes - flat[:, None]), axis=1)
-    out = reg + f_edge * _log_ratio(a - flat, b - flat)
+    # principal logs are safe: Im(x - omega) has a fixed sign along [a, b]
+    out = reg + f_near * (np.log(b - flat) - np.log(a - flat))
     return complex(out[0]) if om.ndim == 0 else out.reshape(om.shape)
-
-
-def cauchy_transform_line(f: SampledFunction, omega: complex) -> complex:
-    """Cauchy transform for a function sampled on a wide real interval when
-    omega sits close to the *interior* of the grid (subtraction at Re omega)."""
-    grid = f.grid
-    a, b = grid.a, grid.b
-    om = complex(omega)
-    x0 = float(np.clip(om.real, a, b))
-    if om.imag == 0.0 and a <= om.real <= b:
-        raise NumericsError("Cauchy transform evaluated on the integration interval")
-    f0 = f(x0)
-    reg = np.sum(f.weights * (f.values - f0) / (f.nodes - om))
-    return complex(reg + f0 * _log_ratio(a - om, b - om))
-
-
-def cauchy_transform_line_deriv(f: SampledFunction, f1: SampledFunction,
-                                omega: complex) -> complex:
-    """d/d omega of the line Cauchy transform, i.e. int f(x)/(x-omega)^2 dx.
-
-    Two-term Taylor subtraction at Re omega keeps the quadrature regular for
-    omega close to (but off) the real axis.  ``f1`` must hold the derivative
-    samples of f.
-    """
-    grid = f.grid
-    a, b = grid.a, grid.b
-    om = complex(omega)
-    if om.imag == 0.0:
-        raise NumericsError("need omega off the real axis")
-    x0 = float(np.clip(om.real, a, b))
-    f0 = f(x0)
-    d0 = f1(x0)
-    dx = f.nodes - om
-    reg = np.sum(f.weights * (f.values - f0 - d0 * (f.nodes - x0)) / dx**2)
-    # int dx/(x-om)^2 and int (x-x0)/(x-om)^2 over [a, b], exact
-    i_alpha = -1.0 / (b - om) + 1.0 / (a - om)
-    i_beta = _log_ratio(a - om, b - om) + (om - x0) * i_alpha
-    return complex(reg + f0 * i_alpha + d0 * i_beta)

@@ -1,9 +1,9 @@
 """Finite-temperature state of the gas.
 
 Damped fixed-point solution of the nonlinear integral equation for the
-thermal excitation energy, low-temperature correction laws, the poles of the
-Fermi weight, and a Sommerfeld-type expansion checker for integrals of
-smooth functions against the thermal logarithm.
+thermal excitation energy (shared with the excited-state energy, which obeys
+the same equation on a deformed contour) and the low-temperature correction
+law.
 """
 
 from __future__ import annotations
@@ -15,6 +15,11 @@ import numpy as np
 from .groundstate import GroundState, ModelParams, build_ground_state, kernel
 from .numerics import (Grid, SampledFunction, NumericsError, composite_grid,
                        graded_breakpoints)
+
+# damping, iteration cap and relative tolerance of the shared fixed point
+_DAMPING = 0.5
+_MAX_ITER = 500
+_TOL_FACTOR = 1e-12
 
 
 def stable_log1pexp(x):
@@ -82,27 +87,33 @@ class ThermalSolution:
         out = np.atleast_1d(lam) ** 2 - self.params.h - tail
         return out[0] if lam.ndim == 0 else out
 
-    def eps_prime_at(self, lam):
-        """d(eps)/d(lambda), differentiating under the integral."""
-        lam = np.asarray(lam)
-        kx = kernel_prime(
-            np.atleast_1d(lam)[:, None] - self.grid.nodes[None, :],
-            self.params.c)
-        tail = (self.params.T / (2.0 * np.pi)) * (
-            kx @ (self.grid.weights * self.log_weight))
-        out = 2.0 * np.atleast_1d(lam) - tail
-        return out[0] if lam.ndim == 0 else out
 
-    def fermi_weight(self, lam):
-        """Occupation factor 1/(1 + e^{eps/T}), overflow-safe."""
-        e = self.eps_at(lam) / self.params.T
-        return np.exp(-stable_log1pexp(-np.asarray(e, dtype=complex)))
+def _fixed_point(bare, kmat, T: float, tol: float):
+    """Damped iteration for f = bare - (T/2pi) kmat log(1 + e^{-f/T}).
+
+    ``kmat`` holds the kernel times the quadrature weights of the nodes
+    (real grid or deformed contour).  Returns the solution, its log weight
+    log(1 + e^{-f/T}), the iteration count and the final sup-norm residual.
+    """
+    f = bare.copy()
+    residual = np.inf
+    for it in range(1, _MAX_ITER + 1):
+        lw = stable_log1pexp(f / T)
+        rhs = bare - (T / (2.0 * np.pi)) * (kmat @ lw)
+        residual = float(np.max(np.abs(rhs - f)))
+        if residual <= tol:
+            f = rhs
+            break
+        f = (1.0 - _DAMPING) * f + _DAMPING * rhs
+    else:
+        raise NumericsError(
+            f"fixed point not converged in {_MAX_ITER} iterations "
+            f"(residual {residual:.2e})")
+    return f, stable_log1pexp(f / T), it, residual
 
 
 def solve_yang_yang(params: ModelParams, gs: GroundState = None,
-                    n_per_panel: int = 16, damping: float = 0.5,
-                    max_iter: int = 500, tol_factor: float = 1e-12
-                    ) -> ThermalSolution:
+                    n_per_panel: int = 16) -> ThermalSolution:
     """Damped fixed-point iteration for the thermal excitation energy."""
     if not params.T > 0:
         raise ValueError("finite-temperature solve requires T > 0")
@@ -111,109 +122,15 @@ def solve_yang_yang(params: ModelParams, gs: GroundState = None,
     grid = thermal_grid(params, gs, n_per_panel)
     lam = grid.nodes
     kmat = kernel(lam[:, None] - lam[None, :], params.c) * grid.weights[None, :]
-    bare = lam ** 2 - params.h
-    tol = tol_factor * max(params.h, params.T)
-
-    eps = bare.copy()
-    residual = np.inf
-    for it in range(1, max_iter + 1):
-        lw = stable_log1pexp(eps / params.T)
-        rhs = bare - (params.T / (2.0 * np.pi)) * (kmat @ lw)
-        residual = float(np.max(np.abs(rhs - eps)))
-        if residual <= tol:
-            eps = rhs
-            break
-        eps = (1.0 - damping) * eps + damping * rhs
-    else:
-        raise NumericsError(
-            f"thermal fixed point not converged in {max_iter} iterations "
-            f"(residual {residual:.2e})")
-
+    eps, lw, it, residual = _fixed_point(
+        lam ** 2 - params.h, kmat, params.T,
+        _TOL_FACTOR * max(params.h, params.T))
     return ThermalSolution(params=params, gs=gs, grid=grid,
-                           eps=SampledFunction(grid, eps),
-                           log_weight=stable_log1pexp(eps / params.T),
+                           eps=SampledFunction(grid, eps), log_weight=lw,
                            cutoff=grid.b, iterations=it, residual=residual)
-
-
-def eps2_predicted(gs: GroundState) -> SampledFunction:
-    """Quadratic thermal correction of the excitation energy on [-q, q].
-
-    Built from the resolvent columns at the two Fermi points; the linear
-    correction vanishes identically.
-    """
-    vals = -(np.pi ** 2 / (6.0 * gs.eps0_prime_q)) * (
-        gs.R_plus.values + gs.R_minus.values)
-    return SampledFunction(gs.grid, vals)
 
 
 def eps2_at(gs: GroundState, lam):
     """Off-grid evaluation of the quadratic thermal correction."""
     return -(np.pi ** 2 / (6.0 * gs.eps0_prime_q)) * (
         gs.R_plus(lam) + gs.R_minus(lam))
-
-
-@dataclass(frozen=True)
-class FermiPoles:
-    """Leading-order complex poles of the Fermi weight near one Fermi point.
-
-    The upper-half roots carry non-negative indices, the lower-half ones
-    negative indices.
-    """
-
-    branch: str            # "right" (+q) or "left" (-q)
-    ks: tuple
-    roots: tuple
-
-    @classmethod
-    def leading_order(cls, gs: GroundState, T: float, branch: str,
-                      ks) -> "FermiPoles":
-        center = gs.q if branch == "right" else -gs.q
-        ks = tuple(int(k) for k in ks)
-        roots = tuple(center + 2.0j * np.pi * T / gs.eps0_prime_q * (k + 0.5)
-                      for k in ks)
-        for k, r in zip(ks, roots):
-            if (k >= 0) != (r.imag > 0):
-                raise ValueError("root index/half-plane mismatch")
-        return cls(branch=branch, ks=ks, roots=roots)
-
-
-def sommerfeld_expansion(f, gs: GroundState, eps1_q: float, T: float):
-    """Predicted low-T value of T * int f log(1+e^{-eps_model/T}) through T^2,
-    for the model eps = eps0 + T*eps1 with constant eps1."""
-    grid = gs.grid
-    fa = np.asarray(f(grid.nodes))
-    base = -np.sum(grid.weights * fa * (gs.eps0.values + T * eps1_q))
-    epsp = gs.eps0_prime_q
-    edge = (T ** 2 * np.pi ** 2 / (6.0 * epsp)) * (f(gs.q) + f(-gs.q))
-    lin = (T ** 2 * eps1_q ** 2 / (2.0 * epsp)) * (f(gs.q) + f(-gs.q))
-    return base + edge + lin
-
-
-def sommerfeld_direct(f, gs: GroundState, eps1_q: float, T: float,
-                      n_per_panel: int = 24):
-    """Direct quadrature of T * int_R f log(1+e^{-(eps0+T eps1)/T}) on a grid
-    graded into the Fermi crossover windows."""
-    lam_max = np.sqrt(gs.params.h + 40.0 * T) + gs.q
-    w0 = max(T / gs.eps0_prime_q, 1e-6 * gs.q)
-    bp = graded_breakpoints(-lam_max, lam_max, [-gs.q, gs.q], w0, factor=2.0,
-                            wmax=0.5 * gs.q)
-    grid = composite_grid(bp, n_per_panel)
-    eps_model = gs.eps0(grid.nodes) + T * eps1_q
-    lw = stable_log1pexp(np.real(eps_model) / T)
-    fa = np.asarray(f(grid.nodes))
-    return T * np.sum(grid.weights * fa * lw)
-
-
-def verify_sommerfeld(f, gs: GroundState, eps1_q: float, T_values) -> dict:
-    """Fit the decay exponent of the remainder between the direct integral
-    and its expansion through T^2.  Returns the fit report."""
-    T_values = sorted(T_values, reverse=True)
-    remainders = []
-    for T in T_values:
-        direct = sommerfeld_direct(f, gs, eps1_q, T)
-        predicted = sommerfeld_expansion(f, gs, eps1_q, T)
-        remainders.append(abs(direct - predicted))
-    logT = np.log(T_values)
-    logR = np.log(np.maximum(remainders, 1e-300))
-    slope = float(np.polyfit(logT, logR, 1)[0])
-    return {"T": list(T_values), "remainder": remainders, "exponent": slope}

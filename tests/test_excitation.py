@@ -7,11 +7,30 @@ import pytest
 
 from bosegas.excitation import (ConstraintError, ExcitationClass,
                                 decay_rate_closed, decay_rate_numeric,
-                                place_roots, polish_roots, root_offsets,
-                                solve_u, theta_odd, u1_function, u1_value)
-from bosegas.groundstate import ModelParams
+                                place_roots, root_offsets, solve_u,
+                                theta_odd, u1_function, u1_value)
+from bosegas.groundstate import ModelParams, build_ground_state
 from bosegas.thermal import solve_yang_yang
 from bosegas.verification import BENCHMARK_CLASS
+
+
+def polish_roots(sol, n_steps: int = 1) -> tuple:
+    """Newton refinement of the root conditions 1 + exp(-u(s)/T) = 0, using
+    the continued u and its derivative; reports where the leading-order
+    roots would move.  The target values of u are the odd multiples of
+    i pi T nearest to the current u(s)."""
+    T = sol.params.T
+
+    def refine(s):
+        for _ in range(n_steps):
+            val = sol.u_at(s)
+            target = 1j * np.pi * T * (2.0 * np.round(
+                (val / (1j * np.pi * T) - 1.0) / 2.0) + 1.0)
+            s = s - (val - target) / sol.u_prime_at(s)
+        return s
+
+    return (tuple(refine(s) for s in sol.s_plus),
+            tuple(refine(s) for s in sol.s_minus))
 
 
 class TestExcitationClass:
@@ -133,6 +152,20 @@ class TestSolveU:
                  zip(ref_p + ref_m, sol.s_plus + sol.s_minus)]
         # leading-order placement is accurate to one more power of T
         assert max(moves) < 5.0 * T ** 2
+
+
+@pytest.mark.parametrize("t_over_h", [0.02, 0.005])
+@pytest.mark.parametrize("ratio", [0.01, 1.0, 2.0])
+def test_fixed_point_solve_across_coupling(ratio, t_over_h):
+    # h/c^2 over the whole range of the benchmark class, at h = 1
+    c, h = 1.0 / np.sqrt(ratio), 1.0
+    T = t_over_h * h
+    params = ModelParams(c=c, h=h, T=T)
+    gs = build_ground_state(ModelParams(c=c, h=h))
+    sol = solve_u(params, BENCHMARK_CLASS, gs=gs)
+    assert sol.residual <= 1e-12 * max(h, T)
+    nodes = sol.contour.nodes
+    assert np.max(np.abs(sol.u_at(nodes) - sol.u_values)) <= 1e-11 * h
 
 
 class TestDecayRate:
