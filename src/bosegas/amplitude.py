@@ -11,7 +11,7 @@ verification operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -244,8 +244,6 @@ class AmplitudeResult:
     B_smooth: complex
     A_tilde: complex
     exponent: complex                    # 2 alpha_ell^2 Zq^2
-    B_discrete_class: complex = None
-    diagnostics: dict = field(default_factory=dict, repr=False)
 
 
 class AmplitudePlan:
@@ -263,7 +261,6 @@ class AmplitudePlan:
     def __init__(self, gs: GroundState, contour_n: int = 256):
         c, q = gs.params.c, gs.q
         self.gs = gs
-        self.contour_n = contour_n
         self.contour = smooth_contour(gs, contour_n)
         w = self.contour.nodes
         n = w.size
@@ -346,9 +343,7 @@ class AmplitudePlan:
             a_tilde = b_s * self._discrete_factor(al)
         return AmplitudeResult(
             ell=ell, alpha=alpha, B_smooth=b_s, A_tilde=a_tilde,
-            exponent=2.0 * al ** 2 * gs.Zq ** 2,
-            diagnostics={"theta_pair": (theta1, theta2),
-                         "contour_n": self.contour_n})
+            exponent=2.0 * al ** 2 * gs.Zq ** 2)
 
     def harmonic(self, ell: int) -> complex:
         """Coefficient of the e^{2 i x ell kF} harmonic of the correlator.

@@ -217,6 +217,16 @@ def theta_odd(lam, c: float):
     return 1j * (np.log(1j * c + lam) - np.log(1j * c - lam))
 
 
+def _root_source(lam, s_plus, s_minus, T: float, c: float):
+    """Source of the excited-state equation from the complex roots,
+    iT sum_j [theta(lambda - s+_j) - theta(lambda - s-_j)]."""
+    lam = np.asarray(lam, dtype=complex)
+    out = np.zeros_like(lam)
+    for sp, sm in zip(s_plus, s_minus):
+        out += theta_odd(lam - sp, c) - theta_odd(lam - sm, c)
+    return 1j * T * out
+
+
 @dataclass(frozen=True)
 class USolution:
     """Excited-state energy u on the deformed contour, with its roots."""
@@ -234,14 +244,6 @@ class USolution:
     iterations: int
     residual: float
 
-    def _source(self, lam):
-        c = self.params.c
-        lam = np.asarray(lam, dtype=complex)
-        out = np.zeros_like(lam)
-        for sp, sm in zip(self.s_plus, self.s_minus):
-            out += theta_odd(lam - sp, c) - theta_odd(lam - sm, c)
-        return 1j * self.params.T * out
-
     def u_at(self, lam):
         """Continuation of u off the contour via its own integral equation;
         valid within a strip of half-width c around the contour."""
@@ -251,7 +253,8 @@ class USolution:
         flat = np.atleast_1d(lam)
         kx = kernel(flat[:, None] - self.contour.nodes[None, :], c)
         tail = (T / (2.0 * np.pi)) * (kx @ (self.contour.weights * self.log_weight))
-        out = flat ** 2 - h_alpha - tail + self._source(flat)
+        out = flat ** 2 - h_alpha - tail + _root_source(
+            flat, self.s_plus, self.s_minus, T, c)
         return out[0] if lam.ndim == 0 else out
 
     def u_prime_at(self, lam):
@@ -268,8 +271,8 @@ class USolution:
 
 
 def solve_u(params: ModelParams, cls: ExcitationClass,
-            thermal: ThermalSolution = None, gs: GroundState = None,
-            enforce_constraint: bool = False) -> USolution:
+            thermal: ThermalSolution = None,
+            gs: GroundState = None) -> USolution:
     """Solve of the excited-state integral equation with the roots fixed at
     their leading-order positions, by the damped fixed point that also
     serves the thermal energy.
@@ -285,8 +288,7 @@ def solve_u(params: ModelParams, cls: ExcitationClass,
         gs = build_ground_state(params)
     if thermal is None:
         thermal = solve_yang_yang(params, gs)
-    offsets = root_offsets(gs, cls, params.alpha,
-                           enforce_constraint=enforce_constraint)
+    offsets = root_offsets(gs, cls, params.alpha, enforce_constraint=False)
     T = params.T
     scale = max(abs(v) for v in
                 (offsets.eta_plus + offsets.xi_plus + offsets.eta_minus
@@ -299,10 +301,8 @@ def solve_u(params: ModelParams, cls: ExcitationClass,
     lam = contour.nodes
     kmat = kernel(lam[:, None] - lam[None, :], params.c) * contour.weights[None, :]
     h_alpha = params.h + 2.0j * np.pi * params.alpha * T
-    src = np.zeros(lam.size, dtype=complex)
-    for sp, sm in zip(s_plus, s_minus):
-        src += theta_odd(lam - sp, params.c) - theta_odd(lam - sm, params.c)
-    bare = lam ** 2 - h_alpha + 1j * T * src
+    bare = (lam ** 2 - h_alpha
+            + _root_source(lam, s_plus, s_minus, T, params.c))
     u, lw, it, residual = _fixed_point(bare, kmat, T,
                                        _TOL_FACTOR * max(params.h, T))
     tail_decay = max(abs(lw[0]), abs(lw[-1]))

@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .numerics import (Grid, SampledFunction, NystromSolution, composite_grid,
+from .numerics import (Grid, NumericsError, NystromSolution, composite_grid,
                        nystrom_factorize, nystrom_solve)
 
 
@@ -46,32 +45,53 @@ def fermi_grid(q: float, n_nodes: int = 96) -> Grid:
     return composite_grid([-q, 0.0, q], n_nodes // 2)
 
 
-def _eps0_solution(params: ModelParams, q: float, grid: Grid, lu=None):
-    kern = lambda x, y: kernel(x - y, params.c)
-    rhs_fn = lambda lam: lam ** 2 - params.h
-    rhs = grid.sample(rhs_fn)
-    return nystrom_solve(kern, rhs, sign=1, rhs_fn=rhs_fn, lu=lu)
+_RESOLUTION = 1e-12  # largest Gauss-Legendre rate of an accepted Fermi grid
+_MAX_NEWTON = 50
 
 
-def solve_fermi_boundary(params: ModelParams, tol: float = 1e-12,
-                         n_nodes: int = 96) -> float:
-    """Fermi boundary q such that the dressed energy vanishes at the edge.
+def _interval_solutions(params: ModelParams, q: float, n_nodes: int):
+    """eps0, eps0', Z, R(., q) and R(., -q) on [-q, q], one factorization."""
+    c = params.c
+    grid = fermi_grid(q, n_nodes)
+    kern = lambda x, y: kernel(x - y, c)
+    lu = nystrom_factorize(kern, grid)
+    rhs_fns = (lambda lam: lam ** 2 - params.h,
+               lambda lam: 2.0 * lam,
+               lambda lam: np.ones_like(np.asarray(lam, dtype=float)),
+               lambda lam: kernel(lam - q, c) / (2.0 * np.pi),
+               lambda lam: kernel(lam + q, c) / (2.0 * np.pi))
+    return tuple(nystrom_solve(kern, grid, lu, f) for f in rhs_fns)
 
-    The scalar map q -> eps0(q; q) is monotone through the root; each
-    evaluation is one dense solve of the dressed-energy equation on [-q, q].
+
+def solve_fermi_boundary(params: ModelParams, n_nodes: int = 96):
+    """Fermi boundary q, where eps0(q|q) = 0, and the interval solutions.
+
+    Newton iteration on E(q) = eps0(q|q) from q = sqrt(h), where E < 0.
+    As d eps0(lambda|q)/dq = E [R(lambda, q) + R(lambda, -q)], the exact
+    slope dE/dq = eps0'(q) + 2 E R(q, -q) comes from the same solve as E.
+    The kernel poles at +-ic limit Gauss-Legendre on the two panels of
+    half-width q/2 to the rate (a + sqrt(a^2 + 1))^(-n_nodes), a = 2c/q;
+    it is checked at the root only, since the first step overshoots.
     """
-    sq = np.sqrt(params.h)
-
-    def edge_energy(q):
-        grid = fermi_grid(q, n_nodes)
-        eps0 = _eps0_solution(params, q, grid)
-        return float(np.real(eps0(q)))
-
-    lo, hi = 0.1 * sq, 10.0 * sq
-    if edge_energy(lo) * edge_energy(hi) > 0:
-        raise ValueError(
-            f"no sign change of eps0(q;q) in the bracket [{lo:.3g}, {hi:.3g}]")
-    return float(brentq(edge_energy, lo, hi, rtol=tol))
+    q = float(np.sqrt(params.h))
+    for _ in range(_MAX_NEWTON):
+        sols = _interval_solutions(params, q, n_nodes)
+        eps0, eps0_prime, _, _, r_minus = sols
+        edge = float(np.real(eps0(q)))
+        step = edge / float(np.real(eps0_prime(q) + 2.0 * edge * r_minus(q)))
+        if abs(step) <= 1e-13 * q:
+            break
+        q -= step
+        if not q > 0:
+            raise NumericsError(f"Newton iterate q = {q:.3g}; use more nodes")
+    else:
+        raise NumericsError(f"no Fermi boundary in {_MAX_NEWTON} Newton steps")
+    a = 2.0 * params.c / q
+    rate = (a + np.sqrt(a * a + 1.0)) ** (-n_nodes)
+    if rate > _RESOLUTION:
+        raise NumericsError(f"{n_nodes} nodes unresolved at q/c = "
+                            f"{q / params.c:.3g} (rate {rate:.1e})")
+    return q, sols
 
 
 @dataclass(frozen=True)
@@ -92,11 +112,6 @@ class GroundState:
     kF: float
     v0: float
 
-    @property
-    def rho_t(self) -> SampledFunction:
-        """Total density rho_t = Z / 2 pi."""
-        return SampledFunction(self.grid, self.Z.values / (2.0 * np.pi))
-
     def _check(self):
         h, q = self.params.h, self.q
         edge = max(abs(self.eps0(q)), abs(self.eps0(-q)))
@@ -112,39 +127,14 @@ class GroundState:
             raise ArithmeticError("edge slope / sound velocity not positive")
 
 
-def resolvent(params: ModelParams, q: float, xi: float,
-              grid: Grid = None, lu=None) -> NystromSolution:
-    """Resolvent column R(., xi) of the kernel operator on [-q, q]."""
-    if grid is None:
-        grid = fermi_grid(q)
-    kern = lambda x, y: kernel(x - y, params.c)
-    rhs_fn = lambda lam: kernel(lam - xi, params.c) / (2.0 * np.pi)
-    return nystrom_solve(kern, grid.sample(rhs_fn), sign=1,
-                         rhs_fn=rhs_fn, lu=lu)
-
-
-def build_ground_state(params: ModelParams, n_nodes: int = 96,
-                       q: float = None) -> GroundState:
-    """Solve all T=0 equations on a shared grid and factorization."""
-    if q is None:
-        q = solve_fermi_boundary(params, n_nodes=n_nodes)
-    grid = fermi_grid(q, n_nodes)
-    kern = lambda x, y: kernel(x - y, params.c)
-    lu = nystrom_factorize(kern, grid, sign=1)
-
-    eps0 = _eps0_solution(params, q, grid, lu=lu)
-    dr_fn = lambda lam: 2.0 * lam
-    eps0_prime = nystrom_solve(kern, grid.sample(dr_fn), sign=1,
-                               rhs_fn=dr_fn, lu=lu)
-    one = lambda lam: np.ones_like(np.asarray(lam, dtype=float))
-    Z = nystrom_solve(kern, grid.sample(one), sign=1, rhs_fn=one, lu=lu)
-    R_plus = resolvent(params, q, q, grid=grid, lu=lu)
-    R_minus = resolvent(params, q, -q, grid=grid, lu=lu)
-
+def build_ground_state(params: ModelParams, n_nodes: int = 96) -> GroundState:
+    """All T=0 functions, from the last Newton iterate of the boundary."""
+    q, (eps0, eps0_prime, Z, R_plus, R_minus) = solve_fermi_boundary(
+        params, n_nodes=n_nodes)
     Zq = float(np.real(Z(q)))
     epsp = float(np.real(eps0_prime(q)))
     D = float(np.real(Z.integral())) / (2.0 * np.pi)
-    gs = GroundState(params=params, q=q, grid=grid, eps0=eps0,
+    gs = GroundState(params=params, q=q, grid=Z.grid, eps0=eps0,
                      eps0_prime=eps0_prime, Z=Z, R_plus=R_plus,
                      R_minus=R_minus, Zq=Zq, eps0_prime_q=epsp,
                      D=D, kF=np.pi * D, v0=epsp / Zq)

@@ -43,28 +43,21 @@ class Grid:
     def size(self) -> int:
         return self.nodes.size
 
-    def sample(self, f) -> "SampledFunction":
-        return SampledFunction(self, np.asarray(f(self.nodes)))
-
     def _panel_interpolators(self, values):
         fits = []
         for (lo, hi), sl in zip(zip(self.breakpoints[:-1], self.breakpoints[1:]),
                                 self.panel_slices):
             x = self.nodes[sl]
-            y = values[sl]
-            deg = x.size - 1
-            fits.append(((lo, hi), _legfit(x, y, deg, lo, hi)))
+            fits.append(((lo, hi), _legfit(x, values[sl], x.size - 1, lo, hi)))
         return fits
 
     def derivative(self, values, order: int = 1):
         """Panel-wise spectral derivative of sampled values, on the nodes."""
         values = np.asarray(values)
         out = np.empty_like(values, dtype=np.result_type(values, float))
-        for (lo, hi), sl in zip(zip(self.breakpoints[:-1], self.breakpoints[1:]),
+        for (_, fit), sl in zip(self._panel_interpolators(values),
                                 self.panel_slices):
-            x = self.nodes[sl]
-            fit = _legfit(x, values[sl], x.size - 1, lo, hi)
-            out[sl] = fit.deriv(order)(x)
+            out[sl] = fit.deriv(order)(self.nodes[sl])
         return out
 
 
@@ -224,33 +217,30 @@ class Contour:
 # ---------------------------------------------------------------------------
 
 class NystromSolution(SampledFunction):
-    """Solution of f - (sign/2pi) K f = rhs with off-grid interpolation.
+    """Solution of f - (1/2pi) K f = rhs with off-grid interpolation.
 
     Off-grid values use the natural Nystrom formula
-    f(x) = rhs(x) + (sign/2pi) sum_j w_j K(x, x_j) f_j,
+    f(x) = rhs(x) + (1/2pi) sum_j w_j K(x, x_j) f_j,
     which keeps the full quadrature accuracy away from the grid.
     """
 
-    def __init__(self, grid, values, kernel, rhs_fn, sign):
+    def __init__(self, grid, values, kernel, rhs_fn):
         super().__init__(grid, values)
         object.__setattr__(self, "kernel", kernel)
         object.__setattr__(self, "rhs_fn", rhs_fn)
-        object.__setattr__(self, "sign", sign)
 
     def __call__(self, x):
-        if self.rhs_fn is None:
-            return super().__call__(x)
         x = np.asarray(x)
         kx = self.kernel(np.atleast_1d(x)[:, None], self.nodes[None, :])
-        out = self.rhs_fn(np.atleast_1d(x)) + (self.sign / (2.0 * np.pi)) * (
+        out = self.rhs_fn(np.atleast_1d(x)) + (1.0 / (2.0 * np.pi)) * (
             kx @ (self.weights * self.values))
         return out[0] if x.ndim == 0 else out
 
 
-def nystrom_factorize(kernel, grid: Grid, sign: int = 1):
-    """LU-factor the discretized operator I - (sign/2pi) K W."""
+def nystrom_factorize(kernel, grid: Grid):
+    """LU-factor the discretized operator I - (1/2pi) K W."""
     lam = grid.nodes
-    mat = np.eye(grid.size) - (sign / (2.0 * np.pi)) * (
+    mat = np.eye(grid.size) - (1.0 / (2.0 * np.pi)) * (
         kernel(lam[:, None], lam[None, :]) * grid.weights[None, :])
     try:
         lu = lu_factor(mat)
@@ -262,14 +252,11 @@ def nystrom_factorize(kernel, grid: Grid, sign: int = 1):
     return lu
 
 
-def nystrom_solve(kernel, rhs: SampledFunction, sign: int = 1,
-                  rhs_fn=None, lu=None) -> NystromSolution:
-    """Solve f(x) - (sign/2pi) int K(x, y) f(y) dy = rhs(x) on rhs's grid."""
-    grid = rhs.grid
-    if lu is None:
-        lu = nystrom_factorize(kernel, grid, sign)
-    values = lu_solve(lu, rhs.values)
-    return NystromSolution(grid, values, kernel, rhs_fn, sign)
+def nystrom_solve(kernel, grid: Grid, lu, rhs_fn) -> NystromSolution:
+    """Solve f(x) - (1/2pi) int K(x, y) f(y) dy = rhs_fn(x) on ``grid``,
+    given ``lu = nystrom_factorize(kernel, grid)``."""
+    values = lu_solve(lu, rhs_fn(grid.nodes))
+    return NystromSolution(grid, values, kernel, rhs_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,9 @@ class GammaPoleError(ValueError):
     """Evaluation requested at a pole of the Gamma function."""
 
 
-def _is_nonpositive_int(z: complex, tol: float = 0.0) -> bool:
+def _is_nonpositive_int(z: complex) -> bool:
     z = complex(z)
-    if tol == 0.0:
-        return z.imag == 0.0 and z.real <= 0.5 and z.real == round(z.real)
-    return (abs(z.imag) <= tol and z.real <= 0.5
-            and abs(z.real - round(z.real)) <= tol)
+    return z.imag == 0.0 and z.real <= 0.5 and z.real == round(z.real)
 
 
 def ln_gamma(z: complex) -> complex:

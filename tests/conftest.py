@@ -3,7 +3,6 @@ between the module tests and the acceptance suite."""
 
 import pytest
 
-from bosegas.groundstate import ModelParams, build_ground_state
 from bosegas.verification import Workspace
 
 

@@ -5,8 +5,6 @@ shared session workspace and asserts the individual bounds, so a failure
 reports which quantity drifted and by how much.
 """
 
-import numpy as np
-
 from bosegas.verification import (check_assembly, check_decay_rate,
                                   check_discrete_limit,
                                   check_edge_asymptotics,

@@ -133,6 +133,13 @@ class TestExitCodes:
         assert main(["ground-state", "--config", str(cfg)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_unresolved_ground_state(self, tmp_path, capsys):
+        # h/c^2 = 400 needs more than the default 96 Fermi nodes
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("c = 0.5\nh = 100.0\n")
+        assert main(["ground-state", "--config", str(cfg)]) == 3
+        assert "numerical failure:" in capsys.readouterr().err
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("mystery = 1\n")

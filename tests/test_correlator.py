@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from bosegas.amplitude import AmplitudePlan
-from bosegas.correlator import (density_correlator, ell0_closed,
-                                envelope_power, generating_asymptotics,
-                                harmonic_amplitude)
+from bosegas.correlator import (density_correlator, envelope_power,
+                                generating_asymptotics, harmonic_amplitude)
 from bosegas.groundstate import ModelParams, build_ground_state
 from bosegas.numerics import NumericsError
 from bosegas.verification import harmonic_fd

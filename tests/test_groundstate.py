@@ -1,11 +1,15 @@
 """Zero-temperature solves: parameter validation, strong-coupling anchors,
-pinned benchmark scalars and structural symmetries."""
+pinned benchmark scalars, structural symmetries and the boundary search."""
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+from bosegas import groundstate
 from bosegas.groundstate import (ModelParams, build_ground_state,
                                  kernel, solve_fermi_boundary)
+from bosegas.numerics import (NumericsError, composite_grid,
+                              nystrom_factorize, nystrom_solve)
 
 
 class TestModelParams:
@@ -98,15 +102,58 @@ class TestStructure:
         assert np.max(np.abs(gs.R_plus(-lam) - gs.R_minus(lam))) < 1e-11
 
     def test_density_function(self, gs):
-        assert np.allclose(gs.rho_t.values,
-                           gs.Z.values / (2.0 * np.pi), rtol=0, atol=1e-15)
-        assert abs(np.real(gs.rho_t.integral()) - gs.D) < 1e-13
+        # D = Re int Z / 2 pi over the Fermi interval
+        assert abs(np.real(gs.Z.integral()) / (2.0 * np.pi) - gs.D) < 1e-13
 
     def test_boundary_grows_with_h(self):
-        q2 = solve_fermi_boundary(ModelParams(c=1.0, h=2.0))
-        q1 = solve_fermi_boundary(ModelParams(c=1.0, h=1.0))
+        q2, _ = solve_fermi_boundary(ModelParams(c=1.0, h=2.0))
+        q1, _ = solve_fermi_boundary(ModelParams(c=1.0, h=1.0))
         assert q2 > q1
 
-    def test_fixed_boundary_shortcut(self, gs):
-        again = build_ground_state(gs.params, q=gs.q)
-        assert abs(again.Zq - gs.Zq) < 1e-12
+
+def _edge_energy(c, h, q, n_nodes=96):
+    """eps0(q|q) from its own factorization on [-q, q]."""
+    grid = composite_grid([-q, 0.0, q], n_nodes // 2)
+    kern = lambda x, y: 2.0 * c / ((x - y) ** 2 + c * c)
+    eps0 = nystrom_solve(kern, grid, nystrom_factorize(kern, grid),
+                         lambda lam: lam ** 2 - h)
+    return float(np.real(eps0(q)))
+
+
+class TestFermiBoundary:
+    """Newton search for the boundary and its resolution guard."""
+
+    @pytest.mark.parametrize("h", [0.25, 4.0])
+    @pytest.mark.parametrize("ratio", [0.01, 1.0, 16.0])
+    def test_matches_bracketed_root(self, ratio, h):
+        c = np.sqrt(h / ratio)
+        q, _ = solve_fermi_boundary(ModelParams(c=c, h=h))
+        sq = np.sqrt(h)
+        ref = brentq(lambda x: _edge_energy(c, h, x), sq, 10.0 * sq,
+                     xtol=1e-15, rtol=1e-14)
+        assert abs(q - ref) <= 1e-11 * ref
+
+    def test_weak_coupling_point_converges(self):
+        # h/c^2 = 25: the old fixed bracket [0.1, 10] sqrt(h) failed here
+        params = ModelParams(c=0.02, h=0.01)
+        coarse = build_ground_state(params)
+        fine = build_ground_state(params, n_nodes=192)
+        for name in ("q", "Zq", "D"):
+            a, b = getattr(coarse, name), getattr(fine, name)
+            assert abs(a - b) <= 1e-11 * abs(b), name
+
+    # at (0.02, 1) the unresolved Newton iterates leave q > 0
+    @pytest.mark.parametrize("c, h", [(0.5, 100.0), (0.1, 1.0), (0.02, 1.0)])
+    def test_unresolved_grid_refuses(self, c, h):
+        with pytest.raises(NumericsError):
+            build_ground_state(ModelParams(c=c, h=h))
+
+    def test_finer_grid_resolves(self):
+        gs = build_ground_state(ModelParams(c=0.1, h=1.0), n_nodes=192)
+        assert gs.Zq > 1.0
+
+    def test_iteration_cap(self, monkeypatch):
+        # E(sqrt h) < 0, so the search always takes at least two iterates
+        monkeypatch.setattr(groundstate, "_MAX_NEWTON", 1)
+        with pytest.raises(NumericsError):
+            solve_fermi_boundary(ModelParams(c=1.0, h=1.0))

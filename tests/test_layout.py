@@ -16,7 +16,6 @@ PACKAGE = Path(bosegas.__file__).parent
 ALLOWED = {
     "ln_gamma",             # complex log-Gamma, the base of the specfun layer
     "gauss_legendre_grid",  # single-panel rule beside composite_grid
-    "rho_t",                # total density Z / 2 pi of the exported GroundState
 }
 
 

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import loggamma
 
 from bosegas.specfun import (GammaPoleError, GammaRatioSpec, barnes_g,
                              barnes_g_one, gamma_ratio, ln_barnes_g, ln_gamma,
