@@ -38,20 +38,20 @@ class AsymptoticTerm:
 
 def generating_asymptotics(gs: GroundState, alpha: complex, x: float,
                            T: float, ell_max: int,
-                           contour_n: int = 256, plan: AmplitudePlan = None):
+                           plan: AmplitudePlan = None):
     """Truncated harmonic sum of the generating function at one (x, T).
 
     Returns (total, terms) with the terms sorted by decreasing envelope
     magnitude; valid deep in the decaying regime x -> infinity, T -> 0,
     x T -> infinity.  ``plan`` is a prebuilt plan of ``gs``; without one,
-    a plan is built with ``contour_n`` nodes.
+    a plan is built with the default contour.
     """
     if not (x > 0 and T > 0):
         raise ValueError("need x > 0 and T > 0")
     if np.pi * T * x / gs.v0 < 1.0:
         warnings.warn("x T below the asymptotic regime; terms of comparable "
                       "size are being dropped", stacklevel=2)
-    plan = plan or AmplitudePlan(gs, contour_n)
+    plan = plan or AmplitudePlan(gs)
     terms = []
     for ell in sorted(range(-ell_max, ell_max + 1), key=lambda l: (abs(l), -l)):
         al = alpha + ell
@@ -147,14 +147,14 @@ def _series_at(gs: GroundState, x: float, T: float,
 
 
 def ell0_term_fd(gs: GroundState, x: float, T: float,
-                 contour_n: int = 256, plan: AmplitudePlan = None) -> float:
+                 plan: AmplitudePlan = None) -> float:
     """Non-oscillating part of the correlator by the full finite-difference
     route: second twist derivative of the zero-harmonic term followed by a
     Richardson second x-derivative; reproduces D^2 plus the closed
     hyperbolic term up to higher-order thermal corrections.  ``plan`` is
-    a prebuilt plan of ``gs``; without one, a plan is built with
-    ``contour_n`` nodes."""
-    plan = plan or AmplitudePlan(gs, contour_n)
+    a prebuilt plan of ``gs``; without one, a plan is built with the
+    default contour."""
+    plan = plan or AmplitudePlan(gs)
     cache = {}
 
     def zero_harmonic(alpha, xx):

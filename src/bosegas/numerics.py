@@ -1,14 +1,16 @@
 """Quadrature and linear-algebra substrate.
 
-Gauss-Legendre grids (single interval or graded composite panels), Nystrom
-solution of second-kind linear integral equations, Fredholm determinants on
-intervals and closed contours, and Cauchy transforms with singularity
-subtraction near the integration domain.
+Gauss-Legendre grids (single interval or graded composite panels) with
+closed-form barycentric interpolation and differentiation on each panel,
+Nystrom solution of second-kind linear integral equations, Fredholm
+determinants on intervals and closed contours, and Cauchy transforms with
+singularity subtraction near the integration domain.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -24,12 +26,42 @@ class NumericsError(Exception):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class _ReferenceRule:
+    """n-point Gauss-Legendre rule on [-1, 1] with its barycentric weights
+    (-1)^j sqrt((1 - x_j^2) w_j) (Wang, Huybrechs & Vandewalle, Math. Comp.
+    83 (2014) 2893) and differentiation matrix D_ij = (bary_j / bary_i) /
+    (x_i - x_j), i != j (Berrut & Trefethen, SIAM Rev. 46 (2004) 501)."""
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    bary: np.ndarray
+    diff: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _reference_rule(n: int) -> _ReferenceRule:
+    x, w = leggauss(n)
+    bary = (-1.0) ** np.arange(n) * np.sqrt((1.0 - x * x) * w)
+    dx = x[:, None] - x[None, :]
+    np.fill_diagonal(dx, 1.0)
+    diff = (bary[None, :] / bary[:, None]) / dx
+    np.fill_diagonal(diff, 0.0)
+    # negative-sum diagonal: rows annihilate constants exactly, and in
+    # rounding it beats the closed form x_i / (1 - x_i^2) by over two digits
+    np.fill_diagonal(diff, -diff.sum(axis=1))
+    for arr in (x, w, bary, diff):
+        arr.setflags(write=False)  # shared by every grid with n per panel
+    return _ReferenceRule(x, w, bary, diff)
+
+
+@dataclass(frozen=True)
 class Grid:
     """Composite Gauss-Legendre quadrature grid on [a, b].
 
-    ``panels`` holds the breakpoints; nodes/weights are the concatenation of
-    the per-panel Gauss-Legendre rules.  All kernels in this package are
-    analytic on their panels, so convergence is spectral panel by panel.
+    ``breakpoints`` bound the panels; nodes/weights are the concatenation of
+    the per-panel Gauss-Legendre rules, all mapped from one reference rule.
+    All kernels in this package are analytic on their panels, so
+    convergence is spectral panel by panel.
     """
 
     a: float
@@ -37,28 +69,21 @@ class Grid:
     breakpoints: np.ndarray        # shape (npanels+1,), increasing
     nodes: np.ndarray              # shape (N,), increasing
     weights: np.ndarray            # shape (N,), positive
-    panel_slices: tuple = field(repr=False, default=())
 
     @property
     def size(self) -> int:
         return self.nodes.size
 
-    def _panel_interpolators(self, values):
-        fits = []
-        for (lo, hi), sl in zip(zip(self.breakpoints[:-1], self.breakpoints[1:]),
-                                self.panel_slices):
-            x = self.nodes[sl]
-            fits.append(((lo, hi), _legfit(x, values[sl], x.size - 1, lo, hi)))
-        return fits
+    @property
+    def _rule(self) -> _ReferenceRule:
+        return _reference_rule(self.nodes.size // (self.breakpoints.size - 1))
 
-    def derivative(self, values, order: int = 1):
+    def derivative(self, values):
         """Panel-wise spectral derivative of sampled values, on the nodes."""
-        values = np.asarray(values)
-        out = np.empty_like(values, dtype=np.result_type(values, float))
-        for (_, fit), sl in zip(self._panel_interpolators(values),
-                                self.panel_slices):
-            out[sl] = fit.deriv(order)(self.nodes[sl])
-        return out
+        widths = np.diff(self.breakpoints)
+        per_panel = np.asarray(values).reshape(widths.size, -1)
+        out = (per_panel @ self._rule.diff.T) * (2.0 / widths)[:, None]
+        return out.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -81,34 +106,23 @@ class SampledFunction:
         return self.grid.weights
 
     def __call__(self, x):
-        fits = getattr(self, "_fits", None)
-        if fits is None:
-            fits = self.grid._panel_interpolators(self.values)
-            object.__setattr__(self, "_fits", fits)
+        """Barycentric interpolation on the panel that holds each point;
+        points on a node return the sampled value itself."""
+        grid, edges = self.grid, self.grid.breakpoints
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xf = np.atleast_1d(x)
-        out = np.empty(xf.shape, dtype=np.result_type(self.values, float))
-        edges = self.grid.breakpoints
-        idx = np.clip(np.searchsorted(edges, xf, side="right") - 1,
-                      0, len(fits) - 1)
-        for k, (_, fit) in enumerate(fits):
-            sel = idx == k
-            if np.any(sel):
-                out[sel] = fit(xf[sel])
-        return out[0] if scalar else out
-
-    def derivative(self, order: int = 1) -> "SampledFunction":
-        return SampledFunction(self.grid, self.grid.derivative(self.values, order))
+        panel = np.searchsorted(edges[1:-1], x.reshape(-1), side="right")
+        nodes = grid.nodes.reshape(edges.size - 1, -1)[panel]
+        vals = self.values.reshape(edges.size - 1, -1)[panel]
+        dx = x.reshape(-1, 1) - nodes
+        hit = dx == 0.0
+        c = grid._rule.bary / np.where(hit, 1.0, dx)
+        out = np.sum(c * vals, axis=1) / np.sum(c, axis=1)
+        rows, cols = np.nonzero(hit)
+        out[rows] = vals[rows, cols]
+        return out[0] if x.ndim == 0 else out.reshape(x.shape)
 
     def integral(self):
         return np.sum(self.weights * self.values)
-
-
-def _legfit(x, y, deg, lo, hi):
-    # Least-squares Legendre fit through the panel nodes (exact interpolation
-    # since deg = npts-1); well conditioned in the mapped [-1, 1] basis.
-    return np.polynomial.legendre.Legendre.fit(x, y, deg, domain=[lo, hi])
 
 
 def gauss_legendre_grid(n: int, a: float, b: float) -> Grid:
@@ -117,10 +131,7 @@ def gauss_legendre_grid(n: int, a: float, b: float) -> Grid:
         raise ValueError("need at least 2 nodes")
     if not a < b:
         raise ValueError("need a < b")
-    x, w = leggauss(n)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return Grid(a, b, np.array([a, b]), mid + half * x, half * w,
-                panel_slices=(slice(0, n),))
+    return composite_grid([a, b], n)
 
 
 def composite_grid(breakpoints, n_per_panel: int = 32) -> Grid:
@@ -128,17 +139,11 @@ def composite_grid(breakpoints, n_per_panel: int = 32) -> Grid:
     bp = np.asarray(breakpoints, dtype=float)
     if bp.size < 2 or np.any(np.diff(bp) <= 0):
         raise ValueError("breakpoints must be strictly increasing")
-    x0, w0 = leggauss(n_per_panel)
-    nodes, weights, slices = [], [], []
-    pos = 0
-    for lo, hi in zip(bp[:-1], bp[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        nodes.append(mid + half * x0)
-        weights.append(half * w0)
-        slices.append(slice(pos, pos + n_per_panel))
-        pos += n_per_panel
-    return Grid(bp[0], bp[-1], bp, np.concatenate(nodes),
-                np.concatenate(weights), panel_slices=tuple(slices))
+    rule = _reference_rule(n_per_panel)
+    mid = 0.5 * (bp[:-1] + bp[1:])[:, None]
+    half = 0.5 * (bp[1:] - bp[:-1])[:, None]
+    return Grid(bp[0], bp[-1], bp, (mid + half * rule.nodes).reshape(-1),
+                (half * rule.weights).reshape(-1))
 
 
 def graded_breakpoints(a: float, b: float, centers, w0: float,
@@ -198,10 +203,6 @@ class Contour:
 
     nodes: np.ndarray
     weights: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.nodes.size
 
     @classmethod
     def ellipse(cls, center: complex, semi_real: float, semi_imag: float,

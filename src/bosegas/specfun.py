@@ -93,23 +93,19 @@ def _ln_barnes_asymptotic(z: complex) -> complex:
 
 
 def barnes_g(z: complex) -> complex:
-    """Barnes G-function, entire, with G(1)=G(2)=G(3)=1.
-
-    Upward recursion G(z+1) = Gamma(z) G(z) pushes the argument to
-    Re z >= 24, where the asymptotic expansion of log G applies.
-    """
-    z = complex(z)
+    """Barnes G-function, entire, with G(1)=G(2)=G(3)=1."""
     if _is_nonpositive_int(z):
         return 0.0 + 0.0j  # zeros of G at 0, -1, -2, ...
-    n = max(0, int(np.ceil(24.0 - z.real)))
-    # G(z) = G(z+n) / prod_{j=0}^{n-1} Gamma(z+j)
-    log_g = _ln_barnes_asymptotic(z + n - 1.0)
-    log_prod = sum(loggamma(z + j) for j in range(n))
-    return complex(np.exp(log_g - log_prod))
+    return complex(np.exp(ln_barnes_g(z)))
 
 
 def ln_barnes_g(z: complex) -> complex:
-    """log G(z) by the same recursion; branch from summed principal logs."""
+    """log G(z); branch from summed principal logs.
+
+    Upward recursion G(z+1) = Gamma(z) G(z) pushes the argument to
+    Re z >= 24, where the asymptotic expansion of log G applies:
+    G(z) = G(z+n) / prod_{j=0}^{n-1} Gamma(z+j).
+    """
     z = complex(z)
     if _is_nonpositive_int(z):
         raise GammaPoleError(f"log of a Barnes zero at z={z}")

@@ -207,13 +207,16 @@ class TestAssembledAmplitude:
 
 
 class TestAmplitudePlan:
-    # A(0.2, ell) at c = h = 1 (grid 96, contour 256) from the per-call
-    # implementation the plan replaced: (B_smooth, A_tilde)
+    # A(0.2, ell) at c = h = 1 (grid 96, contour 256): (B_smooth, A_tilde).
+    # B_smooth is from the per-call implementation the plan replaced;
+    # A_tilde is from the plan with C1 of Z built on the Nystrom-exact Z'
+    # and Z'' (kernel derivatives under the integral), independent of the
+    # spectral derivative.
     PER_CALL = {
         0: (1.6979437288369905 + 4.2919855714803947e-16j,
-            0.6528020040220736 + 1.6501234609319685e-16j),
+            0.6528020040221837 + 7.683178456037069e-16j),
         1: (0.8340925922091914 + 2.962024709241748e-14j,
-            4.961075245906202e-14 + 1.725320734843024e-27j),
+            4.961075245919725e-14 + 1.3387178785218532e-27j),
     }
 
     @pytest.fixture(scope="class")

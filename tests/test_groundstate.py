@@ -111,6 +111,23 @@ class TestStructure:
         assert q2 > q1
 
 
+@pytest.mark.parametrize("ratio", [1.0, 4.0])
+def test_spectral_derivatives_of_charge(ratio):
+    # Z' and Z'' on the nodes, exact to quadrature accuracy: differentiate
+    # the kernel under Z = 1 + (1/2pi) int K Z
+    c = 1.0 / np.sqrt(ratio)
+    gs = build_ground_state(ModelParams(c=c, h=1.0))
+    lam, w, z = gs.grid.nodes, gs.grid.weights, gs.Z.values
+    d = lam[:, None] - lam[None, :]
+    k1 = -4.0 * c * d / (d * d + c * c) ** 2
+    k2 = 4.0 * c * (3.0 * d * d - c * c) / (d * d + c * c) ** 3
+    zp, zpp = (k @ (w * z) / (2.0 * np.pi) for k in (k1, k2))
+    der = gs.grid.derivative(z)
+    der2 = gs.grid.derivative(der)
+    assert np.max(np.abs(der - zp)) <= 1e-11 * np.max(np.abs(zp))
+    assert np.max(np.abs(der2 - zpp)) <= 1e-8 * np.max(np.abs(zpp))
+
+
 def _edge_energy(c, h, q, n_nodes=96):
     """eps0(q|q) from its own factorization on [-q, q]."""
     grid = composite_grid([-q, 0.0, q], n_nodes // 2)

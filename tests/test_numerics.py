@@ -10,6 +10,16 @@ from bosegas.numerics import (Contour, NumericsError, SampledFunction,
                               nystrom_solve)
 
 
+def _spectral_case(case):
+    """(grid, f, f') for the interpolation and differentiation tests."""
+    if case == "uniform":
+        return composite_grid([-1.0, 0.0, 1.0], 20), np.sin, np.cos
+    # unequal panels graded towards 0.3, complex values
+    grid = composite_grid(graded_breakpoints(-1.0, 1.0, [0.3], 0.05), 16)
+    k = 1.5 + 2.0j
+    return grid, lambda x: np.exp(k * x), lambda x: k * np.exp(k * x)
+
+
 class TestGrids:
     def test_polynomial_exactness(self):
         grid = gauss_legendre_grid(8, -1.0, 2.0)
@@ -23,16 +33,21 @@ class TestGrids:
         val = np.sum(grid.weights * np.exp(grid.nodes))
         assert abs(val - (np.e - 1.0)) < 1e-14
 
-    def test_interpolation_off_grid(self):
-        grid = composite_grid([-1.0, 0.0, 1.0], 20)
-        f = SampledFunction(grid, np.sin(grid.nodes))
-        x = np.array([-0.7, -0.1, 0.45, 0.99])
-        assert np.max(np.abs(f(x) - np.sin(x))) < 1e-13
+    @pytest.mark.parametrize("case", ["uniform", "graded"])
+    def test_interpolation_off_grid(self, case):
+        grid, fn, _ = _spectral_case(case)
+        f = SampledFunction(grid, fn(grid.nodes))
+        x = np.array([-0.7, -0.1, 0.3, 0.45, 0.99, 1.0])
+        assert np.max(np.abs(f(x) - fn(x))) < 1e-13
+        assert abs(f(0.123) - fn(0.123)) < 1e-13
+        # a point on a node returns the sample itself
+        assert f(grid.nodes[7]) == f.values[7]
 
-    def test_spectral_derivative(self):
-        grid = composite_grid([-1.0, 0.0, 1.0], 20)
-        der = grid.derivative(np.sin(grid.nodes))
-        assert np.max(np.abs(der - np.cos(grid.nodes))) < 1e-11
+    @pytest.mark.parametrize("case", ["uniform", "graded"])
+    def test_spectral_derivative(self, case):
+        grid, fn, dfn = _spectral_case(case)
+        der = grid.derivative(fn(grid.nodes))
+        assert np.max(np.abs(der - dfn(grid.nodes))) < 1e-11
 
     def test_sampled_function_integral(self):
         grid = composite_grid([0.0, 2.0], 24)
