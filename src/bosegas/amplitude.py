@@ -93,25 +93,12 @@ def smooth_contour(gs: GroundState, n: int = 256) -> Contour:
 # ---------------------------------------------------------------------------
 
 def _cauchy_sq(xs, ys):
-    """prod_{j<k} (x_j - x_k)^2 (y_j - y_k)^2 / prod_{j,k} (x_j - y_k)^2.
-
-    The products run over the last axis; leading axes broadcast, and only
-    the cross product takes their joint shape.
-    """
+    """prod_{j<k} (x_j - x_k)^2 (y_j - y_k)^2 / prod_{j,k} (x_j - y_k)^2."""
     xs, ys = np.asarray(xs), np.asarray(ys)
-    vander = []
-    for v in (xs, ys):
-        out = np.ones(v.shape[:-1], dtype=v.dtype)
-        for j in range(v.shape[-1]):
-            for k in range(j):
-                out = out * (v[..., j] - v[..., k]) ** 2
-        vander.append(out)
-    cross = np.ones(np.broadcast_shapes(xs.shape[:-1], ys.shape[:-1]),
-                    dtype=np.result_type(xs, ys))
-    for j in range(xs.shape[-1]):
-        for k in range(ys.shape[-1]):
-            cross = cross * (xs[..., j] - ys[..., k]) ** 2
-    return vander[0] * vander[1] / cross
+    vander = [np.prod((v[:, None] - v[None, :])[np.triu_indices(v.size, 1)])
+              for v in (xs, ys)]
+    cross = np.prod(xs[:, None] - ys[None, :])
+    return (vander[0] * vander[1] / cross) ** 2
 
 
 def r_factor(ps, hs, nu: complex) -> complex:
@@ -144,77 +131,37 @@ def discrete_amplitude(gs: GroundState, cls, alpha: complex) -> complex:
 # configuration sums
 # ---------------------------------------------------------------------------
 
-def _bounded_tuples(size: int, cutoff: int, budget: float, start: int = 1):
-    """Strictly increasing tuples from [start, cutoff] with bounded sum."""
-    if size == 0:
-        yield ()
-        return
-    # minimal sum of the remaining entries starting at v is arithmetic
-    for v in range(start, cutoff + 1):
-        min_rest = (size - 1) * v + size * (size - 1) // 2
-        if v + min_rest > budget:
-            break
-        for rest in _bounded_tuples(size - 1, cutoff, budget - v, v + 1):
-            yield (v,) + rest
-
-
-def _qn_arrays(size: int, cap: int, budget: float) -> np.ndarray:
-    """All strictly increasing tuples from [1, cap] with bounded sum, as an
-    integer array of shape (count, size)."""
-    tuples = list(_bounded_tuples(size, cap, budget))
-    return np.array(tuples, dtype=float).reshape(len(tuples), size)
-
-
-def _config_sum(ps: np.ndarray, hs: np.ndarray, gp: np.ndarray,
-                gh: np.ndarray, tau: float, budget: float) -> complex:
-    """Sum of weighted rational-Gamma factors over all pairings of the
-    particle rows with the hole rows whose joint cost fits the budget."""
-    cost = (ps.sum(axis=1) - ps.shape[1])[:, None] + hs.sum(axis=1)[None, :]
-    weight = np.where(cost <= budget, np.exp(-tau * cost), 0.0)
-    weight *= _cauchy_sq(ps[:, None, :], 1.0 - hs[None, :, :])
-    gam_p = np.prod(gp[ps.astype(int)], axis=1)
-    gam_h = np.prod(gh[hs.astype(int)], axis=1)
-    return complex(gam_p @ weight @ gam_h)
-
-
 def w_series(nu: complex, r: int, tau: float, cutoff: int) -> complex:
-    """Brute-force configuration sum over particle/hole quantum numbers.
+    """Configuration sum over particle/hole quantum numbers <= cutoff.
 
-    All configurations with n - n' = r and quantum numbers <= cutoff are
-    summed with weights e^{-tau(p_j - 1)}, e^{-tau h_k}, the sine prefactor
-    and the rational-Gamma weight; configurations whose bare exponential
-    weight is below 1e-18 are dropped (they cannot move the sum at the
-    1e-12 level for the gated tau >= 1).
+    Sums all configurations with n - n' = r, weighted by e^{-tau(p_j - 1)},
+    e^{-tau h_k}, the sine prefactor per hole and the rational-Gamma weight.
+    That weight is the squared minor of the Cauchy matrix
+    C_pk = 1/(p + k - 1) bordered by r monomial columns p^j, so by
+    Cauchy-Binet the finite sum is exactly one determinant,
+    det(Lambda + diag(s b, 1_r) X^T diag(a) X) with X = [C | p^j] and
+    Lambda = diag(1, 0_r); for r < 0 particles and holes swap roles.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    budget = min(41.0 / tau, float(cutoff * (cutoff + 1)))
-    cap = min(cutoff, int(budget) + 1)
+    k = np.arange(1, cutoff + 1)
     # per-quantum-number squared Gamma ratios (poles handled as in r_factor)
-    gp = np.zeros(cap + 1, dtype=complex)
-    gh = np.zeros(cap + 1, dtype=complex)
-    for k in range(1, cap + 1):
-        gp[k] = gamma_ratio(GammaRatioSpec([k + nu], [k])) ** 2
-        gh[k] = gamma_ratio(GammaRatioSpec([k - nu], [k])) ** 2
+    a = np.exp(-tau * (k - 1)) * np.array(
+        [gamma_ratio(GammaRatioSpec([j + nu], [j])) ** 2 for j in k])
+    b = np.exp(-tau * k) * np.array(
+        [gamma_ratio(GammaRatioSpec([j - nu], [j])) ** 2 for j in k])
     sine = (np.sin(np.pi * nu) / np.pi) ** 2
-    total = 0.0 + 0.0j
-    n_h = 0
-    while True:
-        n_p = n_h + r
-        if n_p < 0:
-            n_h += 1
-            continue
-        if n_p > cutoff or n_h > cutoff:
-            break
-        min_cost = n_p * (n_p - 1) // 2 + n_h * (n_h + 1) // 2
-        if min_cost > budget:
-            break
-        hs = _qn_arrays(n_h, cap, budget - n_p * (n_p - 1) // 2)
-        ps = _qn_arrays(n_p, cap, budget + n_p - n_h * (n_h + 1) // 2)
-        if len(hs) and len(ps):
-            total += sine ** n_h * _config_sum(ps, hs, gp, gh, tau, budget)
-        n_h += 1
-    return complex(total)
+    if r < 0:
+        # C is symmetric: the larger set becomes the bordered one, and the
+        # |r| holes it now carries take their sine factors outside
+        a, b = b, a
+    m = abs(r)
+    x = np.hstack([1.0 / (k[:, None] + k[None, :] - 1.0),
+                   np.vander(k.astype(float), m, increasing=True)])
+    d = np.concatenate([sine * b, np.ones(m)])
+    mat = d[:, None] * (x.T @ (a[:, None] * x))
+    mat[np.arange(cutoff), np.arange(cutoff)] += 1.0      # + Lambda
+    return complex(np.linalg.det(mat) * sine ** max(-r, 0))
 
 
 def w_closed(nu: complex, r: int, tau: float) -> complex:

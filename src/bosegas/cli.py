@@ -179,7 +179,7 @@ def cmd_thermal(cfg: RunConfig, out, fmt) -> int:
 
 
 def cmd_lengths(cfg: RunConfig, out, fmt) -> int:
-    gs = build_ground_state(ModelParams(c=cfg.c, h=cfg.h),
+    gs = build_ground_state(ModelParams(c=cfg.c, h=cfg.h, T=cfg.T),
                             n_nodes=cfg.grid_n)
     rows = []
     for ell in range(1, cfg.ell_max + 1):

@@ -46,8 +46,8 @@ def generating_asymptotics(gs: GroundState, alpha: complex, x: float,
     x T -> infinity.  ``plan`` is a prebuilt plan of ``gs``; without one,
     a plan is built with the default contour.
     """
-    if not (x > 0 and T > 0):
-        raise ValueError("need x > 0 and T > 0")
+    if not (0 < x < np.inf and 0 < T < np.inf):
+        raise ValueError("need finite x > 0 and T > 0")
     if np.pi * T * x / gs.v0 < 1.0:
         warnings.warn("x T below the asymptotic regime; terms of comparable "
                       "size are being dropped", stacklevel=2)
@@ -118,8 +118,8 @@ def density_correlator(gs: GroundState, x, T: float, ell_max: int = 2,
     CorrelatorSeries for a scalar x and a tuple of them for an array.
     """
     xs = np.asarray(x, dtype=float)
-    if not (np.all(xs > 0) and T > 0):
-        raise ValueError("need x > 0 and T > 0")
+    if not (np.all((0 < xs) & (xs < np.inf)) and 0 < T < np.inf):
+        raise ValueError("need finite x > 0 and T > 0")
     plan = plan or AmplitudePlan(gs, contour_n)
     amps = {ell: plan.harmonic(ell) for ell in range(1, ell_max + 1)}
     series = tuple(_series_at(gs, float(xx), T, amps)

@@ -32,12 +32,12 @@ class ModelParams:
     alpha: complex = 0.0
 
     def __post_init__(self):
-        if not self.c > 0:
-            raise ValueError("coupling c must be positive")
-        if not self.h > 0:
-            raise ValueError("chemical potential must be positive")
-        if self.T < 0:
-            raise ValueError("temperature must be non-negative")
+        if not 0 < self.c < np.inf:
+            raise ValueError("coupling c must be positive and finite")
+        if not 0 < self.h < np.inf:
+            raise ValueError("chemical potential must be positive and finite")
+        if not 0 <= self.T < np.inf:
+            raise ValueError("temperature must be non-negative and finite")
 
 
 def fermi_grid(q: float, n_nodes: int = 96) -> Grid:

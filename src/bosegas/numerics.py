@@ -125,15 +125,6 @@ class SampledFunction:
         return np.sum(self.weights * self.values)
 
 
-def gauss_legendre_grid(n: int, a: float, b: float) -> Grid:
-    """Standard n-point Gauss-Legendre rule on [a, b] as a one-panel grid."""
-    if n < 2:
-        raise ValueError("need at least 2 nodes")
-    if not a < b:
-        raise ValueError("need a < b")
-    return composite_grid([a, b], n)
-
-
 def composite_grid(breakpoints, n_per_panel: int = 32) -> Grid:
     """Gauss-Legendre rule on each sub-interval of ``breakpoints``."""
     bp = np.asarray(breakpoints, dtype=float)

@@ -1,7 +1,7 @@
 """Built-in verification suite.
 
 Each check re-derives one family of analytic results numerically and
-compares against an independent route (closed form, brute-force sum, limit
+compares against an independent route (closed form, exact finite sum, limit
 anchor, or grid refinement).  Checks return structured results so that both
 the command-line ``verify`` subcommand and the test suite can assert on
 them.
@@ -165,7 +165,8 @@ def check_decay_rate(ws: Workspace):
 
 
 def check_w_identity(ws: Workspace):
-    """Brute-force configuration sum vs its Barnes-function closed form."""
+    """Finite configuration sum, as its Cauchy-Binet determinant, vs its
+    Barnes-function closed form."""
     worst = 0.0
     table = []
     for nu in (0.3, -0.25 + 0.1j):

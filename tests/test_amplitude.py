@@ -2,6 +2,8 @@
 contour-determinant invariances, Gamma-weight factors, configuration sums
 and the finite-temperature discrete factor."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,23 @@ class TestConfigurationSum:
 
     def test_closed_vanishes_at_negative_integer(self):
         assert w_closed(-2.0, 1, 1.5) == 0.0 + 0.0j
+
+    @pytest.mark.parametrize("nu", [0.3, -0.25 + 0.1j])
+    @pytest.mark.parametrize("r", [-2, -1, 0, 1, 2])
+    def test_matches_enumeration(self, nu, r):
+        # every particle set P and hole set H from [1, 6] with |P| - |H| = r
+        cutoff, tau = 6, 1.0
+        sine = (np.sin(np.pi * nu) / np.pi) ** 2
+        qns = range(1, cutoff + 1)
+        brute = 0.0
+        for n_h in range(max(0, -r), cutoff + 1 - max(0, r)):
+            for hs in itertools.combinations(qns, n_h):
+                for ps in itertools.combinations(qns, n_h + r):
+                    cost = sum(ps) - len(ps) + sum(hs)
+                    brute += (sine ** n_h * np.exp(-tau * cost)
+                              * r_factor(ps, hs, nu))
+        series = w_series(nu, r, tau, cutoff)
+        assert abs(series - brute) <= 1e-12 * abs(brute)
 
     @pytest.mark.parametrize("nu,r,tau,cutoff", [
         (0.3, 1, 2.0, 12),

@@ -133,6 +133,16 @@ class TestExitCodes:
         assert main(["ground-state", "--config", str(cfg)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,T", [("correlator", "inf"),
+                                           ("lengths", "inf"),
+                                           ("lengths", "nan"),
+                                           ("lengths", "-1.0")])
+    def test_bad_temperature(self, tmp_path, command, T):
+        # these used to print NaN, inf or negative columns and exit 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"T = {T}\n")
+        assert main([command, "--config", str(cfg)]) == 2
+
     def test_unresolved_ground_state(self, tmp_path, capsys):
         # h/c^2 = 400 needs more than the default 96 Fermi nodes
         cfg = tmp_path / "run.cfg"

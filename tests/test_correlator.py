@@ -37,6 +37,10 @@ class TestGeneratingAsymptotics:
     def test_invalid_arguments(self, gs):
         with pytest.raises(ValueError):
             generating_asymptotics(gs, 0.2, -1.0, 0.01, 1)
+        for x, T in ((np.inf, 0.01), (1.0, np.inf), (np.nan, 0.01),
+                     (1.0, np.nan)):
+            with pytest.raises(ValueError):
+                generating_asymptotics(gs, 0.2, x, T, 1)
 
     def test_warns_below_regime(self, gs):
         with pytest.warns(UserWarning, match="asymptotic regime"):
@@ -132,6 +136,10 @@ class TestDensityCorrelator:
     def test_invalid_arguments(self, gs):
         with pytest.raises(ValueError):
             density_correlator(gs, 10.0, 0.0)
+        for x, T in (([10.0, np.inf], 0.05), (10.0, np.inf),
+                     ([np.nan], 0.05), (10.0, np.nan)):
+            with pytest.raises(ValueError):
+                density_correlator(gs, x, T)
 
     def test_constant_part(self, gs, series):
         assert abs(series.constant - gs.D ** 2) < 1e-14

@@ -27,6 +27,12 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(c=1.0, h=1.0, T=-0.1)
 
+    @pytest.mark.parametrize("field", ["c", "h", "T"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            ModelParams(**{"c": 1.0, "h": 1.0, "T": 0.1, field: value})
+
 
 class TestKernel:
     def test_lorentzian(self):

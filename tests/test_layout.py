@@ -15,7 +15,6 @@ PACKAGE = Path(bosegas.__file__).parent
 # Documented library API that the package itself does not call.
 ALLOWED = {
     "ln_gamma",             # complex log-Gamma, the base of the specfun layer
-    "gauss_legendre_grid",  # single-panel rule beside composite_grid
 }
 
 
