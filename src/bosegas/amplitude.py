@@ -20,7 +20,7 @@ from .groundstate import GroundState, kernel
 from .numerics import (Contour, NumericsError, SampledFunction,
                        cauchy_transform, fredholm_logdet)
 from .specfun import (GammaRatioSpec, barnes_g, barnes_g_one, gamma_ratio,
-                      ln_barnes_g)
+                      ln_barnes_g, ln_gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -145,11 +145,10 @@ def w_series(nu: complex, r: int, tau: float, cutoff: int) -> complex:
     if tau <= 0:
         raise ValueError("tau must be positive")
     k = np.arange(1, cutoff + 1)
-    # per-quantum-number squared Gamma ratios (poles handled as in r_factor)
-    a = np.exp(-tau * (k - 1)) * np.array(
-        [gamma_ratio(GammaRatioSpec([j + nu], [j])) ** 2 for j in k])
-    b = np.exp(-tau * k) * np.array(
-        [gamma_ratio(GammaRatioSpec([j - nu], [j])) ** 2 for j in k])
+    # per-quantum-number squared Gamma ratios; a surviving pole raises
+    ln_gamma_k = ln_gamma(k)
+    a = np.exp(-tau * (k - 1)) * np.exp(2.0 * (ln_gamma(k + nu) - ln_gamma_k))
+    b = np.exp(-tau * k) * np.exp(2.0 * (ln_gamma(k - nu) - ln_gamma_k))
     sine = (np.sin(np.pi * nu) / np.pi) ** 2
     if r < 0:
         # C is symmetric: the larger set becomes the bordered one, and the

@@ -42,6 +42,8 @@ class ModelParams:
 
 def fermi_grid(q: float, n_nodes: int = 96) -> Grid:
     """Symmetric composite Gauss-Legendre grid on [-q, q]."""
+    if n_nodes <= 0 or n_nodes % 2:
+        raise ValueError(f"grid size {n_nodes} is not a positive even integer")
     return composite_grid([-q, 0.0, q], n_nodes // 2)
 
 
@@ -54,13 +56,13 @@ def _interval_solutions(params: ModelParams, q: float, n_nodes: int):
     c = params.c
     grid = fermi_grid(q, n_nodes)
     kern = lambda x, y: kernel(x - y, c)
-    lu = nystrom_factorize(kern, grid)
+    inv = nystrom_factorize(kern, grid)
     rhs_fns = (lambda lam: lam ** 2 - params.h,
                lambda lam: 2.0 * lam,
                lambda lam: np.ones_like(np.asarray(lam, dtype=float)),
                lambda lam: kernel(lam - q, c) / (2.0 * np.pi),
                lambda lam: kernel(lam + q, c) / (2.0 * np.pi))
-    return tuple(nystrom_solve(kern, grid, lu, f) for f in rhs_fns)
+    return tuple(nystrom_solve(kern, grid, inv, f) for f in rhs_fns)
 
 
 def solve_fermi_boundary(params: ModelParams, n_nodes: int = 96):

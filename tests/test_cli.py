@@ -150,6 +150,17 @@ class TestExitCodes:
         assert main(["ground-state", "--config", str(cfg)]) == 3
         assert "numerical failure:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["correlator", "--contour-n", "-8"],
+        ["verify", "--only", "grid-hygiene", "--contour-n", "-8"],
+        ["ground-state", "--grid-n", "97"],
+        ["amplitudes", "--contour-n", "0"]])
+    def test_bad_grid_or_contour_size(self, argv, capsys):
+        # an empty contour has unit determinants and an odd grid lost a
+        # node: both used to give a plausible wrong answer or a bare crash
+        assert main(argv) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("mystery = 1\n")

@@ -1,4 +1,5 @@
-"""Tooling guard: production modules hold no code that only tests call.
+"""Tooling guard: production modules hold no code that only tests call,
+and the runtime needs numpy alone.
 
 Every top-level function and class and every method in ``src/bosegas`` must
 be referenced somewhere in the package besides its own definition, or be
@@ -6,6 +7,9 @@ exported through ``bosegas.__all__``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import bosegas
@@ -13,9 +17,7 @@ import bosegas
 PACKAGE = Path(bosegas.__file__).parent
 
 # Documented library API that the package itself does not call.
-ALLOWED = {
-    "ln_gamma",             # complex log-Gamma, the base of the specfun layer
-}
+ALLOWED = set()
 
 
 def _definitions(tree):
@@ -69,3 +71,15 @@ def test_allowlist_is_needed():
     trees = [ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")]
     used = {name for tree in trees for name in _references(tree)}
     assert not ALLOWED & used
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only oracle; a fresh interpreter shows what the
+    # package itself pulls in
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH")))))
+    code = ("import sys, bosegas; print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -81,6 +81,12 @@ class TestContour:
         val = np.sum(cont.weights * np.exp(cont.nodes))
         assert abs(val) < 1e-12
 
+    def test_empty_contour_refused(self):
+        # np.arange of a non-positive size is empty: every determinant 1
+        for n in (0, -8):
+            with pytest.raises(ValueError):
+                Contour.ellipse(0.0, 1.0, 0.5, n)
+
     def test_pole_outside_gives_zero(self):
         cont = Contour.ellipse(0.0, 1.0, 0.5, 128)
         val = np.sum(cont.weights / (cont.nodes - 3.0))
@@ -99,6 +105,13 @@ class TestNystrom:
         assert np.max(np.abs(sol.values - expected)) < 1e-12
         # off-grid evaluation via the natural Nystrom formula
         assert abs(sol(0.123) - expected) < 1e-12
+
+    def test_singular_operator_refused(self):
+        # (1/2pi) * pi * int_{-1}^{1} dy = 1: I - K W / 2pi kills constants
+        grid = composite_grid([-1.0, 0.0, 1.0], 8)
+        kern = lambda x, y: np.full(np.broadcast(x, y).shape, np.pi)
+        with pytest.raises(NumericsError):
+            nystrom_factorize(kern, grid)
 
     def test_separable_kernel(self):
         # K(x,y) = cos x cos y: solution f = 1 + c cos x with c from the

@@ -3,14 +3,22 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
+from scipy.special import loggamma
 
-from bosegas.specfun import (GammaPoleError, GammaRatioSpec, barnes_g,
-                             barnes_g_one, gamma_ratio, ln_barnes_g, ln_gamma,
-                             verify_gamma_integral_identity)
+from bosegas.specfun import (GammaPoleError, GammaRatioSpec, _laplace_integral,
+                             barnes_g, barnes_g_one, gamma_ratio, ln_barnes_g,
+                             ln_gamma, verify_gamma_integral_identity)
+
+# (a, b, p) triples of the gamma-integral verification check
+VERIFY_TRIPLES = [(0.5, 0.5, 1.0), (0.3, 0.7, 1.0), (-0.4, 0.4, 2.0)]
 
 
 def stirling_ln_gamma(z):
-    """Independent large-|z| oracle: Stirling series with three tail terms."""
+    """Large-|z| oracle: Stirling series with three tail terms.
+
+    This is the algorithm of ln_gamma itself, truncated earlier; the sweep
+    against scipy's loggamma is the independent oracle."""
     return ((z - 0.5) * np.log(z) - z + 0.5 * np.log(2.0 * np.pi)
             + 1.0 / (12.0 * z) - 1.0 / (360.0 * z ** 3)
             + 1.0 / (1260.0 * z ** 5))
@@ -47,6 +55,32 @@ class TestLnGamma:
         lhs = ln_gamma(np.conj(z))
         rhs = np.conj(ln_gamma(z))
         assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))
+
+    def test_matches_scipy_in_the_square(self):
+        rng = np.random.default_rng(7)
+        z = rng.uniform(-30.0, 30.0, 20000) + 1j * rng.uniform(-30.0, 30.0,
+                                                               20000)
+        ref = loggamma(z)
+        err = np.abs(ln_gamma(z) - ref) / np.maximum(1.0, np.abs(ref))
+        assert err.max() <= 1e-13
+
+    def test_matches_scipy_on_the_real_axis(self):
+        # the negative axis carries scipy's branch for x + 0j
+        x = np.linspace(-30.0, 30.0, 20001) + 1e-3 / np.pi
+        x = x[np.abs(x - np.round(x)) > 1e-3]
+        ref = loggamma(x.astype(complex))
+        err = np.abs(ln_gamma(x) - ref) / np.maximum(1.0, np.abs(ref))
+        assert err.max() <= 1e-13
+
+    def test_array_with_pole_raises(self):
+        with pytest.raises(GammaPoleError):
+            ln_gamma(np.array([0.5, 1.5 + 1.0j, -4.0, 3.0]))
+
+    def test_array_shape_kept(self):
+        z = np.array([[1.0, 2.5], [0.3 + 1.0j, -1.5]])
+        out = ln_gamma(z)
+        assert out.shape == z.shape
+        assert abs(out[1, 0] - ln_gamma(0.3 + 1.0j)) <= 1e-15
 
     def test_exp_matches_gamma(self):
         from scipy.special import gamma
@@ -158,6 +192,20 @@ class TestGammaIntegralIdentity:
                                        (0.5, -0.2, 1.5)])
     def test_residual_small(self, a, b, p):
         assert verify_gamma_integral_identity(a, b, p) <= 1e-8
+
+    @pytest.mark.parametrize("a,b,p", VERIFY_TRIPLES)
+    def test_panels_match_adaptive_quadrature(self, a, b, p):
+        def integrand(w):
+            if w < 1e-6:
+                # series of the bracket: (b^2 - a^2)/2 * w + O(w^2), over w
+                return np.exp(-p * w) * 0.5 * (b * b - a * a)
+            damp = 1.0 - np.exp(-2.0 * np.pi * w)
+            br = (b - a) - 2.0 * np.pi * (np.exp(-(np.pi + a) * w)
+                                          - np.exp(-(np.pi + b) * w)) / damp
+            return np.exp(-p * w) * br / w
+        ref, _ = quad(integrand, 0.0, np.inf, limit=200, epsabs=1e-13,
+                      epsrel=1e-13)
+        assert abs(_laplace_integral(a, b, p) - ref) <= 1e-11
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
