@@ -274,8 +274,8 @@ def solve_u(params: ModelParams, cls: ExcitationClass,
             thermal: ThermalSolution = None,
             gs: GroundState = None) -> USolution:
     """Solve of the excited-state integral equation with the roots fixed at
-    their leading-order positions, by the damped fixed point that also
-    serves the thermal energy.
+    their leading-order positions, by the Anderson-accelerated fixed point
+    that also serves the thermal energy.
 
     The equation is solved on the deformed contour of excitation_contour,
     which realizes the analytic continuation in alpha of the

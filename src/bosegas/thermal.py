@@ -1,9 +1,9 @@
 """Finite-temperature state of the gas.
 
-Damped fixed-point solution of the nonlinear integral equation for the
-thermal excitation energy (shared with the excited-state energy, which obeys
-the same equation on a deformed contour) and the low-temperature correction
-law.
+Anderson-accelerated fixed-point solution of the nonlinear integral equation
+for the thermal excitation energy (shared with the excited-state energy,
+which obeys the same equation on a deformed contour) and the low-temperature
+correction law.
 """
 
 from __future__ import annotations
@@ -16,8 +16,10 @@ from .groundstate import GroundState, ModelParams, build_ground_state, kernel
 from .numerics import (Grid, SampledFunction, NumericsError, composite_grid,
                        graded_breakpoints)
 
-# damping, iteration cap and relative tolerance of the shared fixed point
+# first-step damping, Anderson mixing depth, iteration cap and relative
+# tolerance of the shared fixed point
 _DAMPING = 0.5
+_DEPTH = 5
 _MAX_ITER = 500
 _TOL_FACTOR = 1e-12
 
@@ -89,22 +91,35 @@ class ThermalSolution:
 
 
 def _fixed_point(bare, kmat, T: float, tol: float):
-    """Damped iteration for f = bare - (T/2pi) kmat log(1 + e^{-f/T}).
+    """Solve f = bare - (T/2pi) kmat log(1 + e^{-f/T}) by Anderson mixing.
 
     ``kmat`` holds the kernel times the quadrature weights of the nodes
-    (real grid or deformed contour).  Returns the solution, its log weight
-    log(1 + e^{-f/T}), the iteration count and the final sup-norm residual.
+    (real grid or deformed contour).  The first step is half-damped; after
+    it, type-II Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 49 (2011)
+    1715) over the last ``_DEPTH`` differences of residuals r = g - f and
+    maps g takes f = g - dG gamma with gamma the least-squares solution of
+    dR gamma = r.  Returns the solution, its log weight log(1 + e^{-f/T}),
+    the number of map evaluations and the final sup-norm residual.
     """
     f = bare.copy()
     residual = np.inf
+    d_r, d_g = [], []
     for it in range(1, _MAX_ITER + 1):
         lw = stable_log1pexp(f / T)
-        rhs = bare - (T / (2.0 * np.pi)) * (kmat @ lw)
-        residual = float(np.max(np.abs(rhs - f)))
+        g = bare - (T / (2.0 * np.pi)) * (kmat @ lw)
+        r = g - f
+        residual = float(np.max(np.abs(r)))
         if residual <= tol:
-            f = rhs
+            f = g
             break
-        f = (1.0 - _DAMPING) * f + _DAMPING * rhs
+        if it == 1:
+            f = (1.0 - _DAMPING) * f + _DAMPING * g
+        else:
+            d_r = (d_r + [r - r_prev])[-_DEPTH:]
+            d_g = (d_g + [g - g_prev])[-_DEPTH:]
+            gamma = np.linalg.lstsq(np.stack(d_r, axis=1), r, rcond=None)[0]
+            f = g - np.stack(d_g, axis=1) @ gamma
+        r_prev, g_prev = r, g
     else:
         raise NumericsError(
             f"fixed point not converged in {_MAX_ITER} iterations "
@@ -114,7 +129,7 @@ def _fixed_point(bare, kmat, T: float, tol: float):
 
 def solve_yang_yang(params: ModelParams, gs: GroundState = None,
                     n_per_panel: int = 16) -> ThermalSolution:
-    """Damped fixed-point iteration for the thermal excitation energy."""
+    """Thermal excitation energy by the shared Anderson-mixed fixed point."""
     if not params.T > 0:
         raise ValueError("finite-temperature solve requires T > 0")
     if gs is None:

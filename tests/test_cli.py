@@ -150,6 +150,14 @@ class TestExitCodes:
         assert main(["ground-state", "--config", str(cfg)]) == 3
         assert "numerical failure:" in capsys.readouterr().err
 
+    def test_weak_coupling_thermal(self, tmp_path):
+        # h/c^2 = 100 on a ground state sized for it: the thermal solve
+        # converges well inside the sweep cap
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("c = 0.1\nh = 1.0\nT = 0.002\n")
+        assert main(["thermal", "--config", str(cfg), "--grid-n", "192",
+                     "--out", str(tmp_path / "th.csv")]) == 0
+
     @pytest.mark.parametrize("argv", [
         ["correlator", "--contour-n", "-8"],
         ["verify", "--only", "grid-hygiene", "--contour-n", "-8"],
