@@ -255,6 +255,8 @@ def cmd_verify(cfg: RunConfig, out, fmt, only=None) -> int:
     if out is not None:
         # timings stay on the console; the report file is deterministic
         report = [{"name": r.name, "passed": r.passed,
+                   "bounds": {k: {**b._asdict(), "margin": b.margin}
+                              for k, b in r.bounds.items()},
                    "details": json.loads(json.dumps(
                        r.details, default=lambda v: repr(v)))}
                   for r in results]

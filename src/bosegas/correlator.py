@@ -17,6 +17,16 @@ from .amplitude import AmplitudePlan
 from .groundstate import GroundState
 
 
+def _plan_of(gs: GroundState, plan: AmplitudePlan,
+             contour_n: int = 256) -> AmplitudePlan:
+    """``plan`` if it was built on ``gs``, a new plan of ``gs`` if none."""
+    if plan is None:
+        return AmplitudePlan(gs, contour_n)
+    if plan.gs is not gs:
+        raise ValueError("plan was built on another ground state")
+    return plan
+
+
 def envelope_power(gs: GroundState, x: float, T: float, exponent) -> complex:
     """(pi T / v0 / sinh(pi T x / v0))^exponent on the principal branch of
     the positive real base."""
@@ -51,7 +61,7 @@ def generating_asymptotics(gs: GroundState, alpha: complex, x: float,
     if np.pi * T * x / gs.v0 < 1.0:
         warnings.warn("x T below the asymptotic regime; terms of comparable "
                       "size are being dropped", stacklevel=2)
-    plan = plan or AmplitudePlan(gs)
+    plan = _plan_of(gs, plan)
     terms = []
     for ell in sorted(range(-ell_max, ell_max + 1), key=lambda l: (abs(l), -l)):
         al = alpha + ell
@@ -120,7 +130,7 @@ def density_correlator(gs: GroundState, x, T: float, ell_max: int = 2,
     xs = np.asarray(x, dtype=float)
     if not (np.all((0 < xs) & (xs < np.inf)) and 0 < T < np.inf):
         raise ValueError("need finite x > 0 and T > 0")
-    plan = plan or AmplitudePlan(gs, contour_n)
+    plan = _plan_of(gs, plan, contour_n)
     amps = {ell: plan.harmonic(ell) for ell in range(1, ell_max + 1)}
     series = tuple(_series_at(gs, float(xx), T, amps)
                    for xx in xs.reshape(-1))
@@ -154,7 +164,7 @@ def ell0_term_fd(gs: GroundState, x: float, T: float,
     hyperbolic term up to higher-order thermal corrections.  ``plan`` is
     a prebuilt plan of ``gs``; without one, a plan is built with the
     default contour."""
-    plan = plan or AmplitudePlan(gs)
+    plan = _plan_of(gs, plan)
     cache = {}
 
     def zero_harmonic(alpha, xx):

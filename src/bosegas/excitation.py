@@ -20,7 +20,7 @@ from .thermal import (_TOL_FACTOR, ThermalSolution, _fixed_point,
 
 
 class ConstraintError(ValueError):
-    """The branch-selection constraint on u1 is violated."""
+    """An excited class that the leading-order placement cannot realise."""
 
 
 def _validate_qn(seq, name):
@@ -98,22 +98,11 @@ class RootOffsets:
         return sum(self.eta_minus) + sum(self.xi_minus)
 
 
-def root_offsets(gs: GroundState, cls: ExcitationClass, alpha: complex,
-                 enforce_constraint: bool = True) -> RootOffsets:
-    """Leading-order root offsets from the quantum numbers.
-
-    The branch constraint -pi < Im u1 < pi guarantees positive quantum
-    numbers and validates the edge estimates downstream; it can always be
-    restored by an integer shift of alpha, which the raised error names.
-    With ``enforce_constraint=False`` only the half-plane conditions
-    Re(eta) > 0, Re(xi) > 0 are enforced.
-    """
+def root_offsets(gs: GroundState, cls: ExcitationClass,
+                 alpha: complex) -> RootOffsets:
+    """Leading-order root offsets from the quantum numbers; each must lie
+    in its half-plane Re(eta) > 0, Re(xi) > 0."""
     u1 = u1_value(gs, alpha, cls.ell)
-    if enforce_constraint and not -np.pi < u1.imag < np.pi:
-        shift = round(u1.imag / (2.0 * np.pi * gs.Zq))
-        raise ConstraintError(
-            f"Im u1 = {u1.imag:.4f} outside (-pi, pi); "
-            f"shift alpha -> alpha + {shift} to restore the constraint")
     epsp = gs.eps0_prime_q
     eta_p = tuple((2.0 * np.pi * (p - 0.5) + 1j * u1) / epsp
                   for p in cls.p_plus)
@@ -288,7 +277,7 @@ def solve_u(params: ModelParams, cls: ExcitationClass,
         gs = build_ground_state(params)
     if thermal is None:
         thermal = solve_yang_yang(params, gs)
-    offsets = root_offsets(gs, cls, params.alpha, enforce_constraint=False)
+    offsets = root_offsets(gs, cls, params.alpha)
     T = params.T
     scale = max(abs(v) for v in
                 (offsets.eta_plus + offsets.xi_plus + offsets.eta_minus

@@ -2,15 +2,17 @@
 
 Each check re-derives one family of analytic results numerically and
 compares against an independent route (closed form, exact finite sum, limit
-anchor, or grid refinement).  Checks return structured results so that both
-the command-line ``verify`` subcommand and the test suite can assert on
-them.
+anchor, or grid refinement).  Each check returns its details and a table of
+bounds, quantity -> (value, "<=" | ">=", limit), the one place its limits
+are stated; pass/fail, the report and the acceptance tests read that table.
 """
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +29,31 @@ from .specfun import verify_gamma_integral_identity
 from .thermal import eps2_at, solve_yang_yang
 
 
+_OPS = {"<=": operator.le, ">=": operator.ge}
+
+
+class Bound(NamedTuple):
+    """One verification bound: ``value op limit``, op being "<=" or ">="."""
+
+    value: float
+    op: str
+    limit: float
+
+    @property
+    def holds(self) -> bool:
+        return bool(_OPS[self.op](self.value, self.limit))
+
+    @property
+    def margin(self):
+        """value/limit for "<=", limit/value for ">=": 1 at the limit and
+        above 1 beyond it; None for a zero limit."""
+        if self.limit == 0:
+            return None
+        if self.op == "<=":
+            return self.value / self.limit
+        return self.limit / self.value if self.value > 0 else np.inf
+
+
 @dataclass(frozen=True)
 class CheckResult:
     """Outcome of one named verification check."""
@@ -34,11 +61,19 @@ class CheckResult:
     name: str
     passed: bool
     details: dict = field(repr=False)
+    bounds: dict = field(repr=False)      # quantity -> Bound
     seconds: float = 0.0
 
     def summary(self) -> str:
+        """Status line naming the tightest bound: a violated one before any
+        that holds, then the largest margin (a zero limit counts as 0)."""
+        name, bound = max(self.bounds.items(), key=lambda item: (
+            not item[1].holds, item[1].margin or 0.0))
+        text = f"{name} = {bound.value:.6g} {bound.op} {bound.limit:g}"
+        if bound.margin is not None:
+            text += f" (margin {bound.margin:.3g})"
         status = "PASS" if self.passed else "FAIL"
-        return f"[{status}] {self.name} ({self.seconds:.1f}s)"
+        return f"[{status}] {self.name} ({self.seconds:.1f}s)  {text}"
 
 
 # the benchmark excited sector used throughout the finite-T checks
@@ -88,21 +123,18 @@ def _fit_exponent(ts, values):
 def check_free_fermion(ws: Workspace):
     """Strong-coupling anchor: all scalars reach their free-fermion values."""
     gs = ws.ground_state(c=1e6, h=1.0)
-    details = {
-        "q": gs.q, "Zq": gs.Zq, "v0": gs.v0, "D": gs.D,
-        "q_err": abs(gs.q - 1.0), "Zq_err": abs(gs.Zq - 1.0),
-        "v0_err": abs(gs.v0 - 2.0), "D_err": abs(gs.D - 1.0 / np.pi),
-        "tolerances": {"q": 1e-3, "Zq": 1e-3, "v0": 2e-3, "D": 1e-3},
-    }
-    passed = (details["q_err"] <= 1e-3 and details["Zq_err"] <= 1e-3
-              and details["v0_err"] <= 2e-3 and details["D_err"] <= 1e-3)
-    return passed, details
+    details = {"q": gs.q, "Zq": gs.Zq, "v0": gs.v0, "D": gs.D}
+    bounds = {"q_err": (abs(gs.q - 1.0), "<=", 1e-3),
+              "Zq_err": (abs(gs.Zq - 1.0), "<=", 1e-3),
+              "v0_err": (abs(gs.v0 - 2.0), "<=", 2e-3),
+              "D_err": (abs(gs.D - 1.0 / np.pi), "<=", 1e-3)}
+    return details, bounds
 
 
 def check_thermal_low_t(ws: Workspace):
     """Low-temperature law of the thermal energy: the remainder beyond the
-    quadratic correction scales faster than T^2.7, and the quadratic
-    coefficient at the origin matches its closed form within 2%."""
+    quadratic correction scales like a power of T near 3, and the quadratic
+    coefficient at the origin matches its closed form."""
     gs = ws.ground_state()
     lam = np.linspace(-0.9 * gs.q, 0.9 * gs.q, 41)
     ts = (0.04, 0.02, 0.01)
@@ -113,11 +145,11 @@ def check_thermal_low_t(ws: Workspace):
         remainders.append(float(np.max(np.abs(th.eps_at(lam) - pred))))
         coef = (th.eps_at(0.0) - gs.eps0(0.0)) / T ** 2
         coef_errs.append(float(abs(coef / eps2_at(gs, 0.0) - 1.0)))
-    exponent = _fit_exponent(ts, remainders)
-    details = {"T": list(ts), "remainder": remainders, "exponent": exponent,
-               "coef_rel_err": coef_errs,
-               "tolerances": {"exponent": 2.7, "coef": 0.02}}
-    return exponent >= 2.7 and coef_errs[-1] <= 0.02, details
+    details = {"T": list(ts), "remainder": remainders,
+               "coef_rel_err": coef_errs}
+    bounds = {"exponent": (_fit_exponent(ts, remainders), ">=", 2.7),
+              f"coef_rel_err(T={ts[-1]})": (coef_errs[-1], "<=", 0.02)}
+    return details, bounds
 
 
 def check_excited_expansion(ws: Workspace):
@@ -126,7 +158,7 @@ def check_excited_expansion(ws: Workspace):
     gs = ws.ground_state()
     cls = BENCHMARK_CLASS
     u1f = u1_function(gs, 0.0, cls.ell)
-    offs = root_offsets(gs, cls, 0.0, enforce_constraint=False)
+    offs = root_offsets(gs, cls, 0.0)
     u2f = u2_function(gs, cls, offs)
     lam = np.linspace(-0.9 * gs.q, 0.9 * gs.q, 41)
     remainders = []
@@ -134,10 +166,9 @@ def check_excited_expansion(ws: Workspace):
         sol = ws.benchmark_solution(T)
         pred = gs.eps0(lam) + T * u1f(lam) + T * T * u2f(lam)
         remainders.append(float(np.max(np.abs(sol.u_at(lam) - pred))))
-    exponent = _fit_exponent(T_SEQUENCE, remainders)
-    details = {"T": list(T_SEQUENCE), "remainder": remainders,
-               "exponent": exponent, "tolerances": {"exponent": 2.7}}
-    return exponent >= 2.7, details
+    details = {"T": list(T_SEQUENCE), "remainder": remainders}
+    bounds = {"exponent": (_fit_exponent(T_SEQUENCE, remainders), ">=", 2.7)}
+    return details, bounds
 
 
 def check_decay_rate(ws: Workspace):
@@ -155,13 +186,12 @@ def check_decay_rate(ws: Workspace):
         diffs.append(abs(pn - pc))
         im_closed_errs.append(abs(pc.imag + 2.0 * al * gs.kF))
         im_numeric_errs.append(abs(pn.imag + 2.0 * al * gs.kF))
-    exponent = _fit_exponent(T_SEQUENCE, diffs)
-    details = {"T": list(T_SEQUENCE), "diff": diffs, "exponent": exponent,
+    details = {"T": list(T_SEQUENCE), "diff": diffs,
                "im_closed_err": im_closed_errs,
-               "im_numeric_err": im_numeric_errs,
-               "tolerances": {"exponent": 1.7, "im": 1e-6}}
-    passed = exponent >= 1.7 and max(im_closed_errs) <= 1e-6
-    return passed, details
+               "im_numeric_err": im_numeric_errs}
+    bounds = {"exponent": (_fit_exponent(T_SEQUENCE, diffs), ">=", 1.7),
+              "max_im_closed_err": (max(im_closed_errs), "<=", 1e-6)}
+    return details, bounds
 
 
 def check_w_identity(ws: Workspace):
@@ -178,8 +208,7 @@ def check_w_identity(ws: Workspace):
                 rel = abs(series - closed) / abs(closed)
                 worst = max(worst, rel)
                 table.append({"nu": nu, "r": r, "tau": tau, "rel_err": rel})
-    details = {"worst": worst, "table": table, "tolerances": {"rel": 1e-8}}
-    return worst <= 1e-8, details
+    return {"table": table}, {"worst": (worst, "<=", 1e-8)}
 
 
 def check_gamma_integral(ws: Workspace):
@@ -188,9 +217,8 @@ def check_gamma_integral(ws: Workspace):
     triples = [(0.5, 0.5, 1.0), (0.3, 0.7, 1.0), (-0.4, 0.4, 2.0)]
     residuals = [verify_gamma_integral_identity(a, b, p)
                  for a, b, p in triples]
-    details = {"triples": triples, "residuals": residuals,
-               "tolerances": {"residual": 1e-8}}
-    return max(residuals) <= 1e-8, details
+    details = {"triples": triples, "residuals": residuals}
+    return details, {"max_residual": (max(residuals), "<=", 1e-8)}
 
 
 def check_smooth_amplitude(ws: Workspace):
@@ -205,18 +233,13 @@ def check_smooth_amplitude(ws: Workspace):
 
     b_ref = b_smooth(0.2, 1)
     b_alt = b_smooth(0.2, 1, theta_pair=(-q + 0.1j * q, q - 0.1j * q))
-    theta_dev = abs(b_alt / b_ref - 1.0)
-    near_one = abs(b_smooth(1e-4, 0) - 1.0)
-    at_integer = abs(b_smooth(0.0, 1))
     step = 1e-6
-    fd = abs(b_smooth(step, 1) - b_smooth(-step, 1)) / (2.0 * step)
-    details = {"theta_dev": theta_dev, "near_one_err": near_one,
-               "at_integer": at_integer, "fd_slope": fd,
-               "tolerances": {"theta": 1e-6, "near_one": 1e-3,
-                              "fd_slope": 1e-6}}
-    passed = (theta_dev <= 1e-6 and near_one <= 1e-3
-              and at_integer == 0.0 and fd <= 1e-6)
-    return passed, details
+    bounds = {"theta_dev": (abs(b_alt / b_ref - 1.0), "<=", 1e-6),
+              "near_one_err": (abs(b_smooth(1e-4, 0) - 1.0), "<=", 1e-3),
+              "at_integer": (abs(b_smooth(0.0, 1)), "<=", 0.0),
+              "fd_slope": (abs(b_smooth(step, 1) - b_smooth(-step, 1))
+                           / (2.0 * step), "<=", 1e-6)}
+    return {}, bounds
 
 
 def check_discrete_limit(ws: Workspace):
@@ -233,28 +256,30 @@ def check_discrete_limit(ws: Workspace):
             2.0 * al ** 2 * gs.Zq ** 2)
         scaled = bd_finite_T(sol) * weight
         errs.append(abs(scaled - target) / abs(target))
-    exponent = _fit_exponent(T_SEQUENCE, errs)
     details = {"T": list(T_SEQUENCE), "target": complex(target),
-               "rel_err": errs, "exponent": exponent,
-               "tolerances": {"exponent": 0.7}}
-    return exponent >= 0.7, details
+               "rel_err": errs}
+    return details, {"exponent": (_fit_exponent(T_SEQUENCE, errs), ">=", 0.7)}
 
 
 def check_edge_asymptotics(ws: Workspace):
     """Edge estimates of the per-root Cauchy transforms and of the double
-    integral: deviations small at T=0.01 and decreasing with T."""
+    integral: deviations small at the middle temperature and strictly
+    decreasing with T."""
     edge_devs, di_devs = [], []
     for T in T_SEQUENCE:
         sol = ws.benchmark_solution(T)
         edge_devs.append(verify_cauchy_edge(sol)["max_deviation"])
         di_devs.append(verify_double_integral(sol)["deviation"])
     details = {"T": list(T_SEQUENCE), "edge_dev": edge_devs,
-               "double_integral_dev": di_devs,
-               "tolerances": {"at_T=0.01": 0.15}}
-    decreasing = (all(a > b for a, b in zip(edge_devs, edge_devs[1:]))
-                  and all(a > b for a, b in zip(di_devs, di_devs[1:])))
-    passed = edge_devs[1] <= 0.15 and di_devs[1] <= 0.15 and decreasing
-    return passed, details
+               "double_integral_dev": di_devs}
+    bounds = {}
+    for name, devs in (("edge_dev", edge_devs),
+                       ("double_integral_dev", di_devs)):
+        bounds[f"{name}(T={T_SEQUENCE[1]})"] = (devs[1], "<=", 0.15)
+        # steps that fail to decrease strictly, NaN included
+        bounds[f"{name}_non_decreasing_steps"] = (
+            sum(not a > b for a, b in zip(devs, devs[1:])), "<=", 0)
+    return details, bounds
 
 
 def harmonic_fd(plan: AmplitudePlan, ell: int, step: float = 1e-3):
@@ -309,21 +334,18 @@ def check_assembly(ws: Workspace):
     ell0 = gs.D ** 2 + ell0_closed(gs, x_fd, T_fd)
     fd_rel = abs(fd - ell0) / abs(ell0)
 
-    details = {"period_dev": period_dev, "reality": reality,
-               "colsum_dev": colsum_dev, "richardson_gap": richardson,
-               "closed_fd_rel": closed_fd_rel, "ell0_fd_rel": fd_rel,
-               "tolerances": {"period": 1e-10, "reality": 1e-9,
-                              "richardson": 1e-4, "closed_fd": 1e-6,
-                              "ell0_fd": 1e-6}}
-    passed = (period_dev <= 1e-10 and reality <= 1e-9
-              and colsum_dev <= 1e-12 and richardson <= 1e-4
-              and closed_fd_rel <= 1e-6 and fd_rel <= 1e-6)
-    return passed, details
+    bounds = {"period_dev": (period_dev, "<=", 1e-10),
+              "reality": (reality, "<=", 1e-9),
+              "colsum_dev": (colsum_dev, "<=", 1e-12),
+              "richardson_gap": (richardson, "<=", 1e-4),
+              "closed_fd_rel": (closed_fd_rel, "<=", 1e-6),
+              "ell0_fd_rel": (fd_rel, "<=", 1e-6)}
+    return {}, bounds
 
 
 def check_grid_hygiene(ws: Workspace):
-    """Doubling the interval grid and the determinant contour moves every
-    golden scalar by at most 1e-8 relative."""
+    """Doubling the interval grid and the determinant contour moves no
+    golden scalar by more than its relative bound."""
     gs2 = ws.ground_state(n_nodes=2 * ws.grid_n)
     alpha = 0.2
 
@@ -340,8 +362,8 @@ def check_grid_hygiene(ws: Workspace):
     rel = {k: abs(fine[k] - base[k]) / abs(fine[k]) for k in base}
     details = {"base": {k: complex(v) for k, v in base.items()},
                "doubled": {k: complex(v) for k, v in fine.items()},
-               "rel_change": rel, "tolerances": {"rel": 1e-8}}
-    return max(rel.values()) <= 1e-8, details
+               "rel_change": rel}
+    return details, {"max_rel_change": (max(rel.values()), "<=", 1e-8)}
 
 
 CHECKS = {
@@ -371,8 +393,9 @@ def run_checks(names=None, grid_n: int = 96, contour_n: int = 256):
     results = []
     for name in names:
         t0 = time.time()
-        passed, details = CHECKS[name](ws)
-        results.append(CheckResult(name=name, passed=bool(passed),
-                                   details=details,
-                                   seconds=time.time() - t0))
+        details, table = CHECKS[name](ws)
+        bounds = {k: Bound(*v) for k, v in table.items()}
+        results.append(CheckResult(
+            name=name, passed=all(b.holds for b in bounds.values()),
+            details=details, bounds=bounds, seconds=time.time() - t0))
     return results

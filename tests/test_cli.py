@@ -8,6 +8,7 @@ import pytest
 
 from bosegas.cli import (ConfigError, RunConfig, load_config, main,
                          render_tables)
+from bosegas.verification import CHECKS
 
 
 class TestConfig:
@@ -185,15 +186,36 @@ class TestExitCodes:
             main(["frobnicate"])
 
     def test_verify_single_check(self, tmp_path, capsys):
-        out = tmp_path / "report.json"
-        assert main(["verify", "--only", "gamma-integral",
-                     "--out", str(out)]) == 0
-        assert "[PASS] gamma-integral" in capsys.readouterr().out
-        report = json.loads(out.read_text())["checks"]
+        outs = [tmp_path / "a.json", tmp_path / "b.json"]
+        for out in outs:
+            assert main(["verify", "--only", "gamma-integral",
+                         "--out", str(out)]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line.startswith("[PASS] gamma-integral")
+        assert "margin" in line
+        report = json.loads(outs[0].read_text())["checks"]
         assert report[0]["name"] == "gamma-integral"
         assert report[0]["passed"] is True
+        for bound in report[0]["bounds"].values():
+            assert bound["margin"] == bound["value"] / bound["limit"]
         # timings are console-only: the report file stays deterministic
-        assert "seconds" not in report[0]
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_verify_failing_check(self, monkeypatch, capsys):
+        check = CHECKS["gamma-integral"]
+        violated = []
+
+        def beyond_limit(ws):
+            details, bounds = check(ws)
+            quantity, (_, op, limit) = next(iter(bounds.items()))
+            violated.append(quantity)
+            return details, {**bounds, quantity: (10.0 * limit, op, limit)}
+
+        monkeypatch.setitem(CHECKS, "gamma-integral", beyond_limit)
+        assert main(["verify", "--only", "gamma-integral"]) == 1
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line.startswith("[FAIL] gamma-integral")
+        assert f"{violated[0]} = " in line
 
     def test_bad_only_name(self):
         with pytest.raises(SystemExit):

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from bosegas.amplitude import AmplitudePlan
-from bosegas.correlator import (density_correlator, envelope_power,
-                                generating_asymptotics, harmonic_amplitude)
+from bosegas.correlator import (density_correlator, ell0_term_fd,
+                                envelope_power, generating_asymptotics,
+                                harmonic_amplitude)
 from bosegas.groundstate import ModelParams, build_ground_state
 from bosegas.numerics import NumericsError
 from bosegas.verification import harmonic_fd
@@ -188,3 +189,17 @@ class TestDensityCorrelator:
         T = 0.05
         far = density_correlator(gs, 4.0 * gs.v0 / (np.pi * T), T, ell_max=1)
         assert abs(far.total - gs.D ** 2) < 1e-3 * gs.D ** 2
+
+
+@pytest.mark.parametrize("route", [
+    lambda gs, plan: generating_asymptotics(gs, 0.2, 50.0, 0.05, 1,
+                                            plan=plan),
+    lambda gs, plan: density_correlator(gs, 50.0, 0.05, plan=plan),
+    lambda gs, plan: ell0_term_fd(gs, 50.0, 0.05, plan=plan)],
+    ids=["generating_asymptotics", "density_correlator", "ell0_term_fd"])
+def test_plan_of_another_ground_state_refused(gs, route):
+    # amplitudes at c = 0.5 used to be assembled silently with the
+    # density, Fermi momentum and velocity of c = 1
+    other = AmplitudePlan(build_ground_state(ModelParams(c=0.5, h=1.0)))
+    with pytest.raises(ValueError, match="another ground state"):
+        route(gs, other)

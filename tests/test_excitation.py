@@ -75,15 +75,15 @@ class TestLinearCorrection:
 
 
 class TestRootOffsets:
-    def test_benchmark_violates_constraint(self, gs):
-        with pytest.raises(ConstraintError, match="shift alpha"):
-            root_offsets(gs, BENCHMARK_CLASS, 0.0)
-
     def test_relaxed_half_planes(self, gs):
-        offs = root_offsets(gs, BENCHMARK_CLASS, 0.0,
-                            enforce_constraint=False)
+        offs = root_offsets(gs, BENCHMARK_CLASS, 0.0)
         for v in offs.eta_plus + offs.xi_minus:
             assert v.real > 0
+
+    def test_offset_outside_half_plane(self, gs):
+        cls = ExcitationClass(ell=0, p_plus=(1,), h_plus=(1,))
+        with pytest.raises(ConstraintError, match="half-plane"):
+            root_offsets(gs, cls, 0.3)
 
     def test_leading_formula(self, gs):
         cls = ExcitationClass(ell=0, p_plus=(2,), h_plus=(1,))
