@@ -239,18 +239,26 @@ class AmplitudePlan:
             lz_edges = cauchy_transform(self.gs.Z,
                                         self._edge_points(theta1, theta2))
 
-        ka = self.k_up + phase * self.k_up.T
+        # C order: a transposed buffer would change slogdet's rounding
+        ka = np.multiply(phase, self.k_up.T, order="C")
+        ka += self.k_up
         denom1 = np.exp(-al * self.lz_up) - phase * np.exp(-al * self.lz_dn)
         denom2 = np.exp(al * self.lz_dn) - phase * np.exp(al * self.lz_up)
         pref = 1.0 / (2.0j * np.pi)
+
+        def scaled(shift, scale):
+            # scale first: numpy's complex product need not commute in rounding
+            mat = ka - k_alpha(shift, phase, c)
+            return np.multiply(scale, mat, out=mat)
+
         # each kernel matrix is built inside its determinant and freed after
         ld1 = fredholm_logdet(
-            lambda x, y: ((-np.exp(-al * self.lz) / denom1)[:, None]
-                          * (ka - k_alpha(theta1 - w[None, :], phase, c))),
+            lambda x, y: scaled(theta1 - w[None, :],
+                                (-np.exp(-al * self.lz) / denom1)[:, None]),
             self.contour, prefactor=pref)
         ld2 = fredholm_logdet(
-            lambda x, y: ((np.exp(al * self.lz) / denom2)[None, :]
-                          * (ka - k_alpha(w[:, None] - theta2, phase, c))),
+            lambda x, y: scaled(w[:, None] - theta2,
+                                (np.exp(al * self.lz) / denom2)[None, :]),
             self.contour, prefactor=pref)
         up1, dn1, dn2, up2 = lz_edges
         bracket1 = np.exp(-al * up1) - phase * np.exp(-al * dn1)
@@ -349,11 +357,15 @@ def double_integral(sol: USolution) -> complex:
     zp = base.derivative(z) / gamma_prime
     zpp = base.derivative(zp) / gamma_prime
 
-    dl = g[:, None] - g[None, :]
-    np.fill_diagonal(dl, 1.0)
-    num = z[:, None] - z[None, :] - zp[None, :] * dl
-    np.fill_diagonal(num, 0.0)
-    mat = num / dl ** 2
+    # (z_i - z_j - z'_j dl) / dl^2 as ((z_i - z_j) P - z'_j) P, with
+    # P = 1/dl, in two buffers
+    inv_dl = np.subtract.outer(g, g)
+    np.fill_diagonal(inv_dl, 1.0)
+    np.divide(1.0, inv_dl, out=inv_dl)
+    mat = np.subtract.outer(z, z)
+    mat *= inv_dl
+    mat -= zp
+    mat *= inv_dl
     np.fill_diagonal(mat, 0.5 * zpp)
     reg = w @ mat                     # J_j before the subtracted closed forms
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groundstate import GroundState, ModelParams, build_ground_state, kernel
+from .groundstate import (GroundState, ModelParams, build_ground_state,
+                          kernel, weighted_kernel)
 from .numerics import NumericsError, SampledFunction
 from .thermal import (_TOL_FACTOR, ThermalSolution, _fixed_point,
                       kernel_prime, solve_yang_yang, stable_log1pexp)
@@ -240,8 +241,8 @@ class USolution:
         h_alpha = self.params.h + 2.0j * np.pi * self.params.alpha * T
         lam = np.asarray(lam, dtype=complex)
         flat = np.atleast_1d(lam)
-        kx = kernel(flat[:, None] - self.contour.nodes[None, :], c)
-        tail = (T / (2.0 * np.pi)) * (kx @ (self.contour.weights * self.log_weight))
+        kx = weighted_kernel(flat, self.contour.nodes, self.contour.weights, c)
+        tail = (T / (2.0 * np.pi)) * (kx @ self.log_weight)
         out = flat ** 2 - h_alpha - tail + _root_source(
             flat, self.s_plus, self.s_minus, T, c)
         return out[0] if lam.ndim == 0 else out
@@ -288,7 +289,7 @@ def solve_u(params: ModelParams, cls: ExcitationClass,
 
     contour = excitation_contour(thermal, gs, offsets.u1_at_q)
     lam = contour.nodes
-    kmat = kernel(lam[:, None] - lam[None, :], params.c) * contour.weights[None, :]
+    kmat = weighted_kernel(lam, lam, contour.weights, params.c)
     h_alpha = params.h + 2.0j * np.pi * params.alpha * T
     bare = (lam ** 2 - h_alpha
             + _root_source(lam, s_plus, s_minus, T, params.c))

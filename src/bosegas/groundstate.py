@@ -21,6 +21,18 @@ def kernel(lam, c: float):
     return 2.0 * c / (lam * lam + c * c)
 
 
+def weighted_kernel(rows, cols, weights, c: float):
+    """Quadrature matrix K(rows_i - cols_j) * weights_j, built in place in
+    one buffer of the result dtype of all three inputs."""
+    m = np.subtract.outer(rows, cols,
+                          dtype=np.result_type(rows, cols, weights, float))
+    m *= m
+    m += c * c
+    np.divide(2.0 * c, m, out=m)
+    m *= weights
+    return m
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical inputs: coupling c, chemical potential h, temperature T,

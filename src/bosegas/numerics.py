@@ -263,7 +263,10 @@ def fredholm_logdet(kernel, domain, prefactor: complex = 1.0) -> complex:
     k = np.asarray(kernel(x[:, None], x[None, :]))
     if not np.all(np.isfinite(k)):
         raise NumericsError("non-finite kernel sample in Fredholm determinant")
-    mat = np.eye(x.size, dtype=complex) + prefactor * k * w[None, :]
+    # a fresh buffer: the callable may return an array its caller holds
+    mat = np.multiply(prefactor, k, dtype=complex)
+    mat *= w
+    mat.flat[::x.size + 1] += 1.0
     sign, logabs = np.linalg.slogdet(mat)
     if sign == 0:
         raise NumericsError("vanishing Fredholm determinant")

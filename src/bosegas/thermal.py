@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groundstate import GroundState, ModelParams, build_ground_state, kernel
+from .groundstate import (GroundState, ModelParams, build_ground_state,
+                          weighted_kernel)
 from .numerics import (Grid, SampledFunction, NumericsError, composite_grid,
                        graded_breakpoints)
 
@@ -82,10 +83,9 @@ class ThermalSolution:
     def eps_at(self, lam):
         """Analytic continuation of eps via its own integral equation."""
         lam = np.asarray(lam)
-        kx = kernel(np.atleast_1d(lam)[:, None] - self.grid.nodes[None, :],
-                    self.params.c)
-        tail = (self.params.T / (2.0 * np.pi)) * (
-            kx @ (self.grid.weights * self.log_weight))
+        kx = weighted_kernel(np.atleast_1d(lam), self.grid.nodes,
+                             self.grid.weights, self.params.c)
+        tail = (self.params.T / (2.0 * np.pi)) * (kx @ self.log_weight)
         out = np.atleast_1d(lam) ** 2 - self.params.h - tail
         return out[0] if lam.ndim == 0 else out
 
@@ -136,7 +136,7 @@ def solve_yang_yang(params: ModelParams, gs: GroundState = None,
         gs = build_ground_state(params)
     grid = thermal_grid(params, gs, n_per_panel)
     lam = grid.nodes
-    kmat = kernel(lam[:, None] - lam[None, :], params.c) * grid.weights[None, :]
+    kmat = weighted_kernel(lam, lam, grid.weights, params.c)
     eps, lw, it, residual = _fixed_point(
         lam ** 2 - params.h, kmat, params.T,
         _TOL_FACTOR * max(params.h, params.T))

@@ -9,11 +9,12 @@ import pytest
 
 from bosegas.amplitude import (amplitude_tilde, bd_finite_T, c0_functional,
                                c1_functional, cauchy_det_sq,
-                               discrete_amplitude, edge_charge_integral,
-                               r_factor, smooth_amplitude,
-                               verify_double_integral, w_closed, w_series)
-from bosegas.excitation import ExcitationClass, solve_u
-from bosegas.groundstate import ModelParams
+                               discrete_amplitude, double_integral,
+                               edge_charge_integral, r_factor,
+                               smooth_amplitude, verify_double_integral,
+                               w_closed, w_series)
+from bosegas.excitation import ExcitationClass, solve_u, z_function
+from bosegas.groundstate import ModelParams, build_ground_state
 from bosegas.numerics import SampledFunction, composite_grid
 from bosegas.thermal import solve_yang_yang
 
@@ -180,7 +181,45 @@ def trivial_sol(gs):
     return solve_u(params, ExcitationClass(ell=0), thermal=thermal, gs=gs)
 
 
+def double_integral_reference(sol):
+    """The contour double integral by the broadcast formula
+    (z_i - z_j - z'_j dl) / dl^2, dl = gamma_i - gamma_j, with the same
+    subtracted closed forms as ``double_integral``."""
+    contour = sol.contour
+    g, w, base = contour.nodes, contour.weights, contour.base
+    z = z_function(sol)
+    gamma_prime = w / base.weights
+    zp = base.derivative(z) / gamma_prime
+    zpp = base.derivative(zp) / gamma_prime
+    dl = g[:, None] - g[None, :]
+    np.fill_diagonal(dl, 1.0)
+    num = z[:, None] - z[None, :] - zp[None, :] * dl
+    np.fill_diagonal(num, 0.0)
+    mat = num / dl ** 2
+    np.fill_diagonal(mat, 0.5 * zpp)
+    i2 = 1.0 / (base.a - g) - 1.0 / (base.b - g)
+    i1 = np.log(base.b - g) - np.log(g - base.a) + 1j * np.pi
+    return complex(np.sum(w * z * (w @ mat + z * i2 + zp * i1)))
+
+
+@pytest.fixture(scope="module")
+def weak_and_strong_gs():
+    return {ratio: build_ground_state(ModelParams(c=ratio ** -0.5, h=1.0))
+            for ratio in (0.01, 1.0, 2.0)}
+
+
 class TestFiniteTemperatureFactor:
+    @pytest.mark.parametrize("t_over_h", [0.005, 0.02])
+    @pytest.mark.parametrize("ratio", [0.01, 1.0, 2.0])
+    def test_double_integral_matches_reference(self, weak_and_strong_gs,
+                                               ratio, t_over_h):
+        gs = weak_and_strong_gs[ratio]
+        params = ModelParams(c=gs.params.c, h=1.0, T=t_over_h)
+        sol = solve_u(params, ExcitationClass(ell=1, p_plus=(1,),
+                                              h_minus=(1,)), gs=gs)
+        ref = double_integral_reference(sol)
+        assert abs(double_integral(sol) - ref) <= 1e-12 * abs(ref)
+
     def test_trivial_class_gives_unity(self, trivial_sol):
         assert abs(bd_finite_T(trivial_sol) - 1.0) < 1e-9
 

@@ -7,7 +7,8 @@ from scipy.optimize import brentq
 
 from bosegas import groundstate
 from bosegas.groundstate import (ModelParams, build_ground_state,
-                                 kernel, solve_fermi_boundary)
+                                 kernel, solve_fermi_boundary,
+                                 weighted_kernel)
 from bosegas.numerics import (NumericsError, composite_grid,
                               nystrom_factorize, nystrom_solve)
 
@@ -40,6 +41,37 @@ class TestKernel:
         assert abs(kernel(1.0, 1.0) - 1.0) < 1e-15
         # even and integrable to 2 pi over the whole line
         assert kernel(0.7, 1.3) == kernel(-0.7, 1.3)
+
+
+def _mix(rng, n, complex_):
+    x = rng.standard_normal(n)
+    return x + 0.1j * rng.standard_normal(n) if complex_ else x
+
+
+class TestWeightedKernel:
+    """The one-buffer quadrature matrix against the broadcast expression;
+    the buffer takes the dtype of all three inputs, not of the rows."""
+
+    @pytest.mark.parametrize("rows_c,cols_c,weights_c", [
+        (False, False, False),   # real grid (Yang-Yang)
+        (True, True, True),      # deformed contour (u)
+        (True, False, False),    # contour rows, real grid (eps_at)
+        (False, False, True),    # real rows, complex weights
+    ])
+    def test_matches_broadcast_kernel(self, rows_c, cols_c, weights_c):
+        rng = np.random.default_rng(7)
+        r, s, w = (_mix(rng, n, f) for n, f in
+                   ((9, rows_c), (11, cols_c), (11, weights_c)))
+        ref = kernel(np.subtract.outer(r, s), 0.8) * w
+        got = weighted_kernel(r, s, w, 0.8)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0.0)
+
+    def test_real_inputs_bit_identical(self):
+        x = np.linspace(-2.0, 2.0, 13)
+        w = np.full(13, 0.3)
+        assert np.array_equal(weighted_kernel(x, x, w, 1.1),
+                              kernel(x[:, None] - x[None, :], 1.1) * w)
 
 
 class TestFreeFermionLimit:

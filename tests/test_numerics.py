@@ -155,6 +155,15 @@ class TestFredholm:
         assert abs(np.exp(fredholm_logdet(kern, cont, prefactor=0.8)) - 1.0) \
             < 1e-12
 
+    def test_held_kernel_array_unchanged(self):
+        # the kernel callable may return an array its caller keeps
+        grid = composite_grid([0.0, 1.0], 12)
+        x = grid.nodes
+        held = np.exp(-np.abs(x[:, None] - x[None, :])) + 0.2j
+        before = held.copy()
+        fredholm_logdet(lambda a, b: held, grid, prefactor=0.6 - 0.1j)
+        assert np.array_equal(held, before)
+
     def test_nonfinite_kernel_raises(self):
         grid = composite_grid([0.0, 1.0], 8)
         with np.errstate(divide="ignore"):
