@@ -92,13 +92,14 @@ def smooth_contour(gs: GroundState, n: int = 256) -> Contour:
 # discrete amplitude (Gamma / Barnes factors over quantum numbers)
 # ---------------------------------------------------------------------------
 
-def _cauchy_sq(xs, ys):
-    """prod_{j<k} (x_j - x_k)^2 (y_j - y_k)^2 / prod_{j,k} (x_j - y_k)^2."""
+def cauchy_det_sq(xs, ys) -> complex:
+    """Squared Cauchy determinant det[1/(x_j - y_k)]^2 in product form,
+    prod_{j<k} (x_j - x_k)^2 (y_j - y_k)^2 / prod_{j,k} (x_j - y_k)^2."""
     xs, ys = np.asarray(xs), np.asarray(ys)
     vander = [np.prod((v[:, None] - v[None, :])[np.triu_indices(v.size, 1)])
               for v in (xs, ys)]
     cross = np.prod(xs[:, None] - ys[None, :])
-    return (vander[0] * vander[1] / cross) ** 2
+    return complex((vander[0] * vander[1] / cross) ** 2)
 
 
 def r_factor(ps, hs, nu: complex) -> complex:
@@ -109,7 +110,8 @@ def r_factor(ps, hs, nu: complex) -> complex:
     particles by +nu and the holes by -nu.
     """
     ps, hs = tuple(ps), tuple(hs)
-    rat = _cauchy_sq(np.array(ps, dtype=float), 1.0 - np.array(hs, dtype=float))
+    rat = cauchy_det_sq(np.array(ps, dtype=float),
+                        1.0 - np.array(hs, dtype=float))
     gammas = gamma_ratio(GammaRatioSpec(
         numerators=[p + nu for p in ps] + [h - nu for h in hs],
         denominators=list(ps) + list(hs)))
@@ -376,52 +378,26 @@ def double_integral(sol: USolution) -> complex:
     return complex(np.sum(w * z * j_vec))
 
 
-def cauchy_det_sq(s_plus, s_minus) -> complex:
-    """Squared Cauchy determinant over the placed roots, in product form."""
-    return complex(_cauchy_sq(np.array(s_plus, dtype=complex),
-                              np.array(s_minus, dtype=complex)))
-
-
-def _root_series(sol: USolution):
-    """Roots annotated with (point, quantum number, series sign, kind)."""
-    cls, offs = sol.cls, sol.offsets
-    n_pp, n_hp = len(cls.p_plus), len(cls.h_plus)
-    ann = []
-    for j, s in enumerate(sol.s_plus):
-        if j < n_pp:
-            ann.append((s, cls.p_plus[j], +1, "eta"))
-        else:
-            ann.append((s, cls.p_minus[j - n_pp], -1, "eta"))
-    for j, s in enumerate(sol.s_minus):
-        if j < n_hp:
-            ann.append((s, cls.h_plus[j], +1, "xi"))
-        else:
-            ann.append((s, cls.h_minus[j - n_hp], -1, "xi"))
-    return ann
-
-
 def bd_finite_T(sol: USolution) -> complex:
     """Finite-temperature discrete factor along the deformed contour.
 
     The exponential of the double integral, the squared Cauchy determinant
-    over the placed roots, and per-root Cauchy-transform and derivative
-    factors of the phase exponential.
+    of the particle roots against the hole roots, and per-root
+    Cauchy-transform and derivative factors of the phase exponential.
     """
     T = sol.params.T
     z = z_function(sol)
-    out = np.exp(double_integral(sol)) * cauchy_det_sq(sol.s_plus, sol.s_minus)
-    for s in sol.s_minus:
-        out *= np.exp(2.0 * contour_cauchy(sol, z, s))
-    for s in sol.s_plus:
-        out *= np.exp(-2.0 * contour_cauchy(sol, z, s))
-    for s in sol.s_plus + sol.s_minus:
+    upper = np.array([r.half > 0 for r in sol.roots], dtype=bool)
+    out = np.exp(double_integral(sol)) * cauchy_det_sq(sol.points[upper],
+                                                       sol.points[~upper])
+    for r, s in zip(sol.roots, sol.points):
         u_val = sol.u_at(s)
         eps_val = sol.thermal.eps_at(s)
         # exact derivative of e^{-2 pi i z} at the root, no leading-order
         # substitution: -(u'(s)/T) e^{-u/T} / (1 + e^{-eps/T})
         deriv = (-sol.u_prime_at(s) * np.exp(-u_val / T)
                  / (T * (1.0 + np.exp(-eps_val / T))))
-        out /= deriv
+        out *= np.exp(-2.0 * r.half * contour_cauchy(sol, z, s)) / deriv
     return complex(out)
 
 
@@ -431,24 +407,22 @@ def verify_cauchy_edge(sol: USolution) -> dict:
     gs = sol.thermal.gs
     T = sol.params.T
     al = sol.params.alpha + sol.cls.ell
-    nu1 = sol.cls.ell - al * gs.Zq           # u1 / 2 pi i
-    u1 = 2.0j * np.pi * nu1
+    u1 = sol.roots.u1_at_q
+    nu1 = u1 / (2.0j * np.pi)
     scale = np.log(gs.q * gs.eps0_prime_q / (np.pi * T))
     edge = edge_charge_integral(gs)
     z = z_function(sol)
 
     deviations, pairs = [], []
-    for s, k, sgn, kind in _root_series(sol):
-        lhs = np.exp(contour_cauchy(sol, z, s) + sgn * nu1 * scale)
+    for r, s in zip(sol.roots, sol.points):
+        x = r.side * nu1
+        lhs = np.exp(contour_cauchy(sol, z, s) + x * scale)
         # the e^{+-u1/4} factors carry the sign fixed by consistency with
         # the product over all roots (and hence with the discrete-amplitude
         # limit): +u1/4 for the upper-half roots, -u1/4 for the lower-half
-        if kind == "eta":
-            rhs = (np.exp(-al * sgn * edge + u1 / 4.0)
-                   * gamma_ratio(GammaRatioSpec([k], [k - sgn * nu1])))
-        else:
-            rhs = (np.exp(-al * sgn * edge - u1 / 4.0)
-                   * gamma_ratio(GammaRatioSpec([k + sgn * nu1], [k])))
+        num, den = (r.k, r.k - x) if r.half > 0 else (r.k + x, r.k)
+        rhs = (np.exp(-al * r.side * edge + r.half * u1 / 4.0)
+               * gamma_ratio(GammaRatioSpec([num], [den])))
         deviations.append(abs(lhs - rhs) / abs(rhs))
         pairs.append((complex(lhs), complex(rhs)))
     return {"T": T, "deviations": deviations, "pairs": pairs,
@@ -461,7 +435,7 @@ def verify_double_integral(sol: USolution) -> dict:
     gs = sol.thermal.gs
     T = sol.params.T
     al = sol.params.alpha + sol.cls.ell
-    nu1 = sol.cls.ell - al * gs.Zq
+    nu1 = sol.roots.u1_at_q / (2.0j * np.pi)
     a_num = double_integral(sol)
     f_vals = sol.cls.ell - al * gs.Z.values   # u1(lambda) / 2 pi i
     pred = (c1_functional(SampledFunction(gs.grid, f_vals))

@@ -245,7 +245,7 @@ def cmd_correlator(cfg: RunConfig, out, fmt) -> int:
     return 0
 
 
-def cmd_verify(cfg: RunConfig, out, fmt, only=None) -> int:
+def cmd_verify(cfg: RunConfig, out, only=None) -> int:
     names = [only] if only else None
     results = run_checks(names, grid_n=cfg.grid_n, contour_n=cfg.contour_n)
     for res in results:
@@ -278,24 +278,22 @@ def build_parser() -> argparse.ArgumentParser:
                         help="flat key=value configuration file")
     common.add_argument("--out", metavar="PATH",
                         help="output file (default: stdout)")
-    common.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="output format (default: csv)")
     common.add_argument("--grid-n", type=int, metavar="INT",
                         help="interval grid size override")
     common.add_argument("--contour-n", type=int, metavar="INT",
                         help="determinant contour size override")
 
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("ground-state", parents=[common],
-                   help="zero-temperature scalars and curves")
-    sub.add_parser("thermal", parents=[common],
-                   help="finite-temperature excitation energy")
-    sub.add_parser("lengths", parents=[common],
-                   help="correlation lengths and momenta per harmonic")
-    sub.add_parser("amplitudes", parents=[common],
-                   help="term amplitudes at the configured twist")
-    sub.add_parser("correlator", parents=[common],
-                   help="assembled density-density correlator over x")
+    for name, text in (
+            ("ground-state", "zero-temperature scalars and curves"),
+            ("thermal", "finite-temperature excitation energy"),
+            ("lengths", "correlation lengths and momenta per harmonic"),
+            ("amplitudes", "term amplitudes at the configured twist"),
+            ("correlator", "assembled density-density correlator over x")):
+        # the table commands only: verify always writes a JSON report
+        table = sub.add_parser(name, parents=[common], help=text)
+        table.add_argument("--format", choices=("csv", "json"),
+                           default="csv", help="output format (default: csv)")
     verify = sub.add_parser("verify", parents=[common],
                             help="run the verification suite")
     verify.add_argument("--only", metavar="NAME", choices=sorted(CHECKS),
@@ -319,8 +317,7 @@ def main(argv=None) -> int:
                           {"grid_n": args.grid_n,
                            "contour_n": args.contour_n})
         if args.command == "verify":
-            return cmd_verify(cfg, args.out, args.format,
-                              only=getattr(args, "only", None))
+            return cmd_verify(cfg, args.out, only=args.only)
         return COMMANDS[args.command](cfg, args.out, args.format)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

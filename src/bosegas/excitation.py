@@ -2,7 +2,7 @@
 
 Bookkeeping of umklapp/particle-hole classes, closed low-temperature forms
 for the linear and quadratic corrections of the excited-state energy u, the
-leading-order placement of its complex roots, the full nonlinear solve for
+table of its complex roots at leading order, the full nonlinear solve for
 u on a deformed contour, the auxiliary phase function z, and the correlation
 decay rates by the direct-integral and closed routes.
 """
@@ -10,6 +10,7 @@ decay rates by the direct-integral and closed routes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,12 +26,14 @@ class ConstraintError(ValueError):
 
 
 def _validate_qn(seq, name):
-    seq = tuple(int(v) for v in seq)
-    if any(v < 1 for v in seq):
+    ints = tuple(int(v) for v in seq)
+    if ints != tuple(seq):   # int() truncates 1.5 to 1
+        raise ValueError(f"{name} quantum numbers must be integers")
+    if any(v < 1 for v in ints):
         raise ValueError(f"{name} quantum numbers must be >= 1")
-    if any(b <= a for a, b in zip(seq, seq[1:])):
+    if any(b <= a for a, b in zip(ints, ints[1:])):
         raise ValueError(f"{name} quantum numbers must be strictly increasing")
-    return seq
+    return ints
 
 
 @dataclass(frozen=True)
@@ -80,70 +83,59 @@ def u1_function(gs: GroundState, alpha: complex, ell: int) -> SampledFunction:
     return SampledFunction(gs.grid, vals)
 
 
-@dataclass(frozen=True)
-class RootOffsets:
-    """Leading Taylor coefficients of the complex roots attached to +-q."""
+class Root(NamedTuple):
+    """One complex root of the excited sector at leading order."""
 
-    eta_plus: tuple
-    xi_plus: tuple
-    eta_minus: tuple
-    xi_minus: tuple
+    side: int        # +1 attached to +q, -1 to -q
+    half: int        # +1 particle root eta (upper), -1 hole root xi (lower)
+    k: int           # quantum number
+    offset: complex  # (2 pi (k - 1/2) + i side half u1) / eps0'
+
+
+@dataclass(frozen=True)
+class RootTable:
+    """The complex roots of one excited class, one entry per quantum
+    number, with the edge value u1 that fixes their offsets."""
+
+    roots: tuple
     u1_at_q: complex
 
-    @property
-    def sum_plus(self) -> complex:
-        return sum(self.eta_plus) + sum(self.xi_plus)
+    def __iter__(self):
+        return iter(self.roots)
 
-    @property
-    def sum_minus(self) -> complex:
-        return sum(self.eta_minus) + sum(self.xi_minus)
+    def points(self, q: float, T: float) -> np.ndarray:
+        """Leading-order positions side*q + i T half offset."""
+        return np.array([r.side * q + 1j * T * r.half * r.offset
+                         for r in self.roots], dtype=complex)
 
 
 def root_offsets(gs: GroundState, cls: ExcitationClass,
-                 alpha: complex) -> RootOffsets:
-    """Leading-order root offsets from the quantum numbers; each must lie
-    in its half-plane Re(eta) > 0, Re(xi) > 0."""
+                 alpha: complex) -> RootTable:
+    """Leading-order root table from the quantum numbers; every offset must
+    lie in the half-plane Re > 0."""
     u1 = u1_value(gs, alpha, cls.ell)
-    epsp = gs.eps0_prime_q
-    eta_p = tuple((2.0 * np.pi * (p - 0.5) + 1j * u1) / epsp
-                  for p in cls.p_plus)
-    xi_p = tuple((2.0 * np.pi * (h - 0.5) - 1j * u1) / epsp
-                 for h in cls.h_plus)
-    eta_m = tuple((2.0 * np.pi * (p - 0.5) - 1j * u1) / epsp
-                  for p in cls.p_minus)
-    xi_m = tuple((2.0 * np.pi * (h - 0.5) + 1j * u1) / epsp
-                 for h in cls.h_minus)
-    for v in eta_p + xi_p + eta_m + xi_m:
-        if not v.real > 0:
-            raise ConstraintError(
-                f"root offset {v} not in the required half-plane")
-    return RootOffsets(eta_plus=eta_p, xi_plus=xi_p, eta_minus=eta_m,
-                       xi_minus=xi_m, u1_at_q=u1)
+    roots = []
+    for side, half, ks in ((1, 1, cls.p_plus), (-1, 1, cls.p_minus),
+                           (1, -1, cls.h_plus), (-1, -1, cls.h_minus)):
+        for k in ks:
+            offset = ((2.0 * np.pi * (k - 0.5) + 1j * (side * half) * u1)
+                      / gs.eps0_prime_q)
+            if not offset.real > 0:
+                raise ConstraintError(
+                    f"root offset {offset} not in the required half-plane")
+            roots.append(Root(side, half, k, offset))
+    return RootTable(tuple(roots), u1)
 
 
-def u2_function(gs: GroundState, cls: ExcitationClass,
-                offsets: RootOffsets) -> SampledFunction:
+def u2_function(gs: GroundState, roots: RootTable) -> SampledFunction:
     """Quadratic thermal correction of the excited-state energy, in terms of
-    the resolvent columns and the root-offset sums."""
-    u1 = offsets.u1_at_q
+    the resolvent columns and the per-side root-offset sums."""
+    u1 = roots.u1_at_q
     common = (np.pi ** 2 / 3.0 + u1 ** 2) / (2.0 * gs.eps0_prime_q)
-    coef_p = 2.0 * np.pi * offsets.sum_plus - common
-    coef_m = 2.0 * np.pi * offsets.sum_minus - common
-    vals = coef_p * gs.R_plus.values + coef_m * gs.R_minus.values
+    coef = {side: 2.0 * np.pi * sum(r.offset for r in roots if r.side == side)
+            - common for side in (1, -1)}
+    vals = coef[1] * gs.R_plus.values + coef[-1] * gs.R_minus.values
     return SampledFunction(gs.grid, vals)
-
-
-def branch_log_weight(u, T):
-    """log(1 + e^{-u/T}) by the two-sided stable evaluation.
-
-    Away from the Fermi crossover windows both stable pieces are exact
-    analytic continuations of each other (the switch error is below double
-    precision), so the only genuine branch freedom lives in windows of
-    width ~T around +-q.  The solver keeps those windows on a contour where
-    the local phase |Im u/T| stays inside (-pi, pi), which makes this
-    evaluation the branch fixed by continuity and by decay at both tails.
-    """
-    return stable_log1pexp(np.asarray(u, dtype=complex) / T)
 
 
 @dataclass(frozen=True)
@@ -191,15 +183,6 @@ def excitation_contour(thermal: ThermalSolution, gs: GroundState,
                            base=thermal.grid, height=height, width=width)
 
 
-def place_roots(gs: GroundState, offsets: RootOffsets, T: float):
-    """Roots at leading order: +-q shifted by +-iT eta / -+iT xi."""
-    s_plus = tuple(gs.q + 1j * T * e for e in offsets.eta_plus) + \
-        tuple(-gs.q + 1j * T * e for e in offsets.eta_minus)
-    s_minus = tuple(gs.q - 1j * T * x for x in offsets.xi_plus) + \
-        tuple(-gs.q - 1j * T * x for x in offsets.xi_minus)
-    return s_plus, s_minus
-
-
 def theta_odd(lam, c: float):
     """Scattering phase i log((ic+lambda)/(ic-lambda)), continuous and odd on
     the real axis, tending to +-pi at +-infinity."""
@@ -207,14 +190,14 @@ def theta_odd(lam, c: float):
     return 1j * (np.log(1j * c + lam) - np.log(1j * c - lam))
 
 
-def _root_source(lam, s_plus, s_minus, T: float, c: float):
-    """Source of the excited-state equation from the complex roots,
-    iT sum_j [theta(lambda - s+_j) - theta(lambda - s-_j)]."""
-    lam = np.asarray(lam, dtype=complex)
-    out = np.zeros_like(lam)
-    for sp, sm in zip(s_plus, s_minus):
-        out += theta_odd(lam - sp, c) - theta_odd(lam - sm, c)
-    return 1j * T * out
+def _driving_term(lam, params: ModelParams, roots: RootTable, points):
+    """Free part of the excited-state equation: lambda^2 - h - 2 pi i alpha T
+    plus the root source i T sum_j half_j theta(lambda - s_j)."""
+    T = params.T
+    h_alpha = params.h + 2.0j * np.pi * params.alpha * T
+    src = sum(r.half * theta_odd(lam - s, params.c)
+              for r, s in zip(roots, points))
+    return lam ** 2 - h_alpha + 1j * T * src
 
 
 @dataclass(frozen=True)
@@ -226,11 +209,10 @@ class USolution:
     thermal: ThermalSolution = field(repr=False)
     contour: DeformedContour = field(repr=False)
     u_values: np.ndarray = field(repr=False)
-    log_weight: np.ndarray = field(repr=False)      # branch_log_weight(u, T)
+    log_weight: np.ndarray = field(repr=False)      # log(1 + e^{-u/T})
     log_weight_eps: np.ndarray = field(repr=False)  # same for eps on contour
-    s_plus: tuple
-    s_minus: tuple
-    offsets: RootOffsets = field(repr=False)
+    roots: RootTable = field(repr=False)
+    points: np.ndarray                              # root positions, as roots
     iterations: int
     residual: float
 
@@ -238,13 +220,11 @@ class USolution:
         """Continuation of u off the contour via its own integral equation;
         valid within a strip of half-width c around the contour."""
         T, c = self.params.T, self.params.c
-        h_alpha = self.params.h + 2.0j * np.pi * self.params.alpha * T
         lam = np.asarray(lam, dtype=complex)
         flat = np.atleast_1d(lam)
         kx = weighted_kernel(flat, self.contour.nodes, self.contour.weights, c)
         tail = (T / (2.0 * np.pi)) * (kx @ self.log_weight)
-        out = flat ** 2 - h_alpha - tail + _root_source(
-            flat, self.s_plus, self.s_minus, T, c)
+        out = _driving_term(flat, self.params, self.roots, self.points) - tail
         return out[0] if lam.ndim == 0 else out
 
     def u_prime_at(self, lam):
@@ -253,9 +233,8 @@ class USolution:
         flat = np.atleast_1d(lam)
         kx = kernel_prime(flat[:, None] - self.contour.nodes[None, :], c)
         tail = (T / (2.0 * np.pi)) * (kx @ (self.contour.weights * self.log_weight))
-        src = np.zeros_like(flat)
-        for sp, sm in zip(self.s_plus, self.s_minus):
-            src += kernel(flat - sp, c) - kernel(flat - sm, c)
+        src = sum(r.half * kernel(flat - s, c)
+                  for r, s in zip(self.roots, self.points))
         out = 2.0 * flat - tail + 1j * T * src
         return out[0] if lam.ndim == 0 else out
 
@@ -278,33 +257,35 @@ def solve_u(params: ModelParams, cls: ExcitationClass,
         gs = build_ground_state(params)
     if thermal is None:
         thermal = solve_yang_yang(params, gs)
-    offsets = root_offsets(gs, cls, params.alpha)
+    roots = root_offsets(gs, cls, params.alpha)
     T = params.T
-    scale = max(abs(v) for v in
-                (offsets.eta_plus + offsets.xi_plus + offsets.eta_minus
-                 + offsets.xi_minus)) if cls.n else 0.0
-    if T * scale > 0.25 * min(gs.q, params.c):
+    drift = T * max((abs(r.offset) for r in roots), default=0.0)
+    if drift > 0.25 * min(gs.q, params.c):
         raise ValueError("roots drift too far from the Fermi points; lower T")
-    s_plus, s_minus = place_roots(gs, offsets, T)
+    points = roots.points(gs.q, T)
 
-    contour = excitation_contour(thermal, gs, offsets.u1_at_q)
+    contour = excitation_contour(thermal, gs, roots.u1_at_q)
     lam = contour.nodes
     kmat = weighted_kernel(lam, lam, contour.weights, params.c)
-    h_alpha = params.h + 2.0j * np.pi * params.alpha * T
-    bare = (lam ** 2 - h_alpha
-            + _root_source(lam, s_plus, s_minus, T, params.c))
-    u, lw, it, residual = _fixed_point(bare, kmat, T,
-                                       _TOL_FACTOR * max(params.h, T))
+    u, lw, it, residual = _fixed_point(
+        _driving_term(lam, params, roots, points), kmat, T,
+        _TOL_FACTOR * max(params.h, T))
     tail_decay = max(abs(lw[0]), abs(lw[-1]))
     if tail_decay > 1e-8:
         raise NumericsError(
             f"log weight does not decay at the grid ends ({tail_decay:.2e}); "
             f"enlarge the cutoff")
-    lw_eps = branch_log_weight(thermal.eps_at(lam), T)
+    # log(1 + e^{-eps/T}) by the two-sided stable evaluation, as for u in
+    # the fixed point.  Away from the Fermi crossover windows both stable
+    # pieces are exact analytic continuations of each other (the switch
+    # error is below double precision), so the only branch freedom lives in
+    # windows of width ~T around +-q.  The contour keeps the local phase
+    # |Im u/T| inside (-pi, pi) there, which makes this the branch fixed by
+    # continuity and by decay at both tails.
+    lw_eps = stable_log1pexp(thermal.eps_at(lam) / T)
     return USolution(params=params, cls=cls, thermal=thermal,
                      contour=contour, u_values=u, log_weight=lw,
-                     log_weight_eps=lw_eps,
-                     s_plus=s_plus, s_minus=s_minus, offsets=offsets,
+                     log_weight_eps=lw_eps, roots=roots, points=points,
                      iterations=it, residual=residual)
 
 
@@ -317,8 +298,8 @@ def z_function(sol: USolution) -> np.ndarray:
 def decay_rate_numeric(sol: USolution) -> complex:
     """Decay rate from the phase integral minus the root sum."""
     z = z_function(sol)
-    return complex(1j * sol.contour.integral(z)
-                   - 1j * (sum(sol.s_plus) - sum(sol.s_minus)))
+    root_sum = sum(r.half * s for r, s in zip(sol.roots, sol.points))
+    return complex(1j * sol.contour.integral(z) - 1j * root_sum)
 
 
 def decay_rate_closed(gs: GroundState, cls: ExcitationClass, alpha: complex,

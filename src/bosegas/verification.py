@@ -158,8 +158,7 @@ def check_excited_expansion(ws: Workspace):
     gs = ws.ground_state()
     cls = BENCHMARK_CLASS
     u1f = u1_function(gs, 0.0, cls.ell)
-    offs = root_offsets(gs, cls, 0.0)
-    u2f = u2_function(gs, cls, offs)
+    u2f = u2_function(gs, root_offsets(gs, cls, 0.0))
     lam = np.linspace(-0.9 * gs.q, 0.9 * gs.q, 41)
     remainders = []
     for T in T_SEQUENCE:

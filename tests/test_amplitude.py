@@ -11,9 +11,11 @@ from bosegas.amplitude import (amplitude_tilde, bd_finite_T, c0_functional,
                                c1_functional, cauchy_det_sq,
                                discrete_amplitude, double_integral,
                                edge_charge_integral, r_factor,
-                               smooth_amplitude, verify_double_integral,
-                               w_closed, w_series)
-from bosegas.excitation import ExcitationClass, solve_u, z_function
+                               smooth_amplitude, verify_cauchy_edge,
+                               verify_double_integral, w_closed, w_series)
+from bosegas.excitation import (ExcitationClass, decay_rate_closed,
+                                decay_rate_numeric, root_offsets, solve_u,
+                                u1_function, u2_function, z_function)
 from bosegas.groundstate import ModelParams, build_ground_state
 from bosegas.numerics import SampledFunction, composite_grid
 from bosegas.thermal import solve_yang_yang
@@ -241,6 +243,76 @@ class TestFiniteTemperatureFactor:
             errs.append(abs(bd_finite_T(sol) * weight - target)
                         / abs(target))
         assert errs[0] > errs[1] > errs[2]
+
+
+# a particle and a hole at each Fermi point: roots of all four kinds
+# (side +-q, particle or hole), so a sign slip in either label shows
+ALL_KINDS_CLASS = ExcitationClass(ell=0, p_plus=(2,), h_plus=(1,),
+                                  p_minus=(1,), h_minus=(2,))
+ALL_KINDS_ALPHA = 0.1
+ALL_KINDS_T = (0.02, 0.01, 0.005)
+
+
+@pytest.fixture(scope="module")
+def all_kinds_sols(gs):
+    return [solve_u(ModelParams(c=1.0, h=1.0, T=T, alpha=ALL_KINDS_ALPHA),
+                    ALL_KINDS_CLASS, gs=gs) for T in ALL_KINDS_T]
+
+
+class TestAllRootKinds:
+    def test_placement(self, gs, all_kinds_sols):
+        sol = all_kinds_sols[0]
+        assert sorted((r.side, r.half) for r in sol.roots) == [
+            (-1, -1), (-1, 1), (1, -1), (1, 1)]
+        for r, s in zip(sol.roots, sol.points):
+            assert np.sign(s.real) == r.side and np.sign(s.imag) == r.half
+            assert abs(abs(s.real) - gs.q) < 1e-12
+
+    def test_energy_expansion(self, gs, all_kinds_sols):
+        # u2's per-side offset sums see every root: remainder ~ T^3
+        u1f = u1_function(gs, ALL_KINDS_ALPHA, ALL_KINDS_CLASS.ell)
+        u2f = u2_function(gs, root_offsets(gs, ALL_KINDS_CLASS,
+                                           ALL_KINDS_ALPHA))
+        lam = np.linspace(-0.9 * gs.q, 0.9 * gs.q, 41)
+        rem = [np.max(np.abs(sol.u_at(lam) - gs.eps0(lam)
+                             - sol.params.T * u1f(lam)
+                             - sol.params.T ** 2 * u2f(lam)))
+               for sol in all_kinds_sols]
+        assert np.polyfit(np.log(ALL_KINDS_T), np.log(rem), 1)[0] > 2.7
+
+    def test_decay_rate_quadratic_remainder(self, gs, all_kinds_sols):
+        diffs = np.array([abs(decay_rate_numeric(sol) - decay_rate_closed(
+            gs, ALL_KINDS_CLASS, ALL_KINDS_ALPHA, sol.params.T))
+            for sol in all_kinds_sols])
+        ts = np.array(ALL_KINDS_T)
+        # measured 1.6e-3, 3.9e-4, 9.8e-5: ~3.95 T^2
+        assert np.all(diffs < 5.0 * ts ** 2)
+        assert np.polyfit(np.log(ts), np.log(diffs), 1)[0] > 1.9
+
+    def test_edge_estimates_tighten(self, all_kinds_sols):
+        edge = np.array([verify_cauchy_edge(sol)["deviations"]
+                         for sol in all_kinds_sols])
+        assert edge.shape == (3, 4)
+        # every root's deviation falls, not only the largest; measured
+        # 0.09 at most at the lowest T, where a wrong e^{+-u1/4} gives 0.6
+        assert np.all(edge[:-1] > edge[1:])
+        assert edge[-1].max() < 0.12
+        di = [verify_double_integral(sol)["deviation"]
+              for sol in all_kinds_sols]
+        assert di[0] > di[1] > di[2]
+
+    def test_approaches_discrete_amplitude(self, gs, all_kinds_sols):
+        target = discrete_amplitude(gs, ALL_KINDS_CLASS, ALL_KINDS_ALPHA)
+        expo = 2.0 * (ALL_KINDS_ALPHA * gs.Zq) ** 2
+        errs = []
+        for sol in all_kinds_sols:
+            weight = (gs.q * gs.eps0_prime_q / (np.pi * sol.params.T)) ** expo
+            errs.append(abs(bd_finite_T(sol) * weight - target)
+                        / abs(target))
+        # measured 0.83, 0.34, 0.15; a root factor of the wrong sign
+        # leaves the error near 1 while it still decreases
+        assert errs[0] > errs[1] > errs[2]
+        assert errs[2] < 0.2
 
 
 class TestAssembledAmplitude:

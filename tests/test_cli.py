@@ -220,3 +220,13 @@ class TestExitCodes:
     def test_bad_only_name(self):
         with pytest.raises(SystemExit):
             main(["verify", "--only", "no-such-check"])
+
+    def test_verify_takes_no_format(self, tmp_path, capsys):
+        # the report is always JSON; a --format that is silently ignored
+        # would write JSON into r.csv
+        out = tmp_path / "r.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--format", "csv", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+        assert not out.exists()

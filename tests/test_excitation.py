@@ -7,14 +7,14 @@ import pytest
 
 from bosegas.excitation import (ConstraintError, ExcitationClass,
                                 decay_rate_closed, decay_rate_numeric,
-                                place_roots, root_offsets, solve_u,
+                                root_offsets, solve_u,
                                 theta_odd, u1_function, u1_value)
 from bosegas.groundstate import ModelParams, build_ground_state
 from bosegas.thermal import solve_yang_yang
 from bosegas.verification import BENCHMARK_CLASS
 
 
-def polish_roots(sol, n_steps: int = 1) -> tuple:
+def polish_roots(sol, n_steps: int = 1) -> np.ndarray:
     """Newton refinement of the root conditions 1 + exp(-u(s)/T) = 0, using
     the continued u and its derivative; reports where the leading-order
     roots would move.  The target values of u are the odd multiples of
@@ -29,8 +29,7 @@ def polish_roots(sol, n_steps: int = 1) -> tuple:
             s = s - (val - target) / sol.u_prime_at(s)
         return s
 
-    return (tuple(refine(s) for s in sol.s_plus),
-            tuple(refine(s) for s in sol.s_minus))
+    return np.array([refine(s) for s in sol.points])
 
 
 class TestExcitationClass:
@@ -50,6 +49,13 @@ class TestExcitationClass:
     def test_rejects_unordered(self):
         with pytest.raises(ValueError):
             ExcitationClass(ell=0, p_plus=(3, 2), h_plus=(1, 2))
+
+    def test_rejects_non_integer(self):
+        # int() would truncate these to (1,) and 2 without a word
+        with pytest.raises(ValueError, match="integers"):
+            ExcitationClass(ell=1, p_plus=(1.5,), h_minus=(1,))
+        with pytest.raises(ValueError, match="integers"):
+            ExcitationClass(ell=0, p_plus=(2.7,), h_plus=(1,))
 
     def test_rejects_count_mismatch(self):
         with pytest.raises(ValueError):
@@ -76,9 +82,11 @@ class TestLinearCorrection:
 
 class TestRootOffsets:
     def test_relaxed_half_planes(self, gs):
-        offs = root_offsets(gs, BENCHMARK_CLASS, 0.0)
-        for v in offs.eta_plus + offs.xi_minus:
-            assert v.real > 0
+        roots = root_offsets(gs, BENCHMARK_CLASS, 0.0)
+        assert [(r.side, r.half, r.k) for r in roots] == [(1, 1, 1),
+                                                          (-1, -1, 1)]
+        for r in roots:
+            assert r.offset.real > 0
 
     def test_offset_outside_half_plane(self, gs):
         cls = ExcitationClass(ell=0, p_plus=(1,), h_plus=(1,))
@@ -87,18 +95,21 @@ class TestRootOffsets:
 
     def test_leading_formula(self, gs):
         cls = ExcitationClass(ell=0, p_plus=(2,), h_plus=(1,))
-        offs = root_offsets(gs, cls, 0.1)
+        roots = root_offsets(gs, cls, 0.1)
         u1 = u1_value(gs, 0.1, 0)
         epsp = gs.eps0_prime_q
-        assert abs(offs.eta_plus[0] - (3.0 * np.pi + 1j * u1) / epsp) < 1e-14
-        assert abs(offs.xi_plus[0] - (np.pi - 1j * u1) / epsp) < 1e-14
+        assert roots.u1_at_q == u1
+        eta, xi = roots.roots
+        assert (eta.side, eta.half, eta.k) == (1, 1, 2)
+        assert (xi.side, xi.half, xi.k) == (1, -1, 1)
+        assert abs(eta.offset - (3.0 * np.pi + 1j * u1) / epsp) < 1e-14
+        assert abs(xi.offset - (np.pi - 1j * u1) / epsp) < 1e-14
 
     def test_placed_roots_flank_fermi_point(self, gs):
         cls = ExcitationClass(ell=0, p_plus=(1,), h_plus=(1,))
-        offs = root_offsets(gs, cls, 0.1)
-        s_plus, s_minus = place_roots(gs, offs, 0.01)
-        assert s_plus[0].imag > 0 and s_minus[0].imag < 0
-        assert abs(s_plus[0].real - gs.q) < 0.05
+        eta, xi = root_offsets(gs, cls, 0.1).points(gs.q, 0.01)
+        assert eta.imag > 0 and xi.imag < 0
+        assert abs(eta.real - gs.q) < 0.05
 
 
 class TestScatteringPhase:
@@ -147,9 +158,7 @@ class TestSolveU:
     def test_polished_roots_stay_close(self, workspace):
         sol = workspace.benchmark_solution(0.01)
         T = sol.params.T
-        ref_p, ref_m = polish_roots(sol, n_steps=2)
-        moves = [abs(a - b) for a, b in
-                 zip(ref_p + ref_m, sol.s_plus + sol.s_minus)]
+        moves = np.abs(polish_roots(sol, n_steps=2) - sol.points)
         # leading-order placement is accurate to one more power of T
         assert max(moves) < 5.0 * T ** 2
 
