@@ -1,10 +1,11 @@
 """Thermodynamics and low-temperature, long-distance correlation
 asymptotics of the one-dimensional delta-interacting Bose gas."""
 
-from .amplitude import (AmplitudeResult, amplitude_tilde, bd_finite_T,
-                        c0_functional, c1_functional, discrete_amplitude,
-                        smooth_amplitude, verify_cauchy_edge,
-                        verify_double_integral, w_closed, w_series)
+from .amplitude import (AmplitudePlan, AmplitudeResult, amplitude_tilde,
+                        bd_finite_T, c0_functional, c1_functional,
+                        discrete_amplitude, smooth_amplitude,
+                        verify_cauchy_edge, verify_double_integral, w_closed,
+                        w_series)
 from .correlator import (AsymptoticTerm, CorrelatorSeries, density_correlator,
                          ell0_closed, ell0_term_fd, generating_asymptotics,
                          harmonic_amplitude)
@@ -18,7 +19,7 @@ from .verification import CheckResult, run_checks
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmplitudeResult", "AsymptoticTerm", "CheckResult", "ConstraintError",
+    "AmplitudePlan", "AmplitudeResult", "AsymptoticTerm", "CheckResult", "ConstraintError",
     "CorrelatorSeries", "ExcitationClass", "GroundState", "ModelParams",
     "NumericsError", "ThermalSolution", "USolution", "amplitude_tilde",
     "bd_finite_T", "build_ground_state", "c0_functional", "c1_functional",

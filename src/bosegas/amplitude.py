@@ -19,8 +19,8 @@ from .excitation import USolution, z_function
 from .groundstate import GroundState, kernel
 from .numerics import (Contour, NumericsError, SampledFunction,
                        cauchy_transform, fredholm_logdet)
-from .specfun import (GammaRatioSpec, barnes_g, barnes_g_one, gamma_ratio,
-                      ln_barnes_g, ln_gamma)
+from .specfun import (barnes_g, barnes_g_one, gamma_ratio, ln_barnes_g,
+                      ln_gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +112,8 @@ def r_factor(ps, hs, nu: complex) -> complex:
     ps, hs = tuple(ps), tuple(hs)
     rat = cauchy_det_sq(np.array(ps, dtype=float),
                         1.0 - np.array(hs, dtype=float))
-    gammas = gamma_ratio(GammaRatioSpec(
-        numerators=[p + nu for p in ps] + [h - nu for h in hs],
-        denominators=list(ps) + list(hs)))
+    gammas = gamma_ratio([p + nu for p in ps] + [h - nu for h in hs],
+                         ps + hs)
     return complex(rat * gammas ** 2)
 
 
@@ -185,13 +184,10 @@ def w_closed(nu: complex, r: int, tau: float) -> complex:
 
 @dataclass(frozen=True)
 class AmplitudeResult:
-    """Term amplitude of one umklapp sector and its ingredients."""
+    """Term amplitude of one umklapp sector and its smooth part."""
 
-    ell: int
-    alpha: complex
     B_smooth: complex
     A_tilde: complex
-    exponent: complex                    # 2 alpha_ell^2 Zq^2
 
 
 class AmplitudePlan:
@@ -273,8 +269,7 @@ class AmplitudePlan:
         amplitude at shifted twist al; G^2(1, x) carries the squared
         symmetric Barnes pair."""
         gs = self.gs
-        exponent = 2.0 * al ** 2 * gs.Zq ** 2
-        norm = np.exp(-exponent * np.log(2.0 * gs.q * gs.Zq))
+        norm = np.exp(-gs.exponent(al) * np.log(2.0 * gs.q * gs.Zq))
         return complex(barnes_g_one(al * gs.Zq) ** 2 * np.exp(al ** 2 * self.c1)
                        * norm)
 
@@ -297,9 +292,7 @@ class AmplitudePlan:
             b_s = complex((phase - 1.0) ** 2
                           * self._smooth_factor(al, phase, theta1, theta2))
             a_tilde = b_s * self._discrete_factor(al)
-        return AmplitudeResult(
-            ell=ell, alpha=alpha, B_smooth=b_s, A_tilde=a_tilde,
-            exponent=2.0 * al ** 2 * gs.Zq ** 2)
+        return AmplitudeResult(B_smooth=b_s, A_tilde=a_tilde)
 
     def harmonic(self, ell: int) -> complex:
         """Coefficient of the e^{2 i x ell kF} harmonic of the correlator.
@@ -422,7 +415,7 @@ def verify_cauchy_edge(sol: USolution) -> dict:
         # limit): +u1/4 for the upper-half roots, -u1/4 for the lower-half
         num, den = (r.k, r.k - x) if r.half > 0 else (r.k + x, r.k)
         rhs = (np.exp(-al * r.side * edge + r.half * u1 / 4.0)
-               * gamma_ratio(GammaRatioSpec([num], [den])))
+               * gamma_ratio([num], [den]))
         deviations.append(abs(lhs - rhs) / abs(rhs))
         pairs.append((complex(lhs), complex(rhs)))
     return {"T": T, "deviations": deviations, "pairs": pairs,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .amplitude import AmplitudePlan
 from .correlator import density_correlator
-from .groundstate import ModelParams, build_ground_state
+from .groundstate import GroundState, ModelParams, build_ground_state
 from .numerics import NumericsError
 from .thermal import solve_yang_yang
 from .verification import CHECKS, run_checks
@@ -41,6 +41,12 @@ class RunConfig:
     x: tuple = (10.0,)
     grid_n: int = 96
     contour_n: int = 256
+
+    def __post_init__(self):
+        if not self.ell_max >= 0:
+            raise ConfigError(f"ell_max must be non-negative: {self.ell_max}")
+        if not np.isfinite(self.alpha):
+            raise ConfigError(f"alpha must be finite: {self.alpha}")
 
 
 def _parse_value(key: str, raw: str):
@@ -135,9 +141,10 @@ def _write(text: str, out: str = None):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_ground_state(cfg: RunConfig, out, fmt) -> int:
-    gs = build_ground_state(ModelParams(c=cfg.c, h=cfg.h),
-                            n_nodes=cfg.grid_n)
+# each table command maps the configuration and its ground state to its
+# named tables, each table being (rows, provenance)
+
+def cmd_ground_state(cfg: RunConfig, gs: GroundState) -> dict:
     scalars = [{"q": gs.q, "Zq": gs.Zq, "D": gs.D, "kF": gs.kF,
                 "v0": gs.v0, "eps0_prime_q": gs.eps0_prime_q}]
     prov_s = {"q": ("groundstate", "fermi_boundary"),
@@ -152,15 +159,11 @@ def cmd_ground_state(cfg: RunConfig, out, fmt) -> int:
     prov_c = {"lambda": ("groundstate", "rapidity_node"),
               "eps0": ("groundstate", "dressed_energy"),
               "Z": ("groundstate", "dressed_charge")}
-    _write(render_tables({"scalars": (scalars, prov_s),
-                          "curve": (curve, prov_c)}, fmt), out)
-    return 0
+    return {"scalars": (scalars, prov_s), "curve": (curve, prov_c)}
 
 
-def cmd_thermal(cfg: RunConfig, out, fmt) -> int:
-    params = ModelParams(c=cfg.c, h=cfg.h, T=cfg.T)
-    gs = build_ground_state(params, n_nodes=cfg.grid_n)
-    th = solve_yang_yang(params, gs)
+def cmd_thermal(cfg: RunConfig, gs: GroundState) -> dict:
+    th = solve_yang_yang(gs.params, gs)
     scalars = [{"T": cfg.T, "cutoff": th.cutoff,
                 "iterations": th.iterations, "residual": th.residual}]
     prov_s = {"T": ("thermal", "temperature"),
@@ -173,17 +176,13 @@ def cmd_thermal(cfg: RunConfig, out, fmt) -> int:
     prov_c = {"lambda": ("thermal", "rapidity_node"),
               "eps": ("thermal", "excitation_energy"),
               "log_weight": ("thermal", "log_occupation_weight")}
-    _write(render_tables({"scalars": (scalars, prov_s),
-                          "curve": (curve, prov_c)}, fmt), out)
-    return 0
+    return {"scalars": (scalars, prov_s), "curve": (curve, prov_c)}
 
 
-def cmd_lengths(cfg: RunConfig, out, fmt) -> int:
-    gs = build_ground_state(ModelParams(c=cfg.c, h=cfg.h, T=cfg.T),
-                            n_nodes=cfg.grid_n)
+def cmd_lengths(cfg: RunConfig, gs: GroundState) -> dict:
     rows = []
     for ell in range(1, cfg.ell_max + 1):
-        exponent = 2.0 * ell ** 2 * gs.Zq ** 2
+        exponent = gs.exponent(ell)
         rows.append({"ell": ell,
                      "momentum": 2.0 * ell * gs.kF,
                      "exponent": exponent,
@@ -192,36 +191,31 @@ def cmd_lengths(cfg: RunConfig, out, fmt) -> int:
             "momentum": ("correlator", "oscillation_momentum"),
             "exponent": ("amplitude", "envelope_exponent"),
             "inverse_length": ("correlator", "inverse_correlation_length")}
-    _write(render_tables({"lengths": (rows, prov)}, fmt), out)
-    return 0
+    return {"lengths": (rows, prov)}
 
 
-def cmd_amplitudes(cfg: RunConfig, out, fmt) -> int:
-    gs = build_ground_state(ModelParams(c=cfg.c, h=cfg.h),
-                            n_nodes=cfg.grid_n)
+def cmd_amplitudes(cfg: RunConfig, gs: GroundState) -> dict:
     plan = AmplitudePlan(gs, cfg.contour_n)
     rows = []
     for ell in range(0, cfg.ell_max + 1):
         res = plan.amplitude(cfg.alpha, ell)
-        rows.append({"ell": ell, "alpha_ell": cfg.alpha + ell,
+        al = cfg.alpha + ell
+        rows.append({"ell": ell, "alpha_ell": al,
                      "B_smooth": complex(res.B_smooth),
                      "A_tilde": complex(res.A_tilde),
-                     "exponent": float(np.real(res.exponent))})
+                     "exponent": float(gs.exponent(al))})
     prov = {"ell": ("excitation", "umklapp_number"),
             "alpha_ell": ("amplitude", "shifted_twist"),
             "B_smooth": ("amplitude", "smooth_factor"),
             "A_tilde": ("amplitude", "term_amplitude"),
             "exponent": ("amplitude", "envelope_exponent")}
-    _write(render_tables({"amplitudes": (rows, prov)}, fmt), out)
-    return 0
+    return {"amplitudes": (rows, prov)}
 
 
-def cmd_correlator(cfg: RunConfig, out, fmt) -> int:
-    gs = build_ground_state(ModelParams(c=cfg.c, h=cfg.h),
-                            n_nodes=cfg.grid_n)
+def cmd_correlator(cfg: RunConfig, gs: GroundState) -> dict:
     rows = []
-    for series in density_correlator(gs, cfg.x, cfg.T, cfg.ell_max,
-                                     cfg.contour_n):
+    for series in density_correlator(AmplitudePlan(gs, cfg.contour_n), cfg.x,
+                                     cfg.T, cfg.ell_max):
         row = {"x": series.x, "T": series.T, "constant": series.constant,
                "ell0_term": series.ell0_term}
         by_ell = {t.ell: t for t in series.harmonics}
@@ -241,8 +235,7 @@ def cmd_correlator(cfg: RunConfig, out, fmt) -> int:
         prov[f"A_{ell}"] = ("correlator", "harmonic_amplitude")
         prov[f"envelope_{ell}"] = ("correlator", "harmonic_envelope")
         prov[f"pair_{ell}"] = ("correlator", "conjugate_pair_term")
-    _write(render_tables({"correlator": (rows, prov)}, fmt), out)
-    return 0
+    return {"correlator": (rows, prov)}
 
 
 def cmd_verify(cfg: RunConfig, out, only=None) -> int:
@@ -318,7 +311,11 @@ def main(argv=None) -> int:
                            "contour_n": args.contour_n})
         if args.command == "verify":
             return cmd_verify(cfg, args.out, only=args.only)
-        return COMMANDS[args.command](cfg, args.out, args.format)
+        gs = build_ground_state(ModelParams(c=cfg.c, h=cfg.h, T=cfg.T),
+                                n_nodes=cfg.grid_n)
+        tables = COMMANDS[args.command](cfg, gs)
+        _write(render_tables(tables, args.format), args.out)
+        return 0
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,10 @@
 """Assembly of the long-distance asymptotic series.
 
-Harmonic terms of the generating-function expansion, the closed-form
+The harmonic terms of the generating-function expansion, the closed-form
 harmonic amplitudes of the correlator, and the final density-density
 correlator with its constant, hyperbolic and oscillating parts.  Every
-function here takes its amplitudes from one ``AmplitudePlan``.
+function here takes its amplitudes, and its ground state, from one
+``AmplitudePlan``.
 """
 
 from __future__ import annotations
@@ -17,16 +18,6 @@ from .amplitude import AmplitudePlan
 from .groundstate import GroundState
 
 
-def _plan_of(gs: GroundState, plan: AmplitudePlan,
-             contour_n: int = 256) -> AmplitudePlan:
-    """``plan`` if it was built on ``gs``, a new plan of ``gs`` if none."""
-    if plan is None:
-        return AmplitudePlan(gs, contour_n)
-    if plan.gs is not gs:
-        raise ValueError("plan was built on another ground state")
-    return plan
-
-
 def envelope_power(gs: GroundState, x: float, T: float, exponent) -> complex:
     """(pi T / v0 / sinh(pi T x / v0))^exponent on the principal branch of
     the positive real base."""
@@ -36,43 +27,42 @@ def envelope_power(gs: GroundState, x: float, T: float, exponent) -> complex:
 
 @dataclass(frozen=True)
 class AsymptoticTerm:
-    """One harmonic of the generating-function expansion at fixed x, T."""
+    """One harmonic of the generating function or of the correlator at
+    fixed x, T."""
 
     ell: int
     oscillation: complex          # momentum 2 alpha_ell kF of e^{i . x}
-    exponent: complex             # 2 alpha_ell^2 Zq^2
+    exponent: complex             # GroundState.exponent(alpha_ell)
     amplitude: complex            # constant coefficient of the harmonic
     envelope: complex             # hyperbolic decay factor at this x
     value: complex                # full term
 
 
-def generating_asymptotics(gs: GroundState, alpha: complex, x: float,
-                           T: float, ell_max: int,
-                           plan: AmplitudePlan = None):
+def generating_asymptotics(plan: AmplitudePlan, alpha: complex, x: float,
+                           T: float, ell_max: int):
     """Truncated harmonic sum of the generating function at one (x, T).
 
     Returns (total, terms) with the terms sorted by decreasing envelope
     magnitude; valid deep in the decaying regime x -> infinity, T -> 0,
-    x T -> infinity.  ``plan`` is a prebuilt plan of ``gs``; without one,
-    a plan is built with the default contour.
+    x T -> infinity.
     """
+    gs = plan.gs
     if not (0 < x < np.inf and 0 < T < np.inf):
         raise ValueError("need finite x > 0 and T > 0")
     if np.pi * T * x / gs.v0 < 1.0:
         warnings.warn("x T below the asymptotic regime; terms of comparable "
                       "size are being dropped", stacklevel=2)
-    plan = _plan_of(gs, plan)
     terms = []
     for ell in sorted(range(-ell_max, ell_max + 1), key=lambda l: (abs(l), -l)):
         al = alpha + ell
-        res = plan.amplitude(alpha, ell)
-        env = envelope_power(gs, x, T, res.exponent)
+        amp = plan.amplitude(alpha, ell).A_tilde
+        exponent = gs.exponent(al)
+        env = envelope_power(gs, x, T, exponent)
         osc = 2.0 * al * gs.kF
-        value = np.exp(1j * osc * x) * env * res.A_tilde
+        value = np.exp(1j * osc * x) * env * amp
         terms.append(AsymptoticTerm(ell=ell, oscillation=osc,
-                                    exponent=res.exponent,
-                                    amplitude=res.A_tilde, envelope=env,
-                                    value=complex(value)))
+                                    exponent=exponent, amplitude=amp,
+                                    envelope=env, value=complex(value)))
     terms.sort(key=lambda t: -abs(t.envelope))
     total = complex(sum(t.value for t in terms))
     return total, terms
@@ -83,17 +73,6 @@ def harmonic_amplitude(gs: GroundState, ell: int,
     """Coefficient of the e^{2 i x ell kF} harmonic of the correlator, in
     closed form (see ``AmplitudePlan.harmonic``)."""
     return AmplitudePlan(gs, contour_n).harmonic(ell)
-
-
-@dataclass(frozen=True)
-class Harmonic:
-    """One oscillating term of the density-density correlator."""
-
-    ell: int
-    amplitude: complex
-    exponent: float               # 2 ell^2 Zq^2
-    envelope: float
-    value: complex
 
 
 @dataclass(frozen=True)
@@ -114,8 +93,7 @@ def ell0_closed(gs: GroundState, x: float, T: float) -> float:
                  / (2.0 * np.sinh(np.pi * T * x / gs.v0) ** 2))
 
 
-def density_correlator(gs: GroundState, x, T: float, ell_max: int = 2,
-                       contour_n: int = 256, plan: AmplitudePlan = None):
+def density_correlator(plan: AmplitudePlan, x, T: float, ell_max: int = 2):
     """Long-distance density-density correlator at one x or over an array.
 
     The constant part is the squared density, the non-oscillating
@@ -123,16 +101,14 @@ def density_correlator(gs: GroundState, x, T: float, ell_max: int = 2,
     carries its closed-form amplitude with its power of the hyperbolic
     envelope.  Negative harmonics are the conjugates of the positive ones,
     so the assembled series is real for real inputs.  The amplitudes are
-    computed once, from ``plan`` (a prebuilt plan of ``gs``) or from a plan
-    built with ``contour_n`` nodes, and shared by every x.  Returns one
+    computed once, from ``plan``, and shared by every x.  Returns one
     CorrelatorSeries for a scalar x and a tuple of them for an array.
     """
     xs = np.asarray(x, dtype=float)
     if not (np.all((0 < xs) & (xs < np.inf)) and 0 < T < np.inf):
         raise ValueError("need finite x > 0 and T > 0")
-    plan = _plan_of(gs, plan, contour_n)
     amps = {ell: plan.harmonic(ell) for ell in range(1, ell_max + 1)}
-    series = tuple(_series_at(gs, float(xx), T, amps)
+    series = tuple(_series_at(plan.gs, float(xx), T, amps)
                    for xx in xs.reshape(-1))
     return series[0] if xs.ndim == 0 else series
 
@@ -141,13 +117,14 @@ def _series_at(gs: GroundState, x: float, T: float,
                amps: dict) -> CorrelatorSeries:
     harmonics = []
     for ell, amp in amps.items():
-        exponent = 2.0 * ell ** 2 * gs.Zq ** 2
+        exponent = gs.exponent(ell)
         env = float(np.real(envelope_power(gs, x, T, exponent)))
         for sgn_ell, sgn_amp in ((ell, amp), (-ell, np.conj(amp))):
             value = sgn_amp * np.exp(2.0j * x * sgn_ell * gs.kF) * env
-            harmonics.append(Harmonic(ell=sgn_ell, amplitude=complex(sgn_amp),
-                                      exponent=exponent, envelope=env,
-                                      value=complex(value)))
+            harmonics.append(AsymptoticTerm(
+                ell=sgn_ell, oscillation=2.0 * sgn_ell * gs.kF,
+                exponent=exponent, amplitude=complex(sgn_amp), envelope=env,
+                value=complex(value)))
     harmonics.sort(key=lambda t: (abs(t.ell), -t.ell))
     constant = gs.D ** 2
     ell0 = ell0_closed(gs, x, T)
@@ -156,23 +133,19 @@ def _series_at(gs: GroundState, x: float, T: float,
                             harmonics=tuple(harmonics), total=complex(total))
 
 
-def ell0_term_fd(gs: GroundState, x: float, T: float,
-                 plan: AmplitudePlan = None) -> float:
+def ell0_term_fd(plan: AmplitudePlan, x: float, T: float) -> float:
     """Non-oscillating part of the correlator by the full finite-difference
     route: second twist derivative of the zero-harmonic term followed by a
     Richardson second x-derivative; reproduces D^2 plus the closed
-    hyperbolic term up to higher-order thermal corrections.  ``plan`` is
-    a prebuilt plan of ``gs``; without one, a plan is built with the
-    default contour."""
-    plan = _plan_of(gs, plan)
+    hyperbolic term up to higher-order thermal corrections."""
+    gs = plan.gs
     cache = {}
 
     def zero_harmonic(alpha, xx):
         if alpha not in cache:
-            cache[alpha] = plan.amplitude(alpha, 0)
-        res = cache[alpha]
+            cache[alpha] = plan.amplitude(alpha, 0).A_tilde
         return (np.exp(2.0j * alpha * gs.kF * xx)
-                * envelope_power(gs, xx, T, res.exponent) * res.A_tilde)
+                * envelope_power(gs, xx, T, gs.exponent(alpha)) * cache[alpha])
 
     h = 1e-3 / (1.0 + gs.kF * x)
 

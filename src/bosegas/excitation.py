@@ -14,8 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .groundstate import (GroundState, ModelParams, build_ground_state,
-                          kernel, weighted_kernel)
+from .groundstate import GroundState, ModelParams, kernel, weighted_kernel
 from .numerics import NumericsError, SampledFunction
 from .thermal import (_TOL_FACTOR, ThermalSolution, _fixed_point,
                       kernel_prime, solve_yang_yang, stable_log1pexp)
@@ -249,14 +248,19 @@ def solve_u(params: ModelParams, cls: ExcitationClass,
     The equation is solved on the deformed contour of excitation_contour,
     which realizes the analytic continuation in alpha of the
     constraint-satisfying regime; all closed low-temperature forms refer
-    to that continuation.
+    to that continuation.  ``thermal`` carries its ground state; a
+    ``thermal`` or ``gs`` of other parameters is refused.
     """
     if params.T > 0.05 * params.h:
         raise ValueError("excited-state solve gated to T <= 0.05 h")
-    if gs is None:
-        gs = build_ground_state(params)
     if thermal is None:
         thermal = solve_yang_yang(params, gs)
+    elif (thermal.params.c, thermal.params.h, thermal.params.T) != (
+            params.c, params.h, params.T):
+        raise ValueError("thermal solution was solved for another (c, h, T)")
+    elif gs is not None and thermal.gs is not gs:
+        raise ValueError("thermal solution was built on another ground state")
+    gs = thermal.gs
     roots = root_offsets(gs, cls, params.alpha)
     T = params.T
     drift = T * max((abs(r.offset) for r in roots), default=0.0)

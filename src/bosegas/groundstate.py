@@ -126,6 +126,10 @@ class GroundState:
     kF: float
     v0: float
 
+    def exponent(self, al):
+        """Envelope exponent 2 al^2 Zq^2 at the shifted twist al."""
+        return 2.0 * al ** 2 * self.Zq ** 2
+
     def _check(self):
         h, q = self.params.h, self.q
         edge = max(abs(self.eps0(q)), abs(self.eps0(-q)))

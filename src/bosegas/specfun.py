@@ -8,9 +8,6 @@ Gamma products never overflow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
-
 import numpy as np
 
 from .numerics import composite_grid
@@ -56,22 +53,15 @@ def ln_gamma(z):
     return complex(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class GammaRatioSpec:
-    """Gamma(a_1)...Gamma(a_p) / (Gamma(b_1)...Gamma(b_q)) argument lists."""
-
-    numerators: Sequence[complex]
-    denominators: Sequence[complex] = field(default_factory=tuple)
-
-
-def gamma_ratio(spec: GammaRatioSpec) -> complex:
-    """Evaluate a Gamma ratio, with pole/zero counting at integer arguments.
+def gamma_ratio(numerators, denominators=()) -> complex:
+    """Gamma(a_1)...Gamma(a_p) / (Gamma(b_1)...Gamma(b_q)) over the
+    argument lists a and b, with pole/zero counting at integer arguments.
 
     A Gamma pole in a denominator contributes an exact zero; a surviving
     pole in a numerator raises GammaPoleError.
     """
-    num = np.asarray(spec.numerators, dtype=complex)
-    den = np.asarray(spec.denominators, dtype=complex)
+    num = np.asarray(numerators, dtype=complex)
+    den = np.asarray(denominators, dtype=complex)
     num_poles, den_poles = _poles(num), _poles(den)
     if num_poles.sum() > den_poles.sum():
         raise GammaPoleError(

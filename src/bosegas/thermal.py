@@ -129,11 +129,14 @@ def _fixed_point(bare, kmat, T: float, tol: float):
 
 def solve_yang_yang(params: ModelParams, gs: GroundState = None,
                     n_per_panel: int = 16) -> ThermalSolution:
-    """Thermal excitation energy by the shared Anderson-mixed fixed point."""
+    """Thermal excitation energy by the shared Anderson-mixed fixed point,
+    on ``gs`` (built if None), which must be of the same (c, h)."""
     if not params.T > 0:
         raise ValueError("finite-temperature solve requires T > 0")
     if gs is None:
         gs = build_ground_state(params)
+    elif (gs.params.c, gs.params.h) != (params.c, params.h):
+        raise ValueError("ground state was built for another (c, h)")
     grid = thermal_grid(params, gs, n_per_panel)
     lam = grid.nodes
     kmat = weighted_kernel(lam, lam, grid.weights, params.c)

@@ -107,11 +107,9 @@ class Workspace:
 
     def benchmark_solution(self, T: float):
         if T not in self._usol:
-            gs = self.ground_state()
             params = ModelParams(c=1.0, h=1.0, T=T, alpha=0.0)
-            thermal = solve_yang_yang(params, gs)
             self._usol[T] = solve_u(params, BENCHMARK_CLASS,
-                                    thermal=thermal, gs=gs)
+                                    gs=self.ground_state())
         return self._usol[T]
 
 
@@ -251,8 +249,7 @@ def check_discrete_limit(ws: Workspace):
     errs = []
     for T in T_SEQUENCE:
         sol = ws.benchmark_solution(T)
-        weight = (gs.q * gs.eps0_prime_q / (np.pi * T)) ** (
-            2.0 * al ** 2 * gs.Zq ** 2)
+        weight = (gs.q * gs.eps0_prime_q / (np.pi * T)) ** gs.exponent(al)
         scaled = bd_finite_T(sol) * weight
         errs.append(abs(scaled - target) / abs(target))
     details = {"T": list(T_SEQUENCE), "target": complex(target),
@@ -282,8 +279,8 @@ def check_edge_asymptotics(ws: Workspace):
 
 
 def harmonic_fd(plan: AmplitudePlan, ell: int, step: float = 1e-3):
-    """Harmonic coefficient by the finite-difference route, the independent
-    cross-check of ``AmplitudePlan.harmonic``.
+    """The harmonic coefficient by the finite-difference route, the
+    independent cross-check of ``AmplitudePlan.harmonic``.
 
     Central second twist differences of the term amplitude at steps h, h/2
     and h/4 (it vanishes quadratically at zero twist, so two evaluations
@@ -311,13 +308,13 @@ def check_assembly(ws: Workspace):
     gs = plan.gs
     T = 0.01
     x = 2.0 * gs.v0 / (np.pi * T)
-    _, terms_a = generating_asymptotics(gs, 0.2, x, T, 2, plan=plan)
-    _, terms_b = generating_asymptotics(gs, 1.2, x, T, 2, plan=plan)
+    _, terms_a = generating_asymptotics(plan, 0.2, x, T, 2)
+    _, terms_b = generating_asymptotics(plan, 1.2, x, T, 2)
     va = {t.ell: t.value for t in terms_a}
     vb = {t.ell: t.value for t in terms_b}
     period_dev = max(abs(va[l] - vb[l - 1]) for l in va if l - 1 in vb)
 
-    series = density_correlator(gs, x, T, ell_max=2, plan=plan)
+    series = density_correlator(plan, x, T, ell_max=2)
     reality = abs(series.total.imag) / abs(series.total.real)
     colsum = (series.constant + series.ell0_term
               + sum(t.value for t in series.harmonics))
@@ -329,7 +326,7 @@ def check_assembly(ws: Workspace):
 
     T_fd = 0.05
     x_fd = 1.5 * gs.v0 / (np.pi * T_fd)
-    fd = ell0_term_fd(gs, x_fd, T_fd, plan=plan)
+    fd = ell0_term_fd(plan, x_fd, T_fd)
     ell0 = gs.D ** 2 + ell0_closed(gs, x_fd, T_fd)
     fd_rel = abs(fd - ell0) / abs(ell0)
 

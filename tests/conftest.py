@@ -19,6 +19,12 @@ def gs(workspace):
 
 
 @pytest.fixture(scope="session")
+def plan(workspace):
+    """Amplitude plan of the benchmark ground state (default contour)."""
+    return workspace.plan()
+
+
+@pytest.fixture(scope="session")
 def gs_free(workspace):
     """Ground state deep in the free-fermion regime c=1e6, h=1."""
     return workspace.ground_state(c=1e6)

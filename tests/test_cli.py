@@ -144,6 +144,18 @@ class TestExitCodes:
         cfg.write_text(f"T = {T}\n")
         assert main([command, "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("command,line", [
+        ("amplitudes", "ell_max = -3"), ("lengths", "ell_max = -3"),
+        ("correlator", "ell_max = -3"), ("amplitudes", "alpha = nan"),
+        ("amplitudes", "alpha = inf")])
+    def test_bad_config_value(self, tmp_path, capsys, command, line):
+        # a negative ell_max used to print empty tables or drop every
+        # harmonic and exit 0; a non-finite alpha exited 3 with warnings
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{line}\n")
+        assert main([command, "--config", str(cfg)]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_unresolved_ground_state(self, tmp_path, capsys):
         # h/c^2 = 400 needs more than the default 96 Fermi nodes
         cfg = tmp_path / "run.cfg"

@@ -143,6 +143,38 @@ class TestSolveU:
             < 1e-10
         assert abs(decay_rate_numeric(sol)) < 1e-10
 
+    def test_thermal_of_other_temperature_refused(self, gs):
+        # a T = 0.02 thermal solution under T = 0.01 params used to give
+        # bd_finite_T = 9.4e-22 - 1.1e-21i instead of 9.7e-18 - 1.2e-17i
+        thermal = solve_yang_yang(ModelParams(c=1.0, h=1.0, T=0.02), gs)
+        with pytest.raises(ValueError, match=r"another \(c, h, T\)"):
+            solve_u(ModelParams(c=1.0, h=1.0, T=0.01), BENCHMARK_CLASS,
+                    thermal=thermal, gs=gs)
+
+    def test_thermal_on_other_ground_state_refused(self, gs):
+        params = ModelParams(c=1.0, h=1.0, T=0.01)
+        other = build_ground_state(ModelParams(c=1.0, h=1.0), n_nodes=128)
+        thermal = solve_yang_yang(params, other)
+        with pytest.raises(ValueError, match="another ground state"):
+            solve_u(params, BENCHMARK_CLASS, thermal=thermal, gs=gs)
+
+    def test_ground_state_of_other_coupling_refused(self, workspace):
+        # a c = 2 ground state under c = 1 params used to give
+        # bd_finite_T = -3.3e-16 + 9.3e-16i
+        with pytest.raises(ValueError, match=r"another \(c, h\)"):
+            solve_u(ModelParams(c=1.0, h=1.0, T=0.01), BENCHMARK_CLASS,
+                    gs=workspace.ground_state(c=2.0))
+
+    def test_thermal_alone_carries_its_ground_state(self):
+        # a 128-node ground state differs from the default 96-node one in
+        # the last digits, so a second build would show in u
+        params = ModelParams(c=1.0, h=1.0, T=0.01)
+        gs128 = build_ground_state(ModelParams(c=1.0, h=1.0), n_nodes=128)
+        thermal = solve_yang_yang(params, gs128)
+        alone = solve_u(params, BENCHMARK_CLASS, thermal=thermal)
+        both = solve_u(params, BENCHMARK_CLASS, thermal=thermal, gs=gs128)
+        assert np.array_equal(alone.u_values, both.u_values)
+
     def test_benchmark_converges(self, workspace):
         sol = workspace.benchmark_solution(0.01)
         assert sol.residual <= 1e-12
