@@ -195,23 +195,28 @@ class AmplitudePlan:
     alpha nor the distance x, for one ground state and contour size.
 
     Holds the determinant contour; the Cauchy transforms L[Z] at its nodes
-    w and at w +- ic, and at the edge points +-q +- ic; the Cauchy kernel
+    w and at w +- ic, and at the edge points -q +- ic; the Cauchy kernel
     1/(w_i - w_j + ic); the interval log-determinant; and the
     offset and edge functionals of the dressed charge at unit twist (both
     are homogeneous of degree 2, so C0 and C1 of alpha_ell Z are
-    alpha_ell^2 times these).
+    alpha_ell^2 times these). The contour size must be even, so that its
+    nodes are closed under w -> -w (see ``_smooth_factor``).
     """
 
     def __init__(self, gs: GroundState, contour_n: int = 256):
+        if contour_n % 2:
+            raise ValueError(f"contour size must be even, not {contour_n}")
         c, q = gs.params.c, gs.q
         self.gs = gs
         self.contour = smooth_contour(gs, contour_n)
         w = self.contour.nodes
         n = w.size
         lz = cauchy_transform(gs.Z, np.concatenate(
-            [w, w + 1j * c, w - 1j * c, self._edge_points(-q, q)]))
-        self.lz, self.lz_up, self.lz_dn = lz[:n], lz[n:2 * n], lz[2 * n:3 * n]
-        self.lz_edges = lz[3 * n:]
+            [w, w + 1j * c, -q + 1j * c * np.array([1.0, -1.0])]))
+        self.lz, self.lz_up, self.lz_edges = lz[:n], lz[n:2 * n], lz[2 * n:]
+        # Z is real and conj(w_k) = w_{-k}, so L[Z](w_k - ic) is the
+        # conjugate of L[Z](w_{-k} + ic)
+        self.lz_dn = np.conj(self.lz_up[-np.arange(n) % n])
         # 1/(w_i - w_j + ic); its partner 1/(w_i - w_j - ic) is -k_up.T
         self.k_up = 1.0 / (w[:, None] - w[None, :] + 1j * c)
         self.ld_k = fredholm_logdet(lambda x, y: kernel(x - y, c), gs.grid,
@@ -219,50 +224,34 @@ class AmplitudePlan:
         self.c0 = c0_functional(gs.Z, 1.0, c)
         self.c1 = c1_functional(SampledFunction(gs.grid, gs.Z.values))
 
-    def _edge_points(self, theta1, theta2):
-        c = self.gs.params.c
-        return np.array([theta1 + 1j * c, theta1 - 1j * c,
-                         theta2 - 1j * c, theta2 + 1j * c])
-
-    def _smooth_factor(self, al, phase, theta1, theta2) -> complex:
+    def _smooth_factor(self, al, phase, theta) -> complex:
         """Ratio of contour Fredholm determinants at shifted twist al and
-        phase e^{2 pi i alpha}, with reference points theta1, theta2: the
-        smooth amplitude with its (phase - 1)^2 prefactor divided out,
-        regular at integer alpha."""
+        phase e^{2 pi i alpha}, reference pair (-theta, theta): the smooth
+        amplitude with its (phase - 1)^2 prefactor divided out, regular at
+        integer alpha.
+
+        Its second determinant, the kernel column-scaled by e^{al L}/denom2
+        at theta, equals the first, row-scaled by -e^{-al L}/denom1 at
+        -theta: L[Z] is odd, and w -> -w permutes the even node set with
+        dz -> -dz, mapping the first matrix onto W^-1 M2^T W (W = diag(dz))
+        and denom1(-w) onto denom2(w). So one determinant is squared.
+        Residue nodes at enclosed zeros keep this: denom1 vanishes at z
+        where denom2 vanishes at -z.
+        """
         c = self.gs.params.c
-        w = self.contour.nodes
-        if (theta1, theta2) == (-self.gs.q, self.gs.q):
-            lz_edges = self.lz_edges
-        else:
-            lz_edges = cauchy_transform(self.gs.Z,
-                                        self._edge_points(theta1, theta2))
-
-        # C order: a transposed buffer would change slogdet's rounding
-        ka = np.multiply(phase, self.k_up.T, order="C")
-        ka += self.k_up
-        denom1 = np.exp(-al * self.lz_up) - phase * np.exp(-al * self.lz_dn)
-        denom2 = np.exp(al * self.lz_dn) - phase * np.exp(al * self.lz_up)
-        pref = 1.0 / (2.0j * np.pi)
-
-        def scaled(shift, scale):
-            # scale first: numpy's complex product need not commute in rounding
-            mat = ka - k_alpha(shift, phase, c)
-            return np.multiply(scale, mat, out=mat)
-
-        # each kernel matrix is built inside its determinant and freed after
-        ld1 = fredholm_logdet(
-            lambda x, y: scaled(theta1 - w[None, :],
-                                (-np.exp(-al * self.lz) / denom1)[:, None]),
-            self.contour, prefactor=pref)
-        ld2 = fredholm_logdet(
-            lambda x, y: scaled(w[:, None] - theta2,
-                                (np.exp(al * self.lz) / denom2)[None, :]),
-            self.contour, prefactor=pref)
-        up1, dn1, dn2, up2 = lz_edges
-        bracket1 = np.exp(-al * up1) - phase * np.exp(-al * dn1)
-        bracket2 = np.exp(al * dn2) - phase * np.exp(al * up2)
-        return complex(np.exp(-al ** 2 * self.c0 + ld1 + ld2 - 2.0 * self.ld_k)
-                       / (bracket1 * bracket2))
+        up, dn = (self.lz_edges if theta == self.gs.q else cauchy_transform(
+            self.gs.Z, -theta + 1j * c * np.array([1.0, -1.0])))
+        denom = np.exp(-al * self.lz_up) - phase * np.exp(-al * self.lz_dn)
+        # one buffer, in C order: a transposed one changes slogdet's rounding
+        mat = np.multiply(phase, self.k_up.T, order="C")
+        mat += self.k_up
+        mat -= k_alpha(-theta - self.contour.nodes, phase, c)
+        mat *= (-np.exp(-al * self.lz) / denom)[:, None]
+        ld = fredholm_logdet(lambda x, y: mat, self.contour,
+                             prefactor=1.0 / (2.0j * np.pi))
+        bracket = np.exp(-al * up) - phase * np.exp(-al * dn)
+        return complex(np.exp(-al ** 2 * self.c0 + 2.0 * (ld - self.ld_k))
+                       / bracket ** 2)
 
     def _discrete_factor(self, al) -> complex:
         """Barnes, edge-functional and normalisation factors of the term
@@ -274,14 +263,14 @@ class AmplitudePlan:
                        * norm)
 
     def amplitude(self, alpha: complex, ell: int,
-                  theta_pair=None) -> AmplitudeResult:
+                  theta=None) -> AmplitudeResult:
         """Constant coefficient of one oscillating harmonic of the series.
 
-        The smooth part equals 1 when alpha + ell = 0 and vanishes
-        quadratically at integer alpha for ell != 0.
+        The result does not depend on the reference pair (-theta, theta),
+        by default (-q, q). The smooth part equals 1 when alpha + ell = 0
+        and vanishes quadratically at integer alpha for ell != 0.
         """
-        gs = self.gs
-        theta1, theta2 = theta_pair if theta_pair is not None else (-gs.q, gs.q)
+        theta = self.gs.q if theta is None else theta
         al = alpha + ell
         phase = np.exp(2.0j * np.pi * alpha)
         if al == 0:
@@ -290,7 +279,7 @@ class AmplitudePlan:
             b_s = a_tilde = 0.0 + 0.0j
         else:
             b_s = complex((phase - 1.0) ** 2
-                          * self._smooth_factor(al, phase, theta1, theta2))
+                          * self._smooth_factor(al, phase, theta))
             a_tilde = b_s * self._discrete_factor(al)
         return AmplitudeResult(B_smooth=b_s, A_tilde=a_tilde)
 
@@ -303,7 +292,7 @@ class AmplitudePlan:
         """
         if ell == 0:
             raise ValueError("the ell = 0 term has a closed form")
-        f0 = (self._smooth_factor(ell, 1.0, -self.gs.q, self.gs.q)
+        f0 = (self._smooth_factor(ell, 1.0, self.gs.q)
               * self._discrete_factor(ell))
         value = complex(-4.0 * np.pi ** 2 * self.gs.D ** 2 * ell ** 2 * f0)
         if not np.isfinite(value):
@@ -312,17 +301,16 @@ class AmplitudePlan:
 
 
 def smooth_amplitude(gs: GroundState, alpha: complex, ell: int,
-                     theta_pair=None, contour_n: int = 256) -> complex:
+                     theta=None, contour_n: int = 256) -> complex:
     """Smooth part of one term amplitude (see ``AmplitudePlan.amplitude``)."""
-    return AmplitudePlan(gs, contour_n).amplitude(alpha, ell,
-                                                  theta_pair).B_smooth
+    return AmplitudePlan(gs, contour_n).amplitude(alpha, ell, theta).B_smooth
 
 
 def amplitude_tilde(gs: GroundState, alpha: complex, ell: int,
-                    theta_pair=None, contour_n: int = 256) -> AmplitudeResult:
+                    theta=None, contour_n: int = 256) -> AmplitudeResult:
     """Constant coefficient of one oscillating harmonic of the series (see
     ``AmplitudePlan.amplitude``)."""
-    return AmplitudePlan(gs, contour_n).amplitude(alpha, ell, theta_pair)
+    return AmplitudePlan(gs, contour_n).amplitude(alpha, ell, theta)
 
 
 # ---------------------------------------------------------------------------

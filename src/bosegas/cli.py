@@ -47,6 +47,8 @@ class RunConfig:
             raise ConfigError(f"ell_max must be non-negative: {self.ell_max}")
         if not np.isfinite(self.alpha):
             raise ConfigError(f"alpha must be finite: {self.alpha}")
+        if not self.x:
+            raise ConfigError("x must list at least one distance")
 
 
 def _parse_value(key: str, raw: str):

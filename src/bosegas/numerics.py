@@ -199,9 +199,16 @@ class Contour:
                 n: int = 256) -> "Contour":
         if n < 1:
             raise ValueError(f"contour size must be positive, not {n}")
-        t = 2.0 * np.pi * np.arange(n) / n
-        z = center + semi_real * np.cos(t) + 1j * semi_imag * np.sin(t)
-        dz = (-semi_real * np.sin(t) + 1j * semi_imag * np.cos(t)) * (2.0 * np.pi / n)
+        # cos and sin of 2 pi k/n as sin(pi p/2n) at p = n - 4k and p = 4k,
+        # p folded exactly into [0, n]: the nodes about the center are then
+        # closed under conjugation and, for even n, under negation, exactly
+        # and not only to rounding
+        p = np.mod(np.array([n - 4 * np.arange(n), 4 * np.arange(n)]), 4 * n)
+        sign = np.where(p > 2 * n, -1.0, 1.0)
+        p = n - np.abs(n - np.minimum(p, 4 * n - p))
+        cos, sin = sign * np.sin(np.pi * p / (2 * n))
+        z = center + semi_real * cos + 1j * semi_imag * sin
+        dz = (-semi_real * sin + 1j * semi_imag * cos) * (2.0 * np.pi / n)
         return cls(z, dz)
 
 

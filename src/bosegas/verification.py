@@ -220,16 +220,17 @@ def check_gamma_integral(ws: Workspace):
 
 def check_smooth_amplitude(ws: Workspace):
     """Contour-determinant amplitude invariances: independence of the
-    auxiliary reference points, the identity limit at zero twist, and the
-    quadratic vanishing at integer twist for a nonzero umklapp number."""
+    auxiliary reference pair (-theta, theta), the identity limit at zero
+    twist, and the quadratic vanishing at integer twist for a nonzero
+    umklapp number."""
     plan = ws.plan()
     q = plan.gs.q
 
-    def b_smooth(alpha, ell, theta_pair=None):
-        return plan.amplitude(alpha, ell, theta_pair).B_smooth
+    def b_smooth(alpha, ell, theta=None):
+        return plan.amplitude(alpha, ell, theta).B_smooth
 
     b_ref = b_smooth(0.2, 1)
-    b_alt = b_smooth(0.2, 1, theta_pair=(-q + 0.1j * q, q - 0.1j * q))
+    b_alt = b_smooth(0.2, 1, theta=q - 0.1j * q)
     step = 1e-6
     bounds = {"theta_dev": (abs(b_alt / b_ref - 1.0), "<=", 1e-6),
               "near_one_err": (abs(b_smooth(1e-4, 0) - 1.0), "<=", 1e-3),

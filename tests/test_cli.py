@@ -147,10 +147,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("command,line", [
         ("amplitudes", "ell_max = -3"), ("lengths", "ell_max = -3"),
         ("correlator", "ell_max = -3"), ("amplitudes", "alpha = nan"),
-        ("amplitudes", "alpha = inf")])
+        ("amplitudes", "alpha = inf"), ("correlator", "x = ")])
     def test_bad_config_value(self, tmp_path, capsys, command, line):
         # a negative ell_max used to print empty tables or drop every
-        # harmonic and exit 0; a non-finite alpha exited 3 with warnings
+        # harmonic and exit 0; a non-finite alpha exited 3 with warnings;
+        # an empty x list printed an empty correlator table and exited 0
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{line}\n")
         assert main([command, "--config", str(cfg)]) == 2
@@ -175,10 +176,13 @@ class TestExitCodes:
         ["correlator", "--contour-n", "-8"],
         ["verify", "--only", "grid-hygiene", "--contour-n", "-8"],
         ["ground-state", "--grid-n", "97"],
-        ["amplitudes", "--contour-n", "0"]])
+        ["amplitudes", "--contour-n", "0"],
+        ["correlator", "--contour-n", "255"]])
     def test_bad_grid_or_contour_size(self, argv, capsys):
         # an empty contour has unit determinants and an odd grid lost a
-        # node: both used to give a plausible wrong answer or a bare crash
+        # node: both used to give a plausible wrong answer or a bare crash;
+        # an odd contour is not closed under w -> -w, which the smooth
+        # factor's single determinant needs
         assert main(argv) == 2
         assert "error:" in capsys.readouterr().err
 

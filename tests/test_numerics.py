@@ -87,6 +87,22 @@ class TestContour:
             with pytest.raises(ValueError):
                 Contour.ellipse(0.0, 1.0, 0.5, n)
 
+    @pytest.mark.parametrize("n", [6, 96, 255, 256, 512])
+    def test_nodes_exactly_symmetric(self, n):
+        # conjugation maps node k to node -k, and for even n negation maps
+        # it to k + n/2, with dz following: exactly, not only to rounding
+        cont = Contour.ellipse(0.0, 1.4, 0.35, n)
+        k = np.arange(n)
+        assert np.array_equal(cont.nodes[-k % n], np.conj(cont.nodes))
+        assert np.array_equal(cont.weights[-k % n], -np.conj(cont.weights))
+        if n % 2 == 0:
+            assert np.array_equal(cont.nodes[(k + n // 2) % n], -cont.nodes)
+            assert np.array_equal(cont.weights[(k + n // 2) % n],
+                                  -cont.weights)
+        t = 2.0 * np.pi * k / n
+        assert np.allclose(cont.nodes, 1.4 * np.cos(t) + 0.35j * np.sin(t),
+                           rtol=0.0, atol=4e-15)
+
     def test_pole_outside_gives_zero(self):
         cont = Contour.ellipse(0.0, 1.0, 0.5, 128)
         val = np.sum(cont.weights / (cont.nodes - 3.0))
