@@ -22,6 +22,8 @@ from .numerics import (Contour, NumericsError, SampledFunction,
 from .specfun import (barnes_g, barnes_g_one, gamma_ratio, ln_barnes_g,
                       ln_gamma)
 
+CONTOUR_NODES = 256  # trapezoid nodes on the determinant contour
+
 
 # ---------------------------------------------------------------------------
 # functionals of functions on the Fermi interval
@@ -51,13 +53,11 @@ def c1_functional(F: SampledFunction) -> complex:
     return complex(double + edge)
 
 
-def c0_functional(Z: SampledFunction, alpha_ell: complex, c: float) -> complex:
-    """Offset double integral alpha_ell^2 int Z(l)Z(m)/(l - m - ic)^2."""
-    if alpha_ell == 0:
-        return 0.0 + 0.0j
+def c0_functional(Z: SampledFunction, c: float) -> complex:
+    """Offset double integral int Z(l)Z(m)/(l - m - ic)^2 at unit twist."""
     lam, w = Z.grid.nodes, Z.grid.weights
     ker = 1.0 / (lam[:, None] - lam[None, :] - 1j * c) ** 2
-    return complex(alpha_ell ** 2 * ((w * Z.values) @ ker @ (w * Z.values)))
+    return complex((w * Z.values) @ ker @ (w * Z.values))
 
 
 def edge_charge_integral(gs: GroundState) -> float:
@@ -77,7 +77,7 @@ def k_alpha(lam, phase: complex, c: float):
     return 1.0 / (lam + 1j * c) - phase / (lam - 1j * c)
 
 
-def smooth_contour(gs: GroundState, n: int = 256) -> Contour:
+def smooth_contour(gs: GroundState, n: int) -> Contour:
     """Anticlockwise ellipse surrounding [-q, q].
 
     The vertical semi-axis stays below c/2 so the +-ic-shifted kernel poles
@@ -85,7 +85,7 @@ def smooth_contour(gs: GroundState, n: int = 256) -> Contour:
     and from the Fermi interval.
     """
     c = gs.params.c
-    return Contour.ellipse(0.0, 1.4 * gs.q, min(0.35 * c, 2.0 * gs.q), n)
+    return Contour.ellipse(1.4 * gs.q, min(0.35 * c, 2.0 * gs.q), n)
 
 
 # ---------------------------------------------------------------------------
@@ -190,38 +190,44 @@ class AmplitudeResult:
     A_tilde: complex
 
 
+def _require_finite(value: complex, what: str) -> complex:
+    if not np.isfinite(value):
+        raise NumericsError(f"non-finite {what}")
+    return value
+
+
 class AmplitudePlan:
     """The part of the term amplitudes that depends on neither the twist
     alpha nor the distance x, for one ground state and contour size.
 
     Holds the determinant contour; the Cauchy transforms L[Z] at its nodes
-    w and at w +- ic, and at the edge points -q +- ic; the Cauchy kernel
-    1/(w_i - w_j + ic); the interval log-determinant; and the
-    offset and edge functionals of the dressed charge at unit twist (both
-    are homogeneous of degree 2, so C0 and C1 of alpha_ell Z are
-    alpha_ell^2 times these). The contour size must be even, so that its
-    nodes are closed under w -> -w (see ``_smooth_factor``).
+    w and at w +- ic; the Cauchy kernel 1/(w_i - w_j + ic); the interval
+    log-determinant; and the offset and edge functionals of the dressed
+    charge at unit twist (both are homogeneous of degree 2, so C0 and C1 of
+    alpha_ell Z are alpha_ell^2 times these). The contour size must be
+    even, so that its nodes are closed under w -> -w (see
+    ``_smooth_factor``).
     """
 
-    def __init__(self, gs: GroundState, contour_n: int = 256):
+    def __init__(self, gs: GroundState, contour_n: int = CONTOUR_NODES):
         if contour_n % 2:
             raise ValueError(f"contour size must be even, not {contour_n}")
-        c, q = gs.params.c, gs.q
+        c = gs.params.c
         self.gs = gs
         self.contour = smooth_contour(gs, contour_n)
         w = self.contour.nodes
         n = w.size
-        lz = cauchy_transform(gs.Z, np.concatenate(
-            [w, w + 1j * c, -q + 1j * c * np.array([1.0, -1.0])]))
-        self.lz, self.lz_up, self.lz_edges = lz[:n], lz[n:2 * n], lz[2 * n:]
+        lz = cauchy_transform(gs.Z, np.concatenate([w, w + 1j * c]))
+        self.lz, self.lz_up = lz[:n], lz[n:]
         # Z is real and conj(w_k) = w_{-k}, so L[Z](w_k - ic) is the
         # conjugate of L[Z](w_{-k} + ic)
         self.lz_dn = np.conj(self.lz_up[-np.arange(n) % n])
         # 1/(w_i - w_j + ic); its partner 1/(w_i - w_j - ic) is -k_up.T
         self.k_up = 1.0 / (w[:, None] - w[None, :] + 1j * c)
-        self.ld_k = fredholm_logdet(lambda x, y: kernel(x - y, c), gs.grid,
-                                    prefactor=-1.0 / (2.0 * np.pi))
-        self.c0 = c0_functional(gs.Z, 1.0, c)
+        lam = gs.grid.nodes
+        self.ld_k = fredholm_logdet(kernel(lam[:, None] - lam[None, :], c),
+                                    gs.grid, -1.0 / (2.0 * np.pi))
+        self.c0 = c0_functional(gs.Z, c)
         self.c1 = c1_functional(SampledFunction(gs.grid, gs.Z.values))
 
     def _smooth_factor(self, al, phase, theta) -> complex:
@@ -239,16 +245,15 @@ class AmplitudePlan:
         where denom2 vanishes at -z.
         """
         c = self.gs.params.c
-        up, dn = (self.lz_edges if theta == self.gs.q else cauchy_transform(
-            self.gs.Z, -theta + 1j * c * np.array([1.0, -1.0])))
+        up, dn = cauchy_transform(self.gs.Z,
+                                  -theta + 1j * c * np.array([1.0, -1.0]))
         denom = np.exp(-al * self.lz_up) - phase * np.exp(-al * self.lz_dn)
         # one buffer, in C order: a transposed one changes slogdet's rounding
         mat = np.multiply(phase, self.k_up.T, order="C")
         mat += self.k_up
         mat -= k_alpha(-theta - self.contour.nodes, phase, c)
         mat *= (-np.exp(-al * self.lz) / denom)[:, None]
-        ld = fredholm_logdet(lambda x, y: mat, self.contour,
-                             prefactor=1.0 / (2.0j * np.pi))
+        ld = fredholm_logdet(mat, self.contour, 1.0 / (2.0j * np.pi))
         bracket = np.exp(-al * up) - phase * np.exp(-al * dn)
         return complex(np.exp(-al ** 2 * self.c0 + 2.0 * (ld - self.ld_k))
                        / bracket ** 2)
@@ -267,8 +272,8 @@ class AmplitudePlan:
         """Constant coefficient of one oscillating harmonic of the series.
 
         The result does not depend on the reference pair (-theta, theta),
-        by default (-q, q). The smooth part equals 1 when alpha + ell = 0
-        and vanishes quadratically at integer alpha for ell != 0.
+        by default (-q, q). The smooth part is 1 at alpha + ell = 0 and
+        vanishes quadratically at integer alpha for ell != 0; inf/NaN raises.
         """
         theta = self.gs.q if theta is None else theta
         al = alpha + ell
@@ -280,7 +285,9 @@ class AmplitudePlan:
         else:
             b_s = complex((phase - 1.0) ** 2
                           * self._smooth_factor(al, phase, theta))
-            a_tilde = b_s * self._discrete_factor(al)
+            # a NaN or infinite b_s leaves a_tilde non-finite too
+            a_tilde = _require_finite(b_s * self._discrete_factor(al),
+                                      f"term amplitude at ell = {ell}")
         return AmplitudeResult(B_smooth=b_s, A_tilde=a_tilde)
 
     def harmonic(self, ell: int) -> complex:
@@ -295,19 +302,17 @@ class AmplitudePlan:
         f0 = (self._smooth_factor(ell, 1.0, self.gs.q)
               * self._discrete_factor(ell))
         value = complex(-4.0 * np.pi ** 2 * self.gs.D ** 2 * ell ** 2 * f0)
-        if not np.isfinite(value):
-            raise NumericsError(f"non-finite harmonic amplitude at ell = {ell}")
-        return value
+        return _require_finite(value, f"harmonic amplitude at ell = {ell}")
 
 
 def smooth_amplitude(gs: GroundState, alpha: complex, ell: int,
-                     theta=None, contour_n: int = 256) -> complex:
+                     theta=None, contour_n: int = CONTOUR_NODES) -> complex:
     """Smooth part of one term amplitude (see ``AmplitudePlan.amplitude``)."""
     return AmplitudePlan(gs, contour_n).amplitude(alpha, ell, theta).B_smooth
 
 
-def amplitude_tilde(gs: GroundState, alpha: complex, ell: int,
-                    theta=None, contour_n: int = 256) -> AmplitudeResult:
+def amplitude_tilde(gs: GroundState, alpha: complex, ell: int, theta=None,
+                    contour_n: int = CONTOUR_NODES) -> AmplitudeResult:
     """Constant coefficient of one oscillating harmonic of the series (see
     ``AmplitudePlan.amplitude``)."""
     return AmplitudePlan(gs, contour_n).amplitude(alpha, ell, theta)

@@ -17,9 +17,10 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .amplitude import AmplitudePlan
+from .amplitude import CONTOUR_NODES, AmplitudePlan
 from .correlator import density_correlator
-from .groundstate import GroundState, ModelParams, build_ground_state
+from .groundstate import (FERMI_NODES, GroundState, ModelParams,
+                          build_ground_state)
 from .numerics import NumericsError
 from .thermal import solve_yang_yang
 from .verification import CHECKS, run_checks
@@ -39,8 +40,8 @@ class RunConfig:
     alpha: float = 0.0
     ell_max: int = 2
     x: tuple = (10.0,)
-    grid_n: int = 96
-    contour_n: int = 256
+    grid_n: int = FERMI_NODES
+    contour_n: int = CONTOUR_NODES
 
     def __post_init__(self):
         if not self.ell_max >= 0:
@@ -308,9 +309,8 @@ COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config,
-                          {"grid_n": args.grid_n,
-                           "contour_n": args.contour_n})
+        cfg = load_config(args.config, {"grid_n": args.grid_n,
+                                        "contour_n": args.contour_n})
         if args.command == "verify":
             return cmd_verify(cfg, args.out, only=args.only)
         gs = build_ground_state(ModelParams(c=cfg.c, h=cfg.h, T=cfg.T),

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .amplitude import AmplitudePlan
+from .amplitude import CONTOUR_NODES, AmplitudePlan
 from .groundstate import GroundState
 
 
@@ -69,7 +69,7 @@ def generating_asymptotics(plan: AmplitudePlan, alpha: complex, x: float,
 
 
 def harmonic_amplitude(gs: GroundState, ell: int,
-                       contour_n: int = 256) -> complex:
+                       contour_n: int = CONTOUR_NODES) -> complex:
     """Coefficient of the e^{2 i x ell kF} harmonic of the correlator, in
     closed form (see ``AmplitudePlan.harmonic``)."""
     return AmplitudePlan(gs, contour_n).harmonic(ell)

@@ -14,10 +14,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .groundstate import GroundState, ModelParams, kernel, weighted_kernel
+from .groundstate import (GroundState, ModelParams, kernel, kernel_prime,
+                          weighted_kernel)
 from .numerics import NumericsError, SampledFunction
 from .thermal import (_TOL_FACTOR, ThermalSolution, _fixed_point,
-                      kernel_prime, solve_yang_yang, stable_log1pexp)
+                      solve_yang_yang, stable_log1pexp)
 
 
 class ConstraintError(ValueError):
@@ -248,12 +249,14 @@ def solve_u(params: ModelParams, cls: ExcitationClass,
     The equation is solved on the deformed contour of excitation_contour,
     which realizes the analytic continuation in alpha of the
     constraint-satisfying regime; all closed low-temperature forms refer
-    to that continuation.  ``thermal`` carries its ground state; a
-    ``thermal`` or ``gs`` of other parameters is refused.
+    to that continuation.  ``thermal``, else a solve on ``gs``, carries the
+    ground state; neither, or one of other parameters, is refused.
     """
     if params.T > 0.05 * params.h:
         raise ValueError("excited-state solve gated to T <= 0.05 h")
     if thermal is None:
+        if gs is None:
+            raise ValueError("need a thermal solution or a ground state")
         thermal = solve_yang_yang(params, gs)
     elif (thermal.params.c, thermal.params.h, thermal.params.T) != (
             params.c, params.h, params.T):

@@ -15,10 +15,17 @@ import numpy as np
 from .numerics import (Grid, NumericsError, NystromSolution, composite_grid,
                        nystrom_factorize, nystrom_solve)
 
+FERMI_NODES = 96  # Gauss-Legendre nodes on the Fermi interval [-q, q]
+
 
 def kernel(lam, c: float):
     """Interaction kernel K(lambda) = 2c / (lambda^2 + c^2)."""
     return 2.0 * c / (lam * lam + c * c)
+
+
+def kernel_prime(lam, c: float):
+    """Derivative of the interaction kernel."""
+    return -4.0 * c * lam / (lam * lam + c * c) ** 2
 
 
 def weighted_kernel(rows, cols, weights, c: float):
@@ -52,7 +59,7 @@ class ModelParams:
             raise ValueError("temperature must be non-negative and finite")
 
 
-def fermi_grid(q: float, n_nodes: int = 96) -> Grid:
+def fermi_grid(q: float, n_nodes: int) -> Grid:
     """Symmetric composite Gauss-Legendre grid on [-q, q]."""
     if n_nodes <= 0 or n_nodes % 2:
         raise ValueError(f"grid size {n_nodes} is not a positive even integer")
@@ -77,7 +84,7 @@ def _interval_solutions(params: ModelParams, q: float, n_nodes: int):
     return tuple(nystrom_solve(kern, grid, inv, f) for f in rhs_fns)
 
 
-def solve_fermi_boundary(params: ModelParams, n_nodes: int = 96):
+def solve_fermi_boundary(params: ModelParams, n_nodes: int):
     """Fermi boundary q, where eps0(q|q) = 0, and the interval solutions.
 
     Newton iteration on E(q) = eps0(q|q) from q = sqrt(h), where E < 0.
@@ -145,7 +152,8 @@ class GroundState:
             raise ArithmeticError("edge slope / sound velocity not positive")
 
 
-def build_ground_state(params: ModelParams, n_nodes: int = 96) -> GroundState:
+def build_ground_state(params: ModelParams,
+                       n_nodes: int = FERMI_NODES) -> GroundState:
     """All T=0 functions, from the last Newton iterate of the boundary."""
     q, (eps0, eps0_prime, Z, R_plus, R_minus) = solve_fermi_boundary(
         params, n_nodes=n_nodes)

@@ -124,7 +124,7 @@ class SampledFunction:
         return np.sum(self.weights * self.values)
 
 
-def composite_grid(breakpoints, n_per_panel: int = 32) -> Grid:
+def composite_grid(breakpoints, n_per_panel: int) -> Grid:
     """Gauss-Legendre rule on each sub-interval of ``breakpoints``."""
     bp = np.asarray(breakpoints, dtype=float)
     if bp.size < 2 or np.any(np.diff(bp) <= 0):
@@ -136,12 +136,11 @@ def composite_grid(breakpoints, n_per_panel: int = 32) -> Grid:
                 (half * rule.weights).reshape(-1))
 
 
-def graded_breakpoints(a: float, b: float, centers, w0: float,
-                       factor: float = 3.0, wmax: float | None = None):
+def graded_breakpoints(a: float, b: float, centers, w0: float, wmax: float):
     """Breakpoints refined geometrically towards each point in ``centers``.
 
-    Panel widths start at w0 next to a center and grow by ``factor`` away
-    from it; long panels are capped at ``wmax``.
+    Panel widths start at w0 next to a center and triple away from it; long
+    panels are capped at ``wmax``.
     """
     span = b - a
     pts = {a, b}
@@ -154,7 +153,7 @@ def graded_breakpoints(a: float, b: float, centers, w0: float,
             for x in (s - off, s + off):
                 if a < x < b:
                     pts.add(x)
-            off *= factor
+            off *= 3.0
     bp = np.array(sorted(pts))
     # drop breakpoints closer than w0/2 to their neighbour (keep ends/centers)
     keep = [bp[0]]
@@ -164,17 +163,12 @@ def graded_breakpoints(a: float, b: float, centers, w0: float,
             if x in protected and x - keep[-1] < 0.49 * w0 and keep[-1] not in protected:
                 keep.pop()
             keep.append(x)
-    bp = np.array(keep)
-    if wmax is not None:
-        out = [bp[0]]
-        for hi in bp[1:]:
-            lo = out[-1]
-            nsplit = int(np.ceil((hi - lo) / wmax))
-            for j in range(1, nsplit):
-                out.append(lo + (hi - lo) * j / nsplit)
-            out.append(hi)
-        bp = np.array(out)
-    return bp
+    out = [keep[0]]
+    for lo, hi in zip(keep, keep[1:]):
+        nsplit = int(np.ceil((hi - lo) / wmax))
+        out.extend(lo + (hi - lo) * j / nsplit for j in range(1, nsplit))
+        out.append(hi)
+    return np.array(out)
 
 
 # ---------------------------------------------------------------------------
@@ -195,19 +189,18 @@ class Contour:
     weights: np.ndarray
 
     @classmethod
-    def ellipse(cls, center: complex, semi_real: float, semi_imag: float,
-                n: int = 256) -> "Contour":
+    def ellipse(cls, semi_real: float, semi_imag: float, n: int) -> "Contour":
         if n < 1:
             raise ValueError(f"contour size must be positive, not {n}")
         # cos and sin of 2 pi k/n as sin(pi p/2n) at p = n - 4k and p = 4k,
-        # p folded exactly into [0, n]: the nodes about the center are then
+        # p folded exactly into [0, n]: the nodes about the origin are then
         # closed under conjugation and, for even n, under negation, exactly
         # and not only to rounding
         p = np.mod(np.array([n - 4 * np.arange(n), 4 * np.arange(n)]), 4 * n)
         sign = np.where(p > 2 * n, -1.0, 1.0)
         p = n - np.abs(n - np.minimum(p, 4 * n - p))
         cos, sin = sign * np.sin(np.pi * p / (2 * n))
-        z = center + semi_real * cos + 1j * semi_imag * sin
+        z = semi_real * cos + 1j * semi_imag * sin
         dz = (-semi_real * sin + 1j * semi_imag * cos) * (2.0 * np.pi / n)
         return cls(z, dz)
 
@@ -263,17 +256,15 @@ def nystrom_solve(kernel, grid: Grid, lu, rhs_fn) -> NystromSolution:
 # Fredholm determinants
 # ---------------------------------------------------------------------------
 
-def fredholm_logdet(kernel, domain, prefactor: complex = 1.0) -> complex:
-    """log det(I + prefactor * K); avoids overflow when factors are combined."""
-    x = domain.nodes
-    w = domain.weights
-    k = np.asarray(kernel(x[:, None], x[None, :]))
-    if not np.all(np.isfinite(k)):
+def fredholm_logdet(matrix, domain, prefactor: complex) -> complex:
+    """log det(I + prefactor * K), K the kernel ``matrix`` sampled at the
+    nodes of ``domain``; avoids overflow when factors are combined."""
+    if not np.all(np.isfinite(matrix)):
         raise NumericsError("non-finite kernel sample in Fredholm determinant")
-    # a fresh buffer: the callable may return an array its caller holds
-    mat = np.multiply(prefactor, k, dtype=complex)
-    mat *= w
-    mat.flat[::x.size + 1] += 1.0
+    # a fresh buffer: the caller keeps its matrix
+    mat = np.multiply(prefactor, matrix, dtype=complex)
+    mat *= domain.weights
+    mat.flat[::len(mat) + 1] += 1.0
     sign, logabs = np.linalg.slogdet(mat)
     if sign == 0:
         raise NumericsError("vanishing Fredholm determinant")

@@ -12,11 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groundstate import (GroundState, ModelParams, build_ground_state,
-                          weighted_kernel)
+from .groundstate import GroundState, ModelParams, weighted_kernel
+from .groundstate import build_ground_state  # kept for bench/test_bench.py
 from .numerics import (Grid, SampledFunction, NumericsError, composite_grid,
                        graded_breakpoints)
 
+PANEL_NODES = 16  # Gauss-Legendre nodes per panel of the real-line grid
 # first-step damping, Anderson mixing depth, iteration cap and relative
 # tolerance of the shared fixed point
 _DAMPING = 0.5
@@ -40,11 +41,6 @@ def stable_log1pexp(x):
     return out
 
 
-def kernel_prime(lam, c: float):
-    """Derivative of the interaction kernel."""
-    return -4.0 * c * lam / (lam * lam + c * c) ** 2
-
-
 def thermal_cutoff(params: ModelParams) -> float:
     """Truncation radius: the thermal tail is dead beyond eps ~ 40 T, plus a
     kernel-width margin capped at the thermal scale (a margin of order c
@@ -54,7 +50,7 @@ def thermal_cutoff(params: ModelParams) -> float:
 
 
 def thermal_grid(params: ModelParams, gs: GroundState,
-                 n_per_panel: int = 16) -> Grid:
+                 n_per_panel: int) -> Grid:
     """Real-line grid graded towards the Fermi points +-q.
 
     The crossover windows of the Fermi weight have width ~ T / eps0'(q), so
@@ -63,7 +59,7 @@ def thermal_grid(params: ModelParams, gs: GroundState,
     lam = thermal_cutoff(params)
     w0 = max(2.0 * params.T / gs.eps0_prime_q, 1e-4 * gs.q)
     bp = graded_breakpoints(-lam, lam, [-gs.q, gs.q], w0,
-                            factor=3.0, wmax=0.8 * min(params.c, lam))
+                            0.8 * min(params.c, lam))
     return composite_grid(bp, n_per_panel)
 
 
@@ -127,15 +123,13 @@ def _fixed_point(bare, kmat, T: float, tol: float):
     return f, stable_log1pexp(f / T), it, residual
 
 
-def solve_yang_yang(params: ModelParams, gs: GroundState = None,
-                    n_per_panel: int = 16) -> ThermalSolution:
+def solve_yang_yang(params: ModelParams, gs: GroundState,
+                    n_per_panel: int = PANEL_NODES) -> ThermalSolution:
     """Thermal excitation energy by the shared Anderson-mixed fixed point,
-    on ``gs`` (built if None), which must be of the same (c, h)."""
+    on ``gs``, which must be of the same (c, h)."""
     if not params.T > 0:
         raise ValueError("finite-temperature solve requires T > 0")
-    if gs is None:
-        gs = build_ground_state(params)
-    elif (gs.params.c, gs.params.h) != (params.c, params.h):
+    if (gs.params.c, gs.params.h) != (params.c, params.h):
         raise ValueError("ground state was built for another (c, h)")
     grid = thermal_grid(params, gs, n_per_panel)
     lam = grid.nodes

@@ -16,15 +16,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .amplitude import (AmplitudePlan, bd_finite_T, discrete_amplitude,
-                        verify_cauchy_edge, verify_double_integral, w_closed,
-                        w_series)
+from .amplitude import (CONTOUR_NODES, AmplitudePlan, bd_finite_T,
+                        discrete_amplitude, verify_cauchy_edge,
+                        verify_double_integral, w_closed, w_series)
 from .correlator import (density_correlator, ell0_closed, ell0_term_fd,
                          generating_asymptotics)
 from .excitation import (ExcitationClass, decay_rate_closed,
                          decay_rate_numeric, root_offsets, solve_u,
                          u1_function, u2_function)
-from .groundstate import ModelParams, build_ground_state
+from .groundstate import FERMI_NODES, ModelParams, build_ground_state
 from .specfun import verify_gamma_integral_identity
 from .thermal import eps2_at, solve_yang_yang
 
@@ -84,20 +84,20 @@ T_SEQUENCE = (0.02, 0.01, 0.005)
 class Workspace:
     """Caches the expensive solves shared between checks."""
 
-    def __init__(self, grid_n: int = 96, contour_n: int = 256):
+    def __init__(self, grid_n: int = FERMI_NODES,
+                 contour_n: int = CONTOUR_NODES):
         self.grid_n = grid_n
         self.contour_n = contour_n
         self._gs = {}
         self._plan = None
         self._usol = {}
 
-    def ground_state(self, c: float = 1.0, h: float = 1.0, n_nodes=None):
+    def ground_state(self, c: float = 1.0, n_nodes=None):
+        """Ground state at h = 1, by default on the workspace grid."""
         n = self.grid_n if n_nodes is None else n_nodes
-        key = (c, h, n)
-        if key not in self._gs:
-            self._gs[key] = build_ground_state(ModelParams(c=c, h=h),
-                                               n_nodes=n)
-        return self._gs[key]
+        if (c, n) not in self._gs:
+            self._gs[c, n] = build_ground_state(ModelParams(c=c, h=1.0), n)
+        return self._gs[c, n]
 
     def plan(self) -> AmplitudePlan:
         """Amplitude plan of the benchmark ground state (c = h = 1)."""
@@ -107,9 +107,8 @@ class Workspace:
 
     def benchmark_solution(self, T: float):
         if T not in self._usol:
-            params = ModelParams(c=1.0, h=1.0, T=T, alpha=0.0)
-            self._usol[T] = solve_u(params, BENCHMARK_CLASS,
-                                    gs=self.ground_state())
+            self._usol[T] = solve_u(ModelParams(c=1.0, h=1.0, T=T),
+                                    BENCHMARK_CLASS, gs=self.ground_state())
         return self._usol[T]
 
 
@@ -120,7 +119,7 @@ def _fit_exponent(ts, values):
 
 def check_free_fermion(ws: Workspace):
     """Strong-coupling anchor: all scalars reach their free-fermion values."""
-    gs = ws.ground_state(c=1e6, h=1.0)
+    gs = ws.ground_state(c=1e6)
     details = {"q": gs.q, "Zq": gs.Zq, "v0": gs.v0, "D": gs.D}
     bounds = {"q_err": (abs(gs.q - 1.0), "<=", 1e-3),
               "Zq_err": (abs(gs.Zq - 1.0), "<=", 1e-3),
@@ -279,20 +278,20 @@ def check_edge_asymptotics(ws: Workspace):
     return details, bounds
 
 
-def harmonic_fd(plan: AmplitudePlan, ell: int, step: float = 1e-3):
+def harmonic_fd(plan: AmplitudePlan, ell: int):
     """The harmonic coefficient by the finite-difference route, the
     independent cross-check of ``AmplitudePlan.harmonic``.
 
-    Central second twist differences of the term amplitude at steps h, h/2
-    and h/4 (it vanishes quadratically at zero twist, so two evaluations
-    per step suffice), with one Richardson refinement.  Returns the
-    coefficient and the relative gap between the two Richardson values.
+    Central second twist differences of the term amplitude at steps
+    h = 1e-3, h/2 and h/4 (it vanishes quadratically at zero twist, so two
+    evaluations per step suffice), with one Richardson refinement.  Returns
+    the coefficient and the relative gap between the two Richardson values.
     """
     def second_diff(h):
         return (plan.amplitude(h, ell).A_tilde
                 + plan.amplitude(-h, ell).A_tilde) / h ** 2
 
-    d_h, d_2, d_4 = (second_diff(f * step) for f in (1.0, 0.5, 0.25))
+    d_h, d_2, d_4 = (second_diff(f * 1e-3) for f in (1.0, 0.5, 0.25))
     r_coarse = (4.0 * d_2 - d_h) / 3.0
     r_fine = (4.0 * d_4 - d_2) / 3.0
     gap = abs(r_fine - r_coarse) / max(abs(r_fine), 1e-300)
@@ -378,10 +377,10 @@ CHECKS = {
 }
 
 
-def run_checks(names=None, grid_n: int = 96, contour_n: int = 256):
+def run_checks(names=None, grid_n: int = FERMI_NODES,
+               contour_n: int = CONTOUR_NODES):
     """Run the named checks (all by default) sharing one workspace."""
-    if names is None:
-        names = list(CHECKS)
+    names = list(CHECKS) if names is None else names
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {', '.join(unknown)}; "

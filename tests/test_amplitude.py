@@ -17,8 +17,9 @@ from bosegas.excitation import (ExcitationClass, decay_rate_closed,
                                 decay_rate_numeric, root_offsets, solve_u,
                                 u1_function, u2_function, z_function)
 from bosegas.groundstate import ModelParams, build_ground_state
-from bosegas.numerics import (SampledFunction, cauchy_transform,
-                               composite_grid, fredholm_logdet)
+from bosegas.numerics import (NumericsError, SampledFunction,
+                               cauchy_transform, composite_grid,
+                               fredholm_logdet)
 from bosegas.thermal import solve_yang_yang
 
 
@@ -46,15 +47,12 @@ class TestEdgeFunctionals:
         assert abs(shifted - (base + delta)) < 1e-10
 
     def test_c0_of_unit_charge(self):
-        # Z = 1: closed form alpha^2 log(c^2 / (4 q^2 + c^2))
-        q, c, al = 1.3, 0.8, 0.4
+        # Z = 1: closed form log(c^2 / (4 q^2 + c^2)) at unit twist
+        q, c = 1.3, 0.8
         grid = composite_grid([-q, 0.0, q], 32)
         z = SampledFunction(grid, np.ones(grid.size))
-        exact = al ** 2 * np.log(c ** 2 / (4.0 * q ** 2 + c ** 2))
-        assert abs(c0_functional(z, al, c) - exact) < 1e-10
-
-    def test_c0_zero_twist(self, gs):
-        assert c0_functional(gs.Z, 0.0, 1.0) == 0.0
+        exact = np.log(c ** 2 / (4.0 * q ** 2 + c ** 2))
+        assert abs(c0_functional(z, c) - exact) < 1e-10
 
     def test_edge_charge_grid_stable(self, gs, workspace):
         gs2 = workspace.ground_state(n_nodes=192)
@@ -389,6 +387,14 @@ class TestAmplitudePlan:
         with pytest.raises(ValueError):
             plan.harmonic(0)
 
+    def test_nonfinite_amplitude_refused(self):
+        # h/c^2 = 100 at alpha = 0.2: the ell = 1 determinant ratio is NaN
+        plan = AmplitudePlan(build_ground_state(ModelParams(c=0.1, h=1.0),
+                                                n_nodes=192))
+        with np.errstate(all="ignore"), \
+                pytest.raises(NumericsError, match="non-finite"):
+            plan.amplitude(0.2, 1)
+
 
 def two_determinants(plan, alpha, ell):
     """The smooth factor as a product of its two determinants, each
@@ -406,12 +412,10 @@ def two_determinants(plan, alpha, ell):
     pref = 1.0 / (2j * np.pi)
     row = (-np.exp(-al * plan.lz) / denom1)[:, None]
     col = (np.exp(al * plan.lz) / denom2)[None, :]
-    ld1 = fredholm_logdet(
-        lambda x, y: row * (ka - k_alpha(-q - w[None, :], phase, c)),
-        plan.contour, pref)
-    ld2 = fredholm_logdet(
-        lambda x, y: (ka - k_alpha(w[:, None] - q, phase, c)) * col,
-        plan.contour, pref)
+    ld1 = fredholm_logdet(row * (ka - k_alpha(-q - w[None, :], phase, c)),
+                          plan.contour, pref)
+    ld2 = fredholm_logdet((ka - k_alpha(w[:, None] - q, phase, c)) * col,
+                          plan.contour, pref)
     up1, dn1, dn2, up2 = cauchy_transform(gs.Z, np.array(
         [-q + 1j * c, -q - 1j * c, q - 1j * c, q + 1j * c]))
     bracket1 = np.exp(-al * up1) - phase * np.exp(-al * dn1)

@@ -6,9 +6,11 @@ import json
 import numpy as np
 import pytest
 
+from bosegas.amplitude import AmplitudePlan
 from bosegas.cli import (ConfigError, RunConfig, load_config, main,
                          render_tables)
-from bosegas.verification import CHECKS
+from bosegas.groundstate import ModelParams, build_ground_state
+from bosegas.verification import CHECKS, run_checks
 
 
 class TestConfig:
@@ -164,6 +166,17 @@ class TestExitCodes:
         assert main(["ground-state", "--config", str(cfg)]) == 3
         assert "numerical failure:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["amplitudes", "correlator"])
+    def test_nonfinite_amplitude(self, tmp_path, capsys, command):
+        # h/c^2 = 100 at alpha = 0.2: the ell = 1, 2 term amplitudes are
+        # NaN, which amplitudes used to print with exit 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("c = 0.1\nh = 1.0\nalpha = 0.2\n")
+        with np.errstate(all="ignore"):
+            assert main([command, "--config", str(cfg),
+                         "--grid-n", "192"]) == 3
+        assert "non-finite" in capsys.readouterr().err
+
     def test_weak_coupling_thermal(self, tmp_path):
         # h/c^2 = 100 on a ground state sized for it: the thermal solve
         # converges well inside the sweep cap
@@ -246,3 +259,46 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "--format" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestOverrides:
+    """A valid --grid-n or --contour-n reaches the layer that uses it."""
+
+    def test_grid_n_sets_the_curve(self, tmp_path):
+        out = tmp_path / "gs.json"
+        assert main(["ground-state", "--grid-n", "64", "--format", "json",
+                     "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["curve"]["rows"]) == 64
+
+    def test_contour_n_sets_the_plan(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha = 0.2\n")
+        docs = {}
+        for command in ("amplitudes", "correlator"):
+            out = tmp_path / f"{command}.json"
+            assert main([command, "--config", str(cfg), "--contour-n", "512",
+                         "--format", "json", "--out", str(out)]) == 0
+            docs[command] = json.loads(out.read_text())
+        plan = AmplitudePlan(build_ground_state(ModelParams(c=1.0, h=1.0)),
+                             512)
+        for row in docs["amplitudes"]["amplitudes"]["rows"]:
+            res = plan.amplitude(0.2, row["ell"])
+            assert complex(row["B_smooth_re"], row["B_smooth_im"]) \
+                == res.B_smooth
+            assert complex(row["A_tilde_re"], row["A_tilde_im"]) \
+                == res.A_tilde
+        row = docs["correlator"]["correlator"]["rows"][0]
+        for ell in (1, 2):
+            assert complex(row[f"A_{ell}_re"], row[f"A_{ell}_im"]) \
+                == plan.harmonic(ell)
+
+    def test_run_checks_sizes_reach_the_base_plan(self):
+        details = run_checks(["grid-hygiene"], grid_n=48,
+                             contour_n=128)[0].details
+        for (n, m), scalars in (((48, 128), details["base"]),
+                                ((96, 256), details["doubled"])):
+            plan = AmplitudePlan(
+                build_ground_state(ModelParams(c=1.0, h=1.0), n), m)
+            assert scalars["q"] == plan.gs.q
+            for ell in (0, 1):
+                assert scalars[f"A{ell}"] == plan.amplitude(0.2, ell).A_tilde

@@ -165,6 +165,10 @@ class TestSolveU:
             solve_u(ModelParams(c=1.0, h=1.0, T=0.01), BENCHMARK_CLASS,
                     gs=workspace.ground_state(c=2.0))
 
+    def test_neither_thermal_nor_ground_state_refused(self):
+        with pytest.raises(ValueError, match="thermal solution or a ground"):
+            solve_u(ModelParams(c=1.0, h=1.0, T=0.01), BENCHMARK_CLASS)
+
     def test_thermal_alone_carries_its_ground_state(self):
         # a 128-node ground state differs from the default 96-node one in
         # the last digits, so a second build would show in u

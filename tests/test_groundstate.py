@@ -6,9 +6,9 @@ import pytest
 from scipy.optimize import brentq
 
 from bosegas import groundstate
-from bosegas.groundstate import (ModelParams, build_ground_state,
-                                 kernel, solve_fermi_boundary,
-                                 weighted_kernel)
+from bosegas.groundstate import (FERMI_NODES, ModelParams,
+                                 build_ground_state, kernel,
+                                 solve_fermi_boundary, weighted_kernel)
 from bosegas.numerics import (NumericsError, composite_grid,
                               nystrom_factorize, nystrom_solve)
 
@@ -144,8 +144,8 @@ class TestStructure:
         assert abs(np.real(gs.Z.integral()) / (2.0 * np.pi) - gs.D) < 1e-13
 
     def test_boundary_grows_with_h(self):
-        q2, _ = solve_fermi_boundary(ModelParams(c=1.0, h=2.0))
-        q1, _ = solve_fermi_boundary(ModelParams(c=1.0, h=1.0))
+        q2, _ = solve_fermi_boundary(ModelParams(c=1.0, h=2.0), FERMI_NODES)
+        q1, _ = solve_fermi_boundary(ModelParams(c=1.0, h=1.0), FERMI_NODES)
         assert q2 > q1
 
 
@@ -166,7 +166,7 @@ def test_spectral_derivatives_of_charge(ratio):
     assert np.max(np.abs(der2 - zpp)) <= 1e-8 * np.max(np.abs(zpp))
 
 
-def _edge_energy(c, h, q, n_nodes=96):
+def _edge_energy(c, h, q, n_nodes=FERMI_NODES):
     """eps0(q|q) from its own factorization on [-q, q]."""
     grid = composite_grid([-q, 0.0, q], n_nodes // 2)
     kern = lambda x, y: 2.0 * c / ((x - y) ** 2 + c * c)
@@ -182,7 +182,7 @@ class TestFermiBoundary:
     @pytest.mark.parametrize("ratio", [0.01, 1.0, 16.0])
     def test_matches_bracketed_root(self, ratio, h):
         c = np.sqrt(h / ratio)
-        q, _ = solve_fermi_boundary(ModelParams(c=c, h=h))
+        q, _ = solve_fermi_boundary(ModelParams(c=c, h=h), FERMI_NODES)
         sq = np.sqrt(h)
         ref = brentq(lambda x: _edge_energy(c, h, x), sq, 10.0 * sq,
                      xtol=1e-15, rtol=1e-14)
@@ -211,4 +211,4 @@ class TestFermiBoundary:
         # E(sqrt h) < 0, so the search always takes at least two iterates
         monkeypatch.setattr(groundstate, "_MAX_NEWTON", 1)
         with pytest.raises(NumericsError):
-            solve_fermi_boundary(ModelParams(c=1.0, h=1.0))
+            solve_fermi_boundary(ModelParams(c=1.0, h=1.0), FERMI_NODES)
