@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .excitation import USolution, z_function
+from .excitation import USolution
 from .groundstate import GroundState, kernel
 from .numerics import (Contour, NumericsError, SampledFunction,
                        cauchy_transform, fredholm_logdet)
@@ -322,11 +322,11 @@ def amplitude_tilde(gs: GroundState, alpha: complex, ell: int, theta=None,
 # finite-temperature discrete factor and its verification operations
 # ---------------------------------------------------------------------------
 
-def contour_cauchy(sol: USolution, values: np.ndarray, omega: complex) -> complex:
-    """int values(l)/(l - omega) dl along the solution contour, for omega
-    off the contour (the complex roots sit several node spacings away)."""
+def contour_cauchy(sol: USolution, omega: complex) -> complex:
+    """int z(l)/(l - omega) dl along the solution contour, for omega off
+    the contour (the complex roots sit several node spacings away)."""
     g = sol.contour.nodes
-    return complex(np.sum(sol.contour.weights * values / (g - omega)))
+    return complex(np.sum(sol.contour.weights * sol.z / (g - omega)))
 
 
 def double_integral(sol: USolution) -> complex:
@@ -337,10 +337,8 @@ def double_integral(sol: USolution) -> complex:
     the subtracted terms integrate in closed form, and the left-shifted
     pole contributes the +i pi half-residue to the logarithmic term.
     """
-    contour = sol.contour
-    g, w = contour.nodes, contour.weights
-    base = contour.base
-    z = z_function(sol)
+    g, w, z = sol.contour.nodes, sol.contour.weights, sol.z
+    base = sol.thermal.grid
     gamma_prime = w / base.weights
     zp = base.derivative(z) / gamma_prime
     zpp = base.derivative(zp) / gamma_prime
@@ -372,7 +370,6 @@ def bd_finite_T(sol: USolution) -> complex:
     Cauchy-transform and derivative factors of the phase exponential.
     """
     T = sol.params.T
-    z = z_function(sol)
     upper = np.array([r.half > 0 for r in sol.roots], dtype=bool)
     out = np.exp(double_integral(sol)) * cauchy_det_sq(sol.points[upper],
                                                        sol.points[~upper])
@@ -383,13 +380,14 @@ def bd_finite_T(sol: USolution) -> complex:
         # substitution: -(u'(s)/T) e^{-u/T} / (1 + e^{-eps/T})
         deriv = (-sol.u_prime_at(s) * np.exp(-u_val / T)
                  / (T * (1.0 + np.exp(-eps_val / T))))
-        out *= np.exp(-2.0 * r.half * contour_cauchy(sol, z, s)) / deriv
+        out *= np.exp(-2.0 * r.half * contour_cauchy(sol, s)) / deriv
     return complex(out)
 
 
-def verify_cauchy_edge(sol: USolution) -> dict:
-    """Compare the weighted per-root Cauchy transforms with their closed
-    Gamma-ratio limits; the deviation is expected to vanish linearly in T."""
+def verify_cauchy_edge(sol: USolution) -> list:
+    """Relative deviations of the weighted per-root Cauchy transforms from
+    their closed Gamma-ratio limits, in root order; they are expected to
+    vanish linearly in T."""
     gs = sol.thermal.gs
     T = sol.params.T
     al = sol.params.alpha + sol.cls.ell
@@ -397,12 +395,11 @@ def verify_cauchy_edge(sol: USolution) -> dict:
     nu1 = u1 / (2.0j * np.pi)
     scale = np.log(gs.q * gs.eps0_prime_q / (np.pi * T))
     edge = edge_charge_integral(gs)
-    z = z_function(sol)
 
-    deviations, pairs = [], []
+    deviations = []
     for r, s in zip(sol.roots, sol.points):
         x = r.side * nu1
-        lhs = np.exp(contour_cauchy(sol, z, s) + x * scale)
+        lhs = np.exp(contour_cauchy(sol, s) + x * scale)
         # the e^{+-u1/4} factors carry the sign fixed by consistency with
         # the product over all roots (and hence with the discrete-amplitude
         # limit): +u1/4 for the upper-half roots, -u1/4 for the lower-half
@@ -410,13 +407,11 @@ def verify_cauchy_edge(sol: USolution) -> dict:
         rhs = (np.exp(-al * r.side * edge + r.half * u1 / 4.0)
                * gamma_ratio([num], [den]))
         deviations.append(abs(lhs - rhs) / abs(rhs))
-        pairs.append((complex(lhs), complex(rhs)))
-    return {"T": T, "deviations": deviations, "pairs": pairs,
-            "max_deviation": max(deviations) if deviations else 0.0}
+    return deviations
 
 
-def verify_double_integral(sol: USolution) -> dict:
-    """Compare the double integral with its closed low-T form
+def verify_double_integral(sol: USolution) -> float:
+    """Relative deviation of the double integral from its closed low-T form
     C1[u1/2pi i] - 2 (u1/2pi i)^2 log(q eps0'/pi T) + 2 log G(1, u1/2pi i)."""
     gs = sol.thermal.gs
     T = sol.params.T
@@ -428,6 +423,4 @@ def verify_double_integral(sol: USolution) -> dict:
             - 2.0 * nu1 ** 2 * np.log(gs.q * gs.eps0_prime_q / (np.pi * T)))
     if nu1 != 0:
         pred += 2.0 * (ln_barnes_g(1.0 + nu1) + ln_barnes_g(1.0 - nu1))
-    deviation = abs(a_num - pred) / max(1.0, abs(pred))
-    return {"T": T, "numeric": complex(a_num), "predicted": complex(pred),
-            "deviation": float(deviation)}
+    return float(abs(a_num - pred) / max(1.0, abs(pred)))

@@ -167,7 +167,7 @@ def cmd_ground_state(cfg: RunConfig, gs: GroundState) -> dict:
 
 def cmd_thermal(cfg: RunConfig, gs: GroundState) -> dict:
     th = solve_yang_yang(gs.params, gs)
-    scalars = [{"T": cfg.T, "cutoff": th.cutoff,
+    scalars = [{"T": cfg.T, "cutoff": th.grid.b,
                 "iterations": th.iterations, "residual": th.residual}]
     prov_s = {"T": ("thermal", "temperature"),
               "cutoff": ("thermal", "grid_cutoff"),

@@ -3,8 +3,9 @@
 Bookkeeping of umklapp/particle-hole classes, closed low-temperature forms
 for the linear and quadratic corrections of the excited-state energy u, the
 table of its complex roots at leading order, the full nonlinear solve for
-u on a deformed contour, the auxiliary phase function z, and the correlation
-decay rates by the direct-integral and closed routes.
+u on a deformed contour (the thermal solve's path on other nodes and another
+driving term), the auxiliary phase function z, and the correlation decay
+rates by the direct-integral and closed routes.
 """
 
 from __future__ import annotations
@@ -14,11 +15,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .groundstate import (GroundState, ModelParams, kernel, kernel_prime,
-                          weighted_kernel)
-from .numerics import NumericsError, SampledFunction
-from .thermal import (_TOL_FACTOR, ThermalSolution, _fixed_point,
-                      solve_yang_yang, stable_log1pexp)
+from .groundstate import GroundState, ModelParams, kernel, kernel_prime
+from .numerics import Contour, SampledFunction
+from .thermal import ThermalSolution, continuation, solve_on, stable_log1pexp
 
 
 class ConstraintError(ValueError):
@@ -138,10 +137,10 @@ def u2_function(gs: GroundState, roots: RootTable) -> SampledFunction:
     return SampledFunction(gs.grid, vals)
 
 
-@dataclass(frozen=True)
-class DeformedContour:
+def excitation_contour(thermal: ThermalSolution, u1_at_q: complex) -> Contour:
     """Integration contour for the excited sector: the real thermal grid
-    lifted by an odd pair of smooth bumps at +-q.
+    lifted by an odd pair of smooth bumps at +-q, with the grid weights
+    times dgamma/dx.
 
     The bump height is chosen halfway through the channel between the
     nearest migrated root of 1+e^{-u/T} (at height (|Im u1|-pi)T/eps0')
@@ -149,23 +148,9 @@ class DeformedContour:
     on the contour the phases of both logs entering z stay within
     (-pi, pi) across the crossover windows.  For -pi < Im u1 < pi the
     deformation is harmless (and vanishes with u1); it exists as long as
-    |Im u1| < 2 pi, which the constructor enforces.
+    |Im u1| < 2 pi, which is enforced here.
     """
-
-    nodes: np.ndarray = field(repr=False)    # complex contour points
-    weights: np.ndarray = field(repr=False)  # quadrature weights * dgamma/dx
-    base: object = field(repr=False)         # underlying real Grid
-    height: float                            # bump height at +q (signed)
-    width: float
-
-    def integral(self, values):
-        return complex(np.sum(self.weights * values))
-
-
-def excitation_contour(thermal: ThermalSolution, gs: GroundState,
-                       u1_at_q: complex) -> DeformedContour:
-    """Contour through the branch channel for a given edge value u1."""
-    T = thermal.params.T
+    gs, T = thermal.gs, thermal.params.T
     epsp = gs.eps0_prime_q
     if not abs(u1_at_q.imag) < 2.0 * np.pi * (1.0 - 1e-9):
         raise ConstraintError(
@@ -178,9 +163,8 @@ def excitation_contour(thermal: ThermalSolution, gs: GroundState,
     sp, sm = (x - gs.q) / width, (x + gs.q) / width
     bump = np.exp(-sp * sp) - np.exp(-sm * sm)
     dbump = (-2.0 * sp * np.exp(-sp * sp) + 2.0 * sm * np.exp(-sm * sm)) / width
-    return DeformedContour(nodes=x + 1j * height * bump,
-                           weights=thermal.grid.weights * (1.0 + 1j * height * dbump),
-                           base=thermal.grid, height=height, width=width)
+    return Contour(x + 1j * height * bump,
+                   thermal.grid.weights * (1.0 + 1j * height * dbump))
 
 
 def theta_odd(lam, c: float):
@@ -207,25 +191,22 @@ class USolution:
     params: ModelParams
     cls: ExcitationClass = field(repr=False)
     thermal: ThermalSolution = field(repr=False)
-    contour: DeformedContour = field(repr=False)
+    contour: Contour = field(repr=False)
     u_values: np.ndarray = field(repr=False)
-    log_weight: np.ndarray = field(repr=False)      # log(1 + e^{-u/T})
-    log_weight_eps: np.ndarray = field(repr=False)  # same for eps on contour
+    log_weight: np.ndarray = field(repr=False)  # log(1 + e^{-u/T})
+    z: np.ndarray = field(repr=False)           # phase function on the nodes
     roots: RootTable = field(repr=False)
-    points: np.ndarray                              # root positions, as roots
+    points: np.ndarray                          # root positions, as roots
     iterations: int
     residual: float
 
     def u_at(self, lam):
         """Continuation of u off the contour via its own integral equation;
         valid within a strip of half-width c around the contour."""
-        T, c = self.params.T, self.params.c
-        lam = np.asarray(lam, dtype=complex)
-        flat = np.atleast_1d(lam)
-        kx = weighted_kernel(flat, self.contour.nodes, self.contour.weights, c)
-        tail = (T / (2.0 * np.pi)) * (kx @ self.log_weight)
-        out = _driving_term(flat, self.params, self.roots, self.points) - tail
-        return out[0] if lam.ndim == 0 else out
+        return continuation(
+            np.asarray(lam, dtype=complex),
+            lambda x: _driving_term(x, self.params, self.roots, self.points),
+            self.contour, self.log_weight, self.params)
 
     def u_prime_at(self, lam):
         T, c = self.params.T, self.params.c
@@ -240,28 +221,23 @@ class USolution:
 
 
 def solve_u(params: ModelParams, cls: ExcitationClass,
-            thermal: ThermalSolution = None,
-            gs: GroundState = None) -> USolution:
+            thermal: ThermalSolution, gs: GroundState = None) -> USolution:
     """Solve of the excited-state integral equation with the roots fixed at
-    their leading-order positions, by the Anderson-accelerated fixed point
-    that also serves the thermal energy.
+    their leading-order positions, by the solve that also serves the
+    thermal energy.
 
     The equation is solved on the deformed contour of excitation_contour,
     which realizes the analytic continuation in alpha of the
     constraint-satisfying regime; all closed low-temperature forms refer
-    to that continuation.  ``thermal``, else a solve on ``gs``, carries the
-    ground state; neither, or one of other parameters, is refused.
+    to that continuation.  ``thermal`` carries the ground state; one of
+    other parameters, or on a ground state other than ``gs``, is refused.
     """
     if params.T > 0.05 * params.h:
         raise ValueError("excited-state solve gated to T <= 0.05 h")
-    if thermal is None:
-        if gs is None:
-            raise ValueError("need a thermal solution or a ground state")
-        thermal = solve_yang_yang(params, gs)
-    elif (thermal.params.c, thermal.params.h, thermal.params.T) != (
+    if (thermal.params.c, thermal.params.h, thermal.params.T) != (
             params.c, params.h, params.T):
         raise ValueError("thermal solution was solved for another (c, h, T)")
-    elif gs is not None and thermal.gs is not gs:
+    if gs is not None and thermal.gs is not gs:
         raise ValueError("thermal solution was built on another ground state")
     gs = thermal.gs
     roots = root_offsets(gs, cls, params.alpha)
@@ -271,42 +247,29 @@ def solve_u(params: ModelParams, cls: ExcitationClass,
         raise ValueError("roots drift too far from the Fermi points; lower T")
     points = roots.points(gs.q, T)
 
-    contour = excitation_contour(thermal, gs, roots.u1_at_q)
+    contour = excitation_contour(thermal, roots.u1_at_q)
     lam = contour.nodes
-    kmat = weighted_kernel(lam, lam, contour.weights, params.c)
-    u, lw, it, residual = _fixed_point(
-        _driving_term(lam, params, roots, points), kmat, T,
-        _TOL_FACTOR * max(params.h, T))
-    tail_decay = max(abs(lw[0]), abs(lw[-1]))
-    if tail_decay > 1e-8:
-        raise NumericsError(
-            f"log weight does not decay at the grid ends ({tail_decay:.2e}); "
-            f"enlarge the cutoff")
-    # log(1 + e^{-eps/T}) by the two-sided stable evaluation, as for u in
-    # the fixed point.  Away from the Fermi crossover windows both stable
-    # pieces are exact analytic continuations of each other (the switch
-    # error is below double precision), so the only branch freedom lives in
-    # windows of width ~T around +-q.  The contour keeps the local phase
-    # |Im u/T| inside (-pi, pi) there, which makes this the branch fixed by
-    # continuity and by decay at both tails.
-    lw_eps = stable_log1pexp(thermal.eps_at(lam) / T)
+    u, lw, it, residual = solve_on(
+        contour, _driving_term(lam, params, roots, points), params)
+    # the phase z = -(1/2 pi i) log[(1+e^{-u/T})/(1+e^{-eps/T})] vanishes
+    # at both contour ends.  log(1 + e^{-eps/T}) takes the two-sided stable
+    # evaluation, as for u in the fixed point.  Away from the Fermi
+    # crossover windows both stable pieces are exact analytic continuations
+    # of each other (the switch error is below double precision), so the
+    # only branch freedom lives in windows of width ~T around +-q.  The
+    # contour keeps the local phase |Im u/T| inside (-pi, pi) there, which
+    # makes this the branch fixed by continuity and by decay at both tails.
+    z = -(lw - stable_log1pexp(thermal.eps_at(lam) / T)) / (2.0j * np.pi)
     return USolution(params=params, cls=cls, thermal=thermal,
-                     contour=contour, u_values=u, log_weight=lw,
-                     log_weight_eps=lw_eps, roots=roots, points=points,
-                     iterations=it, residual=residual)
-
-
-def z_function(sol: USolution) -> np.ndarray:
-    """Auxiliary phase z = -(1/2 pi i) log[(1+e^{-u/T})/(1+e^{-eps/T})] on
-    the contour nodes; vanishes at both contour ends."""
-    return -(sol.log_weight - sol.log_weight_eps) / (2.0j * np.pi)
+                     contour=contour, u_values=u, log_weight=lw, z=z,
+                     roots=roots, points=points, iterations=it,
+                     residual=residual)
 
 
 def decay_rate_numeric(sol: USolution) -> complex:
     """Decay rate from the phase integral minus the root sum."""
-    z = z_function(sol)
     root_sum = sum(r.half * s for r, s in zip(sol.roots, sol.points))
-    return complex(1j * sol.contour.integral(z) - 1j * root_sum)
+    return complex(1j * np.sum(sol.contour.weights * sol.z) - 1j * root_sum)
 
 
 def decay_rate_closed(gs: GroundState, cls: ExcitationClass, alpha: complex,

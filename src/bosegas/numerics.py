@@ -177,12 +177,12 @@ def graded_breakpoints(a: float, b: float, centers, w0: float, wmax: float):
 
 @dataclass(frozen=True)
 class Contour:
-    """Closed anticlockwise contour discretized by the trapezoid rule.
+    """Contour discretized by its nodes and quadrature weights.
 
     ``weights`` are the complex measures dz at each node, so that
-    sum(weights * f(nodes)) approximates the contour integral of f.  The
-    uniform-parameter trapezoid rule is spectrally accurate for periodic
-    analytic integrands.
+    sum(weights * f(nodes)) approximates the contour integral of f.
+    ``ellipse`` builds a closed anticlockwise one by the uniform-parameter
+    trapezoid rule, spectrally accurate for periodic analytic integrands.
     """
 
     nodes: np.ndarray

@@ -1,9 +1,10 @@
 """Finite-temperature state of the gas.
 
-Anderson-accelerated fixed-point solution of the nonlinear integral equation
-for the thermal excitation energy (shared with the excited-state energy,
-which obeys the same equation on a deformed contour) and the low-temperature
-correction law.
+The one path for the nonlinear integral equation shared by the thermal
+excitation energy eps (on a real grid) and the excited-state energy u (on
+a deformed contour): one Anderson-accelerated solve with its tolerance and
+its refusal of an undecayed log weight, and one continuation off the nodes.
+Also the low-temperature correction law of eps.
 """
 
 from __future__ import annotations
@@ -41,12 +42,26 @@ def stable_log1pexp(x):
     return out
 
 
-def thermal_cutoff(params: ModelParams) -> float:
+def thermal_cutoff(params: ModelParams, gs: GroundState) -> float:
     """Truncation radius: the thermal tail is dead beyond eps ~ 40 T, plus a
     kernel-width margin capped at the thermal scale (a margin of order c
-    itself would be astronomically wasteful at large coupling)."""
+    itself would be astronomically wasteful at large coupling).
+
+    At weak coupling eps0 lies far below the bare lambda^2 - h, so where
+    eps0 < 40 T at that radius it moves out to the root of eps0 = 40 T, by
+    Newton's method: eps0' is d eps0/d lambda off [-q, q], as eps0(+-q) = 0.
+    """
     core = np.sqrt(params.h + 40.0 * params.T)
-    return core + 1.5 * min(params.c, core)
+    lam = core + 1.5 * min(params.c, core)
+    target = 40.0 * params.T
+    if gs.eps0(lam) >= target:
+        return lam
+    for _ in range(50):
+        step = (gs.eps0(lam) - target) / gs.eps0_prime(lam)
+        lam -= step
+        if abs(step) <= 1e-13 * lam:
+            return lam
+    raise NumericsError(f"no root of eps0 = 40 T beyond {core:.3g}")
 
 
 def thermal_grid(params: ModelParams, gs: GroundState,
@@ -56,7 +71,7 @@ def thermal_grid(params: ModelParams, gs: GroundState,
     The crossover windows of the Fermi weight have width ~ T / eps0'(q), so
     panel widths start at that scale next to +-q and grow geometrically.
     """
-    lam = thermal_cutoff(params)
+    lam = thermal_cutoff(params, gs)
     w0 = max(2.0 * params.T / gs.eps0_prime_q, 1e-4 * gs.q)
     bp = graded_breakpoints(-lam, lam, [-gs.q, gs.q], w0,
                             0.8 * min(params.c, lam))
@@ -72,18 +87,13 @@ class ThermalSolution:
     grid: Grid = field(repr=False)
     eps: SampledFunction = field(repr=False)
     log_weight: np.ndarray = field(repr=False)  # log(1+e^{-eps/T}) on nodes
-    cutoff: float
     iterations: int
     residual: float
 
     def eps_at(self, lam):
         """Analytic continuation of eps via its own integral equation."""
-        lam = np.asarray(lam)
-        kx = weighted_kernel(np.atleast_1d(lam), self.grid.nodes,
-                             self.grid.weights, self.params.c)
-        tail = (self.params.T / (2.0 * np.pi)) * (kx @ self.log_weight)
-        out = np.atleast_1d(lam) ** 2 - self.params.h - tail
-        return out[0] if lam.ndim == 0 else out
+        return continuation(np.asarray(lam), lambda x: x ** 2 - self.params.h,
+                            self.grid, self.log_weight, self.params)
 
 
 def _fixed_point(bare, kmat, T: float, tol: float):
@@ -123,23 +133,47 @@ def _fixed_point(bare, kmat, T: float, tol: float):
     return f, stable_log1pexp(f / T), it, residual
 
 
+def solve_on(domain, bare, params: ModelParams):
+    """The finite-temperature solve shared by eps and u: the fixed point of
+    f = bare - (T/2pi) K W log(1 + e^{-f/T}) on the nodes and weights W of
+    ``domain``, to 1e-12 max(h, T).  A log weight that has not decayed at
+    both ends of the domain means the truncation cuts into the occupied
+    region, and is refused.  Returns what ``_fixed_point`` returns."""
+    kmat = weighted_kernel(domain.nodes, domain.nodes, domain.weights, params.c)
+    f, lw, it, residual = _fixed_point(bare, kmat, params.T,
+                                       _TOL_FACTOR * max(params.h, params.T))
+    tail_decay = max(abs(lw[0]), abs(lw[-1]))
+    if tail_decay > 1e-8:
+        raise NumericsError(
+            f"log weight does not decay at the grid ends ({tail_decay:.2e}); "
+            f"enlarge the cutoff")
+    return f, lw, it, residual
+
+
+def continuation(lam, driving, domain, log_weight, params: ModelParams):
+    """A solution of the shared equation continued off the nodes of its
+    ``domain`` through the equation itself: driving(lam) minus
+    (T/2pi) sum_j K(lam - x_j) W_j log_weight_j."""
+    flat = np.atleast_1d(lam)
+    kx = weighted_kernel(flat, domain.nodes, domain.weights, params.c)
+    tail = (params.T / (2.0 * np.pi)) * (kx @ log_weight)
+    out = driving(flat) - tail
+    return out[0] if lam.ndim == 0 else out
+
+
 def solve_yang_yang(params: ModelParams, gs: GroundState,
                     n_per_panel: int = PANEL_NODES) -> ThermalSolution:
-    """Thermal excitation energy by the shared Anderson-mixed fixed point,
-    on ``gs``, which must be of the same (c, h)."""
+    """Thermal excitation energy by the shared solve on the real grid, on
+    ``gs``, which must be of the same (c, h)."""
     if not params.T > 0:
         raise ValueError("finite-temperature solve requires T > 0")
     if (gs.params.c, gs.params.h) != (params.c, params.h):
         raise ValueError("ground state was built for another (c, h)")
     grid = thermal_grid(params, gs, n_per_panel)
-    lam = grid.nodes
-    kmat = weighted_kernel(lam, lam, grid.weights, params.c)
-    eps, lw, it, residual = _fixed_point(
-        lam ** 2 - params.h, kmat, params.T,
-        _TOL_FACTOR * max(params.h, params.T))
+    eps, lw, it, residual = solve_on(grid, grid.nodes ** 2 - params.h, params)
     return ThermalSolution(params=params, gs=gs, grid=grid,
                            eps=SampledFunction(grid, eps), log_weight=lw,
-                           cutoff=grid.b, iterations=it, residual=residual)
+                           iterations=it, residual=residual)
 
 
 def eps2_at(gs: GroundState, lam):

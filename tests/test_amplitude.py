@@ -15,7 +15,7 @@ from bosegas.amplitude import (AmplitudePlan, amplitude_tilde, bd_finite_T,
                                verify_double_integral, w_closed, w_series)
 from bosegas.excitation import (ExcitationClass, decay_rate_closed,
                                 decay_rate_numeric, root_offsets, solve_u,
-                                u1_function, u2_function, z_function)
+                                u1_function, u2_function)
 from bosegas.groundstate import ModelParams, build_ground_state
 from bosegas.numerics import (NumericsError, SampledFunction,
                                cauchy_transform, composite_grid,
@@ -176,19 +176,17 @@ class TestCauchyDeterminant:
 
 
 @pytest.fixture(scope="module")
-def trivial_sol(gs):
-    params = ModelParams(c=1.0, h=1.0, T=0.02)
-    thermal = solve_yang_yang(params, gs)
-    return solve_u(params, ExcitationClass(ell=0), thermal=thermal, gs=gs)
+def trivial_sol(workspace):
+    return solve_u(ModelParams(c=1.0, h=1.0, T=0.02), ExcitationClass(ell=0),
+                   workspace.thermal(0.02))
 
 
 def double_integral_reference(sol):
     """The contour double integral by the broadcast formula
     (z_i - z_j - z'_j dl) / dl^2, dl = gamma_i - gamma_j, with the same
     subtracted closed forms as ``double_integral``."""
-    contour = sol.contour
-    g, w, base = contour.nodes, contour.weights, contour.base
-    z = z_function(sol)
+    g, w, z = sol.contour.nodes, sol.contour.weights, sol.z
+    base = sol.thermal.grid
     gamma_prime = w / base.weights
     zp = base.derivative(z) / gamma_prime
     zpp = base.derivative(zp) / gamma_prime
@@ -217,7 +215,8 @@ class TestFiniteTemperatureFactor:
         gs = weak_and_strong_gs[ratio]
         params = ModelParams(c=gs.params.c, h=1.0, T=t_over_h)
         sol = solve_u(params, ExcitationClass(ell=1, p_plus=(1,),
-                                              h_minus=(1,)), gs=gs)
+                                              h_minus=(1,)),
+                      solve_yang_yang(params, gs))
         ref = double_integral_reference(sol)
         assert abs(double_integral(sol) - ref) <= 1e-12 * abs(ref)
 
@@ -225,9 +224,8 @@ class TestFiniteTemperatureFactor:
         assert abs(bd_finite_T(trivial_sol) - 1.0) < 1e-9
 
     def test_trivial_double_integral(self, trivial_sol):
-        rep = verify_double_integral(trivial_sol)
-        assert abs(rep["numeric"]) < 1e-9
-        assert rep["deviation"] < 1e-9
+        assert abs(double_integral(trivial_sol)) < 1e-9
+        assert verify_double_integral(trivial_sol) < 1e-9
 
     def test_benchmark_approaches_closed_limit(self, gs, workspace):
         # rescaled by its power-law weight, the finite-T factor approaches
@@ -265,9 +263,10 @@ def expansion_exponent(gs, cls, alpha, sols):
 
 
 @pytest.fixture(scope="module")
-def all_kinds_sols(gs):
+def all_kinds_sols(workspace):
     return [solve_u(ModelParams(c=1.0, h=1.0, T=T, alpha=ALL_KINDS_ALPHA),
-                    ALL_KINDS_CLASS, gs=gs) for T in ALL_KINDS_T]
+                    ALL_KINDS_CLASS, workspace.thermal(T))
+            for T in ALL_KINDS_T]
 
 
 class TestAllRootKinds:
@@ -284,14 +283,14 @@ class TestAllRootKinds:
         assert expansion_exponent(gs, ALL_KINDS_CLASS, ALL_KINDS_ALPHA,
                                   all_kinds_sols) > 2.7
 
-    def test_energy_expansion_sums_offsets_per_side(self, gs):
+    def test_energy_expansion_sums_offsets_per_side(self, gs, workspace):
         # k(h+) = 2 differs from k(p-) = 1, so the offsets summed per side
         # differ from those summed per half-plane; measured remainder
         # exponents 3.00 per side (8.1e-5, 1.0e-5, 1.3e-6), 2.00 per half
         cls = ExcitationClass(ell=0, p_plus=(1,), h_plus=(2,),
                               p_minus=(1,), h_minus=(1,))
         sols = [solve_u(ModelParams(c=1.0, h=1.0, T=T, alpha=ALL_KINDS_ALPHA),
-                        cls, gs=gs) for T in ALL_KINDS_T]
+                        cls, workspace.thermal(T)) for T in ALL_KINDS_T]
         assert expansion_exponent(gs, cls, ALL_KINDS_ALPHA, sols) >= 2.7
 
     def test_decay_rate_quadratic_remainder(self, gs, all_kinds_sols):
@@ -304,15 +303,13 @@ class TestAllRootKinds:
         assert np.polyfit(np.log(ts), np.log(diffs), 1)[0] > 1.9
 
     def test_edge_estimates_tighten(self, all_kinds_sols):
-        edge = np.array([verify_cauchy_edge(sol)["deviations"]
-                         for sol in all_kinds_sols])
+        edge = np.array([verify_cauchy_edge(sol) for sol in all_kinds_sols])
         assert edge.shape == (3, 4)
         # every root's deviation falls, not only the largest; measured
         # 0.09 at most at the lowest T, where a wrong e^{+-u1/4} gives 0.6
         assert np.all(edge[:-1] > edge[1:])
         assert edge[-1].max() < 0.12
-        di = [verify_double_integral(sol)["deviation"]
-              for sol in all_kinds_sols]
+        di = [verify_double_integral(sol) for sol in all_kinds_sols]
         assert di[0] > di[1] > di[2]
 
     def test_approaches_discrete_amplitude(self, gs, all_kinds_sols):

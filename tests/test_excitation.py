@@ -131,7 +131,7 @@ class TestSolveU:
     def test_temperature_gate(self, gs):
         params = ModelParams(c=1.0, h=1.0, T=0.2)
         with pytest.raises(ValueError, match="gated"):
-            solve_u(params, BENCHMARK_CLASS, gs=gs)
+            solve_u(params, BENCHMARK_CLASS, solve_yang_yang(params, gs))
 
     def test_trivial_class_reduces_to_thermal(self, gs):
         params = ModelParams(c=1.0, h=1.0, T=0.02)
@@ -160,14 +160,13 @@ class TestSolveU:
 
     def test_ground_state_of_other_coupling_refused(self, workspace):
         # a c = 2 ground state under c = 1 params used to give
-        # bd_finite_T = -3.3e-16 + 9.3e-16i
-        with pytest.raises(ValueError, match=r"another \(c, h\)"):
+        # bd_finite_T = -3.3e-16 + 9.3e-16i; it now reaches the solve only
+        # through its thermal solution
+        thermal = solve_yang_yang(ModelParams(c=2.0, h=1.0, T=0.01),
+                                  workspace.ground_state(c=2.0))
+        with pytest.raises(ValueError, match=r"another \(c, h, T\)"):
             solve_u(ModelParams(c=1.0, h=1.0, T=0.01), BENCHMARK_CLASS,
-                    gs=workspace.ground_state(c=2.0))
-
-    def test_neither_thermal_nor_ground_state_refused(self):
-        with pytest.raises(ValueError, match="thermal solution or a ground"):
-            solve_u(ModelParams(c=1.0, h=1.0, T=0.01), BENCHMARK_CLASS)
+                    thermal)
 
     def test_thermal_alone_carries_its_ground_state(self):
         # a 128-node ground state differs from the default 96-node one in
@@ -183,7 +182,7 @@ class TestSolveU:
         sol = workspace.benchmark_solution(0.01)
         assert sol.residual <= 1e-12
         # the contour is genuinely deformed for this class
-        assert abs(sol.contour.height) > 0
+        assert np.max(np.abs(sol.contour.nodes.imag)) > 0
 
     def test_continuation_matches_contour_values(self, workspace):
         sol = workspace.benchmark_solution(0.01)
@@ -207,7 +206,7 @@ def test_fixed_point_solve_across_coupling(ratio, t_over_h):
     T = t_over_h * h
     params = ModelParams(c=c, h=h, T=T)
     gs = build_ground_state(ModelParams(c=c, h=h))
-    sol = solve_u(params, BENCHMARK_CLASS, gs=gs)
+    sol = solve_u(params, BENCHMARK_CLASS, solve_yang_yang(params, gs))
     assert sol.residual <= 1e-12 * max(h, T)
     nodes = sol.contour.nodes
     assert np.max(np.abs(sol.u_at(nodes) - sol.u_values)) <= 1e-11 * h

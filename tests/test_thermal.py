@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import bosegas.excitation
 import bosegas.thermal
+from bosegas.cli import main
 from bosegas.excitation import solve_u
 from bosegas.groundstate import ModelParams, build_ground_state
 from bosegas.numerics import NumericsError
@@ -80,7 +80,7 @@ class TestYangYangSolve:
     def test_tail_below_bare(self, thermal):
         # the tail integral is positive, so eps sits below the bare
         # dispersion, by an amount bounded by the slow kernel tail
-        lam = 0.95 * thermal.cutoff
+        lam = 0.95 * thermal.grid.b
         gap = (lam ** 2 - 1.0) - np.real(thermal.eps_at(lam))
         assert 0.0 < gap < 0.2
 
@@ -122,9 +122,12 @@ class TestAgainstDampedReference:
         gs = build_ground_state(ModelParams(c=params.c, h=params.h))
         thermal = solve_yang_yang(params, gs)
         fast = solve_u(params, BENCHMARK_CLASS, thermal=thermal, gs=gs)
-        monkeypatch.setattr(bosegas.excitation, "_fixed_point",
+        # the one solve step looks the fixed point up in thermal; patching
+        # another binding would compare the fast solve with itself
+        monkeypatch.setattr(bosegas.thermal, "_fixed_point",
                             damped_fixed_point)
         ref = solve_u(params, BENCHMARK_CLASS, thermal=thermal, gs=gs)
+        assert ref.iterations > fast.iterations
         scale = np.max(np.abs(ref.u_values))
         assert np.max(np.abs(fast.u_values - ref.u_values)) <= 1e-11 * scale
 
@@ -141,6 +144,46 @@ def test_weak_coupling_converges_and_survives_doubling(T):
         assert sol.residual <= 1e-12
         values.append(sol.eps_at(np.array([0.0, 0.5 * gs.q, gs.q])))
     assert np.max(np.abs(values[1] - values[0])) <= 1e-11
+
+
+def old_cutoff(params, gs):
+    """The cutoff rule that ignored eps0: sqrt(h + 40 T) plus a margin."""
+    core = np.sqrt(params.h + 40.0 * params.T)
+    return core + 1.5 * min(params.c, core)
+
+
+class TestWeakCouplingCutoff:
+    # h/c^2 = 100, T/h = 0.002: q = 1.357 exceeds the old cutoff 1.189,
+    # which truncated the grid inside the Fermi sea (eps(0) off by 0.20)
+    params = ModelParams(c=0.1, h=1.0, T=0.002)
+
+    @pytest.fixture(scope="class")
+    def gs(self):
+        return build_ground_state(ModelParams(c=0.1, h=1.0), n_nodes=192)
+
+    def test_matches_longer_cutoff(self, gs, monkeypatch):
+        sol = solve_yang_yang(self.params, gs)
+        # the cutoff sits at the root of eps0 = 40 T, beyond q
+        assert abs(gs.eps0(sol.grid.b) / (40.0 * self.params.T) - 1.0) < 1e-9
+        cutoff = bosegas.thermal.thermal_cutoff
+        monkeypatch.setattr(bosegas.thermal, "thermal_cutoff",
+                            lambda params, gs: cutoff(params, gs) + 1.0)
+        ref = solve_yang_yang(self.params, gs)
+        assert ref.grid.b > sol.grid.b + 0.99
+        assert abs(sol.eps_at(0.0) - ref.eps_at(0.0)) <= 1e-10
+
+    def test_truncated_grid_refused(self, gs, monkeypatch):
+        monkeypatch.setattr(bosegas.thermal, "thermal_cutoff", old_cutoff)
+        with pytest.raises(NumericsError, match="does not decay"):
+            solve_yang_yang(self.params, gs)
+
+    def test_truncated_grid_exits_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(bosegas.thermal, "thermal_cutoff", old_cutoff)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("c = 0.1\nh = 1.0\nT = 0.002\n")
+        assert main(["thermal", "--config", str(cfg), "--grid-n", "192",
+                     "--out", str(tmp_path / "th.csv")]) == 3
+        assert "does not decay" in capsys.readouterr().err
 
 
 class TestLowTemperatureLaw:
