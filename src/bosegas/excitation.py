@@ -15,7 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .groundstate import GroundState, ModelParams, kernel, kernel_prime
+from .groundstate import (GroundState, ModelParams, kernel, kernel_prime,
+                          weighted_kernel)
 from .numerics import Contour, SampledFunction
 from .thermal import ThermalSolution, continuation, solve_on, stable_log1pexp
 
@@ -250,7 +251,8 @@ def solve_u(params: ModelParams, cls: ExcitationClass,
     contour = excitation_contour(thermal, roots.u1_at_q)
     lam = contour.nodes
     u, lw, it, residual = solve_on(
-        contour, _driving_term(lam, params, roots, points), params)
+        weighted_kernel(lam, lam, contour.weights, params.c),
+        _driving_term(lam, params, roots, points), params)
     # the phase z = -(1/2 pi i) log[(1+e^{-u/T})/(1+e^{-eps/T})] vanishes
     # at both contour ends.  log(1 + e^{-eps/T}) takes the two-sided stable
     # evaluation, as for u in the fixed point.  Away from the Fermi

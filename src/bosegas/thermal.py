@@ -4,6 +4,8 @@ The one path for the nonlinear integral equation shared by the thermal
 excitation energy eps (on a real grid) and the excited-state energy u (on
 a deformed contour): one Anderson-accelerated solve with its tolerance and
 its refusal of an undecayed log weight, and one continuation off the nodes.
+eps is even and its grid mirror-symmetric, so its solve runs on the half
+line and its continuation on half of any negation-closed set of points.
 Also the low-temperature correction law of eps.
 """
 
@@ -66,16 +68,28 @@ def thermal_cutoff(params: ModelParams, gs: GroundState) -> float:
 
 def thermal_grid(params: ModelParams, gs: GroundState,
                  n_per_panel: int) -> Grid:
-    """Real-line grid graded towards the Fermi points +-q.
+    """Real-line grid graded towards the Fermi points +-q, mirror-symmetric
+    exactly: nodes odd and weights even under x -> -x.
 
     The crossover windows of the Fermi weight have width ~ T / eps0'(q), so
     panel widths start at that scale next to +-q and grow geometrically.
+    The left-to-right pruning of the graded sequence can keep different
+    neighbours on the two sides, so the positive breakpoints (and 0, if it
+    is one) are mirrored onto the negative half line.
     """
     lam = thermal_cutoff(params, gs)
     w0 = max(2.0 * params.T / gs.eps0_prime_q, 1e-4 * gs.q)
     bp = graded_breakpoints(-lam, lam, [-gs.q, gs.q], w0,
                             0.8 * min(params.c, lam))
-    return composite_grid(bp, n_per_panel)
+    pos = bp[bp > 0]
+    return composite_grid(np.concatenate([-pos[::-1], bp[bp == 0], pos]),
+                          n_per_panel)
+
+
+def _unfold(half, n: int):
+    """Values on the n nodes of a mirror-symmetric set from those on its
+    upper n - n//2 nodes (the middle one, for odd n, is its own image)."""
+    return np.concatenate([half[::-1][:n // 2], half])
 
 
 @dataclass(frozen=True)
@@ -91,8 +105,19 @@ class ThermalSolution:
     residual: float
 
     def eps_at(self, lam):
-        """Analytic continuation of eps via its own integral equation."""
-        return continuation(np.asarray(lam), lambda x: x ** 2 - self.params.h,
+        """Analytic continuation of eps via its own integral equation.  eps
+        is even, so on points closed under negation in mirrored order
+        (lam[::-1] == -lam exactly, as on the excited contour) the upper
+        half is evaluated and mirrored."""
+        lam = np.asarray(lam)
+        flat = lam.reshape(-1)
+        if flat.size > 1 and np.array_equal(flat[::-1], -flat):
+            upper = self._continued(flat[flat.size // 2:])
+            return _unfold(upper, flat.size).reshape(lam.shape)
+        return self._continued(lam)
+
+    def _continued(self, lam):
+        return continuation(lam, lambda x: x ** 2 - self.params.h,
                             self.grid, self.log_weight, self.params)
 
 
@@ -133,16 +158,16 @@ def _fixed_point(bare, kmat, T: float, tol: float):
     return f, stable_log1pexp(f / T), it, residual
 
 
-def solve_on(domain, bare, params: ModelParams):
+def solve_on(kmat, bare, params: ModelParams, ends=(0, -1)):
     """The finite-temperature solve shared by eps and u: the fixed point of
-    f = bare - (T/2pi) K W log(1 + e^{-f/T}) on the nodes and weights W of
-    ``domain``, to 1e-12 max(h, T).  A log weight that has not decayed at
-    both ends of the domain means the truncation cuts into the occupied
-    region, and is refused.  Returns what ``_fixed_point`` returns."""
-    kmat = weighted_kernel(domain.nodes, domain.nodes, domain.weights, params.c)
+    f = bare - (T/2pi) kmat log(1 + e^{-f/T}), ``kmat`` the kernel times the
+    quadrature weights on the nodes, to 1e-12 max(h, T).  A log weight that
+    has not decayed at the outer nodes ``ends`` of the domain means the
+    truncation cuts into the occupied region, and is refused.  Returns what
+    ``_fixed_point`` returns."""
     f, lw, it, residual = _fixed_point(bare, kmat, params.T,
                                        _TOL_FACTOR * max(params.h, params.T))
-    tail_decay = max(abs(lw[0]), abs(lw[-1]))
+    tail_decay = float(np.max(np.abs(lw[list(ends)])))
     if tail_decay > 1e-8:
         raise NumericsError(
             f"log weight does not decay at the grid ends ({tail_decay:.2e}); "
@@ -164,13 +189,28 @@ def continuation(lam, driving, domain, log_weight, params: ModelParams):
 def solve_yang_yang(params: ModelParams, gs: GroundState,
                     n_per_panel: int = PANEL_NODES) -> ThermalSolution:
     """Thermal excitation energy by the shared solve on the real grid, on
-    ``gs``, which must be of the same (c, h)."""
+    ``gs``, which must be of the same (c, h).
+
+    eps is even and the grid mirror-symmetric, so the solve runs on the
+    upper half of the nodes with the folded kernel K(x - y) + K(x + y),
+    and only the outermost node can show an undecayed tail.  A node at 0
+    (an odd-sized grid, from an odd ``n_per_panel``) is its own image and
+    keeps half its weight.
+    """
     if not params.T > 0:
         raise ValueError("finite-temperature solve requires T > 0")
     if (gs.params.c, gs.params.h) != (params.c, params.h):
         raise ValueError("ground state was built for another (c, h)")
     grid = thermal_grid(params, gs, n_per_panel)
-    eps, lw, it, residual = solve_on(grid, grid.nodes ** 2 - params.h, params)
+    n = grid.size
+    x, w = grid.nodes[n // 2:], grid.weights[n // 2:].copy()
+    if n % 2:
+        w[0] *= 0.5
+    kmat = weighted_kernel(x, x, w, params.c)
+    kmat += weighted_kernel(x, -x, w, params.c)
+    eps, lw, it, residual = solve_on(kmat, x ** 2 - params.h, params,
+                                     ends=(-1,))
+    eps, lw = _unfold(eps, n), _unfold(lw, n)
     return ThermalSolution(params=params, gs=gs, grid=grid,
                            eps=SampledFunction(grid, eps), log_weight=lw,
                            iterations=it, residual=residual)

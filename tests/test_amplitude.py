@@ -242,6 +242,34 @@ class TestFiniteTemperatureFactor:
         assert errs[0] > errs[1] > errs[2]
 
 
+@pytest.fixture(scope="module")
+def doubled_gs_at_two():
+    """Ground states at h/c^2 = 2 on 96 and on 192 Fermi nodes."""
+    return [build_ground_state(ModelParams(c=0.5 ** 0.5, h=1.0), n_nodes=n)
+            for n in (96, 192)]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="bd_finite_T at h/c^2 = 2 moves by "
+                   "5e-3 to 6e-2 under doubling, and nothing refuses it")
+@pytest.mark.parametrize("t_over_h", [0.005, 0.01, 0.02])
+def test_bd_survives_doubling_or_refuses_at_top_of_range(doubled_gs_at_two,
+                                                         t_over_h):
+    # the narrowing phase channel as Zq -> 2 is the likely cause; at
+    # h/c^2 = 1 the same doubling moves bd_finite_T by 2.5e-8
+    values = []
+    for gs, n_per_panel in zip(doubled_gs_at_two, (16, 32)):
+        params = ModelParams(c=gs.params.c, h=1.0, T=t_over_h)
+        try:
+            sol = solve_u(params, ExcitationClass(ell=1, p_plus=(1,),
+                                                  h_minus=(1,)),
+                          solve_yang_yang(params, gs, n_per_panel=n_per_panel))
+            values.append(bd_finite_T(sol))
+        except NumericsError:
+            return
+    assert abs(values[1] - values[0]) <= 1e-6 * abs(values[1])
+
+
 # a particle and a hole at each Fermi point: roots of all four kinds
 # (side +-q, particle or hole), so a sign slip in either label shows
 ALL_KINDS_CLASS = ExcitationClass(ell=0, p_plus=(2,), h_plus=(1,),

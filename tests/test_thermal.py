@@ -1,6 +1,9 @@
 """Finite-temperature solve: stable logarithms, fixed-point convergence
-(against a plain half-damped reference iteration) and the low-temperature
-law."""
+(against a plain half-damped reference iteration), the exact mirror parity
+the folded solve rests on (against a full-grid solve) and the
+low-temperature law."""
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -8,11 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 import bosegas.thermal
 from bosegas.cli import main
-from bosegas.excitation import solve_u
-from bosegas.groundstate import ModelParams, build_ground_state
+from bosegas.excitation import excitation_contour, solve_u
+from bosegas.groundstate import ModelParams, build_ground_state, weighted_kernel
 from bosegas.numerics import NumericsError
-from bosegas.thermal import (_fixed_point, eps2_at, solve_yang_yang,
-                             stable_log1pexp)
+from bosegas.thermal import (_fixed_point, continuation, eps2_at,
+                             solve_yang_yang, stable_log1pexp, thermal_grid)
 from bosegas.verification import BENCHMARK_CLASS
 
 
@@ -73,9 +76,12 @@ class TestYangYangSolve:
         assert thermal.iterations <= 30
 
     def test_even(self, thermal):
-        lam = np.array([0.25, 0.8, 1.5])
-        assert np.max(np.abs(thermal.eps_at(lam)
-                             - thermal.eps_at(-lam))) < 1e-11
+        # exactly: on the nodes, and off them on a negation-closed set
+        assert np.array_equal(thermal.eps.values[::-1], thermal.eps.values)
+        assert np.array_equal(thermal.log_weight[::-1], thermal.log_weight)
+        lam = np.array([-1.5, -0.8, -0.25, 0.0, 0.25, 0.8, 1.5])
+        vals = thermal.eps_at(lam)
+        assert np.array_equal(vals[::-1], vals)
 
     def test_tail_below_bare(self, thermal):
         # the tail integral is positive, so eps sits below the bare
@@ -130,6 +136,83 @@ class TestAgainstDampedReference:
         assert ref.iterations > fast.iterations
         scale = np.max(np.abs(ref.u_values))
         assert np.max(np.abs(fast.u_values - ref.u_values)) <= 1e-11 * scale
+
+
+@lru_cache(maxsize=None)
+def ground_state_at(ratio):
+    return build_ground_state(ModelParams(c=np.sqrt(1.0 / ratio), h=1.0))
+
+
+PARITY_RATIOS = (0.01, 0.1, 0.5, 1.0, 2.0, 4.0, 16.0)
+PARITY_T_OVER_H = (0.002, 0.005, 0.01, 0.02, 0.05)
+# an edge value u1 midway in the range |Im u1| < 2 pi that has a contour
+CHANNEL_U1 = -1.0j * np.pi
+
+
+class TestExactParity:
+    # on the unmirrored graded sequence about 1 in 4 of these grids was
+    # asymmetric: the geometric sequence from +q spills past -q, and the
+    # left-to-right pruning keeps a different neighbour on each side (at
+    # h/c^2 = 2, T/h = 0.005 the inner panel beside -q was
+    # [-1.21569, -1.21356], the one beside +q [1.21236, 1.21569])
+    @pytest.mark.parametrize("ratio", PARITY_RATIOS)
+    def test_grid_mirror_symmetric(self, ratio):
+        gs = ground_state_at(ratio)
+        for t_over_h in PARITY_T_OVER_H:
+            grid = thermal_grid(coupling_params(ratio, t_over_h), gs, 16)
+            assert np.array_equal(grid.nodes[::-1], -grid.nodes)
+            assert np.array_equal(grid.weights[::-1], grid.weights)
+            assert np.array_equal(grid.breakpoints[::-1], -grid.breakpoints)
+
+    @pytest.mark.parametrize("ratio", PARITY_RATIOS)
+    def test_excitation_contour_odd(self, ratio):
+        gs = ground_state_at(ratio)
+        for t_over_h in PARITY_T_OVER_H:
+            thermal = solve_yang_yang(coupling_params(ratio, t_over_h), gs)
+            contour = excitation_contour(thermal, CHANNEL_U1)
+            assert np.any(contour.nodes.imag != 0.0)
+            assert np.array_equal(contour.nodes[::-1], -contour.nodes)
+            assert np.array_equal(contour.weights[::-1], contour.weights)
+
+
+def full_grid_solve(sol):
+    """The unfolded Yang-Yang fixed point on the full grid of ``sol``."""
+    params, grid = sol.params, sol.grid
+    kmat = weighted_kernel(grid.nodes, grid.nodes, grid.weights, params.c)
+    return _fixed_point(grid.nodes ** 2 - params.h, kmat, params.T,
+                        1e-12 * max(params.h, params.T))
+
+
+class TestFoldAgainstFullGrid:
+    @pytest.mark.parametrize("n_per_panel", [16, 15])
+    @pytest.mark.parametrize("t_over_h", [0.002, 0.05])
+    @pytest.mark.parametrize("ratio", [0.01, 1.0, 16.0, 25.0])
+    def test_eps_matches(self, ratio, t_over_h, n_per_panel):
+        sol = solve_yang_yang(coupling_params(ratio, t_over_h),
+                              ground_state_at(ratio), n_per_panel=n_per_panel)
+        # an odd-sized grid has a node at 0, which is its own image
+        assert sol.grid.size % 2 == 0 \
+            or sol.grid.nodes[sol.grid.size // 2] == 0.0
+        eps, lw, _, _ = full_grid_solve(sol)
+        scale = np.max(np.abs(eps))
+        assert np.max(np.abs(sol.eps.values - eps)) <= 1e-12 * scale
+        assert np.max(np.abs(sol.log_weight - lw)) \
+            <= 1e-12 * np.max(np.abs(lw))
+
+    def test_odd_panel_puts_a_node_at_zero(self, thermal):
+        sol = solve_yang_yang(thermal.params, thermal.gs, n_per_panel=15)
+        assert sol.grid.size % 2 == 1
+
+    def test_negation_closed_continuation(self, thermal):
+        # on the odd excited contour eps_at evaluates one half and mirrors
+        # it; the plain continuation evaluates every point
+        contour = excitation_contour(thermal, CHANNEL_U1)
+        lam = contour.nodes
+        assert np.array_equal(lam[::-1], -lam)
+        ref = continuation(lam, lambda x: x ** 2 - thermal.params.h,
+                           thermal.grid, thermal.log_weight, thermal.params)
+        assert np.max(np.abs(thermal.eps_at(lam) - ref)) \
+            <= 1e-14 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("T", [0.002, 0.05])
