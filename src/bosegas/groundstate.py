@@ -60,7 +60,9 @@ class ModelParams:
 
 
 def fermi_grid(q: float, n_nodes: int) -> Grid:
-    """Symmetric composite Gauss-Legendre grid on [-q, q]."""
+    """Composite Gauss-Legendre grid on [-q, q], two mirrored panels: its
+    nodes are exactly odd and its weights exactly even, as the parity
+    split of ``nystrom_factorize`` requires."""
     if n_nodes <= 0 or n_nodes % 2:
         raise ValueError(f"grid size {n_nodes} is not a positive even integer")
     return composite_grid([-q, 0.0, q], n_nodes // 2)
@@ -70,36 +72,44 @@ _RESOLUTION = 1e-12  # largest Gauss-Legendre rate of an accepted Fermi grid
 _MAX_NEWTON = 50
 
 
-def _interval_solutions(params: ModelParams, q: float, n_nodes: int):
-    """eps0, eps0', Z, R(., q) and R(., -q) on [-q, q], one factorization."""
-    c = params.c
-    grid = fermi_grid(q, n_nodes)
-    kern = lambda x, y: kernel(x - y, c)
-    inv = nystrom_factorize(kern, grid)
-    rhs_fns = (lambda lam: lam ** 2 - params.h,
-               lambda lam: 2.0 * lam,
-               lambda lam: np.ones_like(np.asarray(lam, dtype=float)),
-               lambda lam: kernel(lam - q, c) / (2.0 * np.pi),
-               lambda lam: kernel(lam + q, c) / (2.0 * np.pi))
-    return tuple(nystrom_solve(kern, grid, inv, f) for f in rhs_fns)
+def _drives(params: ModelParams, q: float):
+    """Right-hand sides of eps0, eps0', Z, R(., q) and R(., -q) on [-q, q]."""
+    c, h = params.c, params.h
+    return (lambda lam: lam ** 2 - h,
+            lambda lam: 2.0 * lam,
+            lambda lam: np.ones_like(np.asarray(lam, dtype=float)),
+            lambda lam: kernel(lam - q, c) / (2.0 * np.pi),
+            lambda lam: kernel(lam + q, c) / (2.0 * np.pi))
 
 
 def solve_fermi_boundary(params: ModelParams, n_nodes: int):
-    """Fermi boundary q, where eps0(q|q) = 0, and the interval solutions.
+    """Fermi boundary q, where eps0(q|q) = 0, and the interval solutions
+    eps0, eps0', Z, R(., q) and R(., -q).
 
     Newton iteration on E(q) = eps0(q|q) from q = sqrt(h), where E < 0.
     As d eps0(lambda|q)/dq = E [R(lambda, q) + R(lambda, -q)], the exact
-    slope dE/dq = eps0'(q) + 2 E R(q, -q) comes from the same solve as E.
+    slope dE/dq = eps0'(q) + 2 E R(q, -q) comes from the same factorization
+    as E; each iterate solves only eps0, eps0' and R(., -q), and Z and
+    R(., q) are solved once, at the accepted q.
     The kernel poles at +-ic limit Gauss-Legendre on the two panels of
     half-width q/2 to the rate (a + sqrt(a^2 + 1))^(-n_nodes), a = 2c/q;
     it is checked at the root only, since the first step overshoots.
     """
+    kern = lambda x, y: kernel(x - y, params.c)
     q = float(np.sqrt(params.h))
     for _ in range(_MAX_NEWTON):
-        sols = _interval_solutions(params, q, n_nodes)
-        eps0, eps0_prime, _, _, r_minus = sols
-        edge = float(np.real(eps0(q)))
-        step = edge / float(np.real(eps0_prime(q) + 2.0 * edge * r_minus(q)))
+        grid = fermi_grid(q, n_nodes)
+        inv = nystrom_factorize(kern, grid)
+        energy, slope, charge, drive_plus, drive_minus = _drives(params, q)
+        terms = (energy, slope, drive_minus)
+        sols = eps0, eps0_prime, R_minus = [
+            nystrom_solve(kern, grid, inv, f) for f in terms]
+        # the three at q by the natural Nystrom formula on one kernel row,
+        # not three NystromSolution calls: this is the search's inner loop
+        row = kern(q, grid.nodes) * grid.weights / (2.0 * np.pi)
+        edge, d_edge, r_edge = (float(f(q) + row @ sol.values)
+                                for f, sol in zip(terms, sols))
+        step = edge / (d_edge + 2.0 * edge * r_edge)
         if abs(step) <= 1e-13 * q:
             break
         q -= step
@@ -112,7 +122,9 @@ def solve_fermi_boundary(params: ModelParams, n_nodes: int):
     if rate > _RESOLUTION:
         raise NumericsError(f"{n_nodes} nodes unresolved at q/c = "
                             f"{q / params.c:.3g} (rate {rate:.1e})")
-    return q, sols
+    Z, R_plus = (nystrom_solve(kern, grid, inv, f)
+                 for f in (charge, drive_plus))
+    return q, (eps0, eps0_prime, Z, R_plus, R_minus)
 
 
 @dataclass(frozen=True)
@@ -139,13 +151,18 @@ class GroundState:
 
     def _check(self):
         h, q = self.params.h, self.q
-        edge = max(abs(self.eps0(q)), abs(self.eps0(-q)))
+        edge = abs(self.eps0(q))  # eps0 is exactly even: eps0(-q) adds nothing
         if edge > 1e-10 * h:
             raise ArithmeticError(f"dressed energy at the edge: {edge:.2e}")
-        asym = max(np.max(np.abs(self.eps0.values - self.eps0.values[::-1])),
-                   np.max(np.abs(self.Z.values - self.Z.values[::-1])))
-        if asym > 1e-10 * max(h, 1.0):
-            raise ArithmeticError(f"even-symmetry violation: {asym:.2e}")
+        # the unfolded equations on the full grid: eps0 and Z check the
+        # even block, eps0' the odd one
+        lam = self.grid.nodes
+        kw = weighted_kernel(lam, lam, self.grid.weights / (2.0 * np.pi),
+                             self.params.c)
+        residual = max(np.max(np.abs(f.values - kw @ f.values - f.rhs_fn(lam)))
+                       for f in (self.eps0, self.eps0_prime, self.Z))
+        if residual > 1e-10 * max(h, 1.0):
+            raise ArithmeticError(f"Fermi-interval residual {residual:.2e}")
         if self.Zq < 1.0 - 1e-10:
             raise ArithmeticError(f"dressed charge at the edge {self.Zq} < 1")
         if not (self.eps0_prime_q > 0 and self.v0 > 0):

@@ -375,14 +375,17 @@ class TestAssembledAmplitude:
 
 class TestAmplitudePlan:
     # A(0.2, ell) at c = h = 1 (grid 96, contour 256): (B_smooth, A_tilde).
-    # B_smooth is from the per-call implementation the plan replaced;
-    # A_tilde is from the plan with C1 of Z built on the Nystrom-exact Z'
-    # and Z'' (kernel derivatives under the integral), independent of the
-    # spectral derivative.
+    # B_smooth at ell = 0 is from the per-call implementation the plan
+    # replaced; at ell = 1, where the contour determinant's condition
+    # number is ~3.5e4 and double evaluations scatter by several 1e-13,
+    # it is the 30-digit value of make_smooth_amplitude_pin.py (the
+    # per-call value was 5.0e-13 off it).  A_tilde is from the plan with C1
+    # of Z built on the Nystrom-exact Z' and Z'' (kernel derivatives under
+    # the integral), independent of the spectral derivative.
     PER_CALL = {
         0: (1.6979437288369905 + 4.2919855714803947e-16j,
             0.6528020040221837 + 7.683178456037069e-16j),
-        1: (0.8340925922091914 + 2.962024709241748e-14j,
+        1: (0.8340925922096065 + 0.0j,
             4.961075245919725e-14 + 1.3387178785218532e-27j),
     }
 

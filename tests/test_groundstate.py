@@ -1,6 +1,8 @@
 """Zero-temperature solves: parameter validation, strong-coupling anchors,
 pinned benchmark scalars, structural symmetries and the boundary search."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -9,7 +11,7 @@ from bosegas import groundstate
 from bosegas.groundstate import (FERMI_NODES, ModelParams,
                                  build_ground_state, kernel,
                                  solve_fermi_boundary, weighted_kernel)
-from bosegas.numerics import (NumericsError, composite_grid,
+from bosegas.numerics import (NumericsError, ParityInverse, composite_grid,
                               nystrom_factorize, nystrom_solve)
 
 
@@ -164,6 +166,73 @@ def test_spectral_derivatives_of_charge(ratio):
     der2 = gs.grid.derivative(der)
     assert np.max(np.abs(der - zp)) <= 1e-11 * np.max(np.abs(zp))
     assert np.max(np.abs(der2 - zpp)) <= 1e-8 * np.max(np.abs(zpp))
+
+
+def _dense_ground_state(c, h, n_nodes):
+    """q, the grid, the five functions on its nodes (rows: eps0, eps0', Z,
+    R(., q), R(., -q)) and their values at q, by the same Newton search
+    with dense solves of the full n_nodes system."""
+    q = np.sqrt(h)
+    for _ in range(50):
+        grid = composite_grid([-q, 0.0, q], n_nodes // 2)
+        lam, w = grid.nodes, grid.weights
+        kw = kernel(lam[:, None] - lam[None, :], c) / (2.0 * np.pi) * w
+        drive = lambda x: np.stack([x * x - h, 2.0 * x, np.ones_like(x),
+                                    kernel(x - q, c) / (2.0 * np.pi),
+                                    kernel(x + q, c) / (2.0 * np.pi)])
+        sols = np.linalg.solve(np.eye(lam.size) - kw, drive(lam).T).T
+        row = kernel(q - lam, c) / (2.0 * np.pi) * w
+        at_q = drive(np.array(q)) + sols @ row
+        step = at_q[0] / (at_q[1] + 2.0 * at_q[0] * at_q[4])
+        if abs(step) <= 1e-13 * q:
+            return q, grid, sols, at_q
+        q -= step
+    raise AssertionError("dense Newton search did not converge")
+
+
+class TestParitySplit:
+    """The even/odd block solve against dense solves of the full system,
+    and the exact parity it gives."""
+
+    NAMES = ("eps0", "eps0_prime", "Z", "R_plus", "R_minus")
+
+    @pytest.mark.parametrize("n_nodes", [96, 192])
+    @pytest.mark.parametrize("ratio", [0.01, 0.1, 1.0, 4.0, 16.0])
+    def test_matches_dense_solve(self, ratio, n_nodes):
+        c, h = 1.0 / np.sqrt(ratio), 1.0
+        gs = build_ground_state(ModelParams(c=c, h=h), n_nodes=n_nodes)
+        q, grid, sols, at_q = _dense_ground_state(c, h, n_nodes)
+        ref = {"q": q, "Zq": at_q[2], "v0": at_q[1] / at_q[2],
+               "D": grid.weights @ sols[2] / (2.0 * np.pi)}
+        for name, value in ref.items():
+            assert abs(getattr(gs, name) - value) <= 1e-12 * abs(value), name
+        for name, values in zip(self.NAMES, sols):
+            got = getattr(gs, name).values
+            assert np.max(np.abs(got - values)) <= 1e-12 * np.max(
+                np.abs(values)), name
+
+    @pytest.mark.parametrize("ratio", [0.01, 1.0, 16.0])
+    def test_exact_parity(self, ratio):
+        gs = build_ground_state(ModelParams(c=1.0 / np.sqrt(ratio), h=1.0))
+        assert np.array_equal(gs.eps0.values, gs.eps0.values[::-1])
+        assert np.array_equal(gs.Z.values, gs.Z.values[::-1])
+        assert np.array_equal(gs.eps0_prime.values,
+                              -gs.eps0_prime.values[::-1])
+        assert np.array_equal(gs.R_minus.values, gs.R_plus.values[::-1])
+
+    @pytest.mark.parametrize("name, drive", [
+        ("eps0_prime", lambda lam: 2.0 * lam),
+        ("Z", lambda lam: np.ones_like(lam)),
+    ], ids=["eps0_prime", "Z"])
+    def test_block_error_refused(self, gs, name, drive):
+        # an odd solve through the even block, or an even one through the
+        # odd block, fails the residual check of the unfolded equations
+        kern = lambda x, y: kernel(x - y, gs.params.c)
+        inv = nystrom_factorize(kern, gs.grid)
+        swapped = ParityInverse(inv.blocks[::-1], inv.cond)
+        wrong = nystrom_solve(kern, gs.grid, swapped, drive)
+        with pytest.raises(ArithmeticError, match="residual"):
+            dataclasses.replace(gs, **{name: wrong})._check()
 
 
 def _edge_energy(c, h, q, n_nodes=FERMI_NODES):

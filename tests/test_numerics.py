@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bosegas.groundstate import ModelParams, build_ground_state, kernel
 from bosegas.numerics import (Contour, NumericsError, SampledFunction,
                               cauchy_transform, composite_grid,
                               fredholm_logdet, graded_breakpoints,
@@ -129,6 +130,29 @@ class TestNystrom:
         grid = composite_grid([-1.0, 0.0, 1.0], 8)
         kern = lambda x, y: np.full(np.broadcast(x, y).shape, np.pi)
         with pytest.raises(NumericsError):
+            nystrom_factorize(kern, grid)
+
+    @pytest.mark.parametrize("ratio", [0.01, 1.0, 16.0])
+    def test_condition_number_from_blocks(self, ratio):
+        # the refusal reads the full operator's exact 1-norm condition
+        # number, assembled from the even and odd blocks
+        c = 1.0 / np.sqrt(ratio)
+        grid = build_ground_state(ModelParams(c=c, h=1.0)).grid
+        kern = lambda x, y: kernel(x - y, c)
+        lam = grid.nodes
+        dense = np.eye(grid.size) - (1.0 / (2.0 * np.pi)) * (
+            kern(lam[:, None], lam[None, :]) * grid.weights)
+        got = nystrom_factorize(kern, grid).cond
+        assert abs(got - np.linalg.cond(dense, 1)) <= 1e-10 * got
+
+    @pytest.mark.parametrize("grid", [
+        composite_grid([0.0, 1.0], 8),          # not mirror-symmetric
+        composite_grid([-1.0, 0.2, 1.0], 8),    # mirrored size, not nodes
+        composite_grid([-1.0, 1.0], 7),         # odd size
+    ], ids=["shifted", "asymmetric-panels", "odd-size"])
+    def test_grid_without_parity_refused(self, grid):
+        kern = lambda x, y: np.cos(x) * np.cos(y)
+        with pytest.raises(ValueError, match="mirror"):
             nystrom_factorize(kern, grid)
 
     def test_separable_kernel(self):
