@@ -12,13 +12,14 @@ verification operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .excitation import USolution
-from .groundstate import GroundState, kernel
-from .numerics import (Contour, NumericsError, SampledFunction,
-                       cauchy_transform, fredholm_logdet)
+from .groundstate import GroundState, kernel, weighted_kernel
+from .numerics import (ConjugatePairing, Contour, NumericsError,
+                       SampledFunction, cauchy_transform, fredholm_logdet)
 from .specfun import (barnes_g, barnes_g_one, gamma_ratio, ln_barnes_g,
                       ln_gamma)
 
@@ -200,12 +201,14 @@ class AmplitudePlan:
     """The part of the term amplitudes that depends on neither the twist
     alpha nor the distance x, for one ground state and contour size.
 
-    Holds the determinant contour; the Cauchy transforms L[Z] at its nodes
-    w and at w +- ic; the Cauchy kernel 1/(w_i - w_j + ic); the interval
+    Holds the determinant contour and the conjugate pairing of its nodes;
+    the Cauchy transforms L[Z] at its nodes w and at w +- ic; the interval
     log-determinant; and the offset and edge functionals of the dressed
     charge at unit twist (both are homogeneous of degree 2, so C0 and C1 of
-    alpha_ell Z are alpha_ell^2 times these). The contour size must be
-    even, so that its nodes are closed under w -> -w (see
+    alpha_ell Z are alpha_ell^2 times these). On first use it builds the
+    zero-twist kernel of ``harmonic``, in the real form of the pairing, and
+    the kernel 1/(w_i - w_j + ic) of the twisted ``amplitude``. The contour
+    size must be even, so that its nodes are closed under w -> -w (see
     ``_smooth_factor``).
     """
 
@@ -222,13 +225,49 @@ class AmplitudePlan:
         # Z is real and conj(w_k) = w_{-k}, so L[Z](w_k - ic) is the
         # conjugate of L[Z](w_{-k} + ic)
         self.lz_dn = np.conj(self.lz_up[-np.arange(n) % n])
-        # 1/(w_i - w_j + ic); its partner 1/(w_i - w_j - ic) is -k_up.T
-        self.k_up = 1.0 / (w[:, None] - w[None, :] + 1j * c)
         lam = gs.grid.nodes
         self.ld_k = fredholm_logdet(kernel(lam[:, None] - lam[None, :], c),
                                     gs.grid, -1.0 / (2.0 * np.pi))
         self.c0 = c0_functional(gs.Z, c)
         self.c1 = c1_functional(SampledFunction(gs.grid, gs.Z.values))
+        # the ellipse's real nodes w_0 and w_{n/2}, and its pairs w_{-k} =
+        # conj(w_k); residue nodes would add real zeros and conjugate pairs
+        k = np.arange(1, n // 2)
+        self.pairing = ConjugatePairing(np.array([0, n // 2]),
+                                        np.stack([k, n - k], axis=1))
+
+    @cached_property
+    def k_zero(self) -> np.ndarray:
+        """The phase-1 kernel of ``_smooth_factor`` at theta = q with the
+        weights and 1/2 pi i, kappa(w_i - w_j) - kappa(-q - w_j) with
+        kappa(d) = 1/(d + ic) - 1/(d - ic) = -i K(d), on the rows and
+        combined columns of ``pairing``."""
+        w, dz = self.contour.nodes, self.contour.weights
+        c = self.gs.params.c
+        mat = weighted_kernel(w[self.pairing.rows], w, dz, c)
+        mat -= kernel(-self.gs.q - w, c) * dz
+        mat *= -1.0 / (2.0 * np.pi)
+        return self.pairing.columns(mat)
+
+    @cached_property
+    def k_up(self) -> np.ndarray:
+        """1/(w_i - w_j + ic); its partner 1/(w_i - w_j - ic) is -k_up.T."""
+        w = self.contour.nodes
+        return 1.0 / (w[:, None] - w[None, :] + 1j * self.gs.params.c)
+
+    def _row_factor(self, al, phase) -> np.ndarray:
+        """-e^{-al L[Z](w)} / denom(w), the row scaling of the contour
+        kernel, with denom(w) = e^{-al L[Z](w + ic)}
+        - phase e^{-al L[Z](w - ic)}."""
+        denom = np.exp(-al * self.lz_up) - phase * np.exp(-al * self.lz_dn)
+        return -np.exp(-al * self.lz) / denom
+
+    def _bracket(self, al, phase, theta) -> complex:
+        """e^{-al L[Z](-theta + ic)} - phase e^{-al L[Z](-theta - ic)}."""
+        c = self.gs.params.c
+        up, dn = cauchy_transform(self.gs.Z,
+                                  -theta + 1j * c * np.array([1.0, -1.0]))
+        return np.exp(-al * up) - phase * np.exp(-al * dn)
 
     def _smooth_factor(self, al, phase, theta) -> complex:
         """Ratio of contour Fredholm determinants at shifted twist al and
@@ -245,18 +284,14 @@ class AmplitudePlan:
         where denom2 vanishes at -z.
         """
         c = self.gs.params.c
-        up, dn = cauchy_transform(self.gs.Z,
-                                  -theta + 1j * c * np.array([1.0, -1.0]))
-        denom = np.exp(-al * self.lz_up) - phase * np.exp(-al * self.lz_dn)
         # one buffer, in C order: a transposed one changes slogdet's rounding
         mat = np.multiply(phase, self.k_up.T, order="C")
         mat += self.k_up
         mat -= k_alpha(-theta - self.contour.nodes, phase, c)
-        mat *= (-np.exp(-al * self.lz) / denom)[:, None]
+        mat *= self._row_factor(al, phase)[:, None]
         ld = fredholm_logdet(mat, self.contour, 1.0 / (2.0j * np.pi))
-        bracket = np.exp(-al * up) - phase * np.exp(-al * dn)
         return complex(np.exp(-al ** 2 * self.c0 + 2.0 * (ld - self.ld_k))
-                       / bracket ** 2)
+                       / self._bracket(al, phase, theta) ** 2)
 
     def _discrete_factor(self, al) -> complex:
         """Barnes, edge-functional and normalisation factors of the term
@@ -296,13 +331,26 @@ class AmplitudePlan:
         The term amplitude is A(alpha) = (e^{2 pi i alpha} - 1)^2 F(alpha)
         with F regular at zero twist, so the coefficient D^2 ell^2 A''(0)/2
         is -4 pi^2 D^2 ell^2 F(0): one determinant evaluation at phase 1.
+
+        At phase 1 the row-scaled kernel of ``_smooth_factor`` is
+        conjugation-symmetric on the pairing of the contour (Z is real, so
+        L[Z](conj w) = conj L[Z](w), and conj(w_k) = w_{-k}), so its
+        determinant is that of a real matrix, and it is squared. C0 is real
+        by l <-> m symmetry, and the bracket is 2i Im e^{-ell L[Z](-q + ic)},
+        so its square is -(Im)^2: the coefficient is real, and returned with
+        imaginary part 0.
         """
         if ell == 0:
             raise ValueError("the ell = 0 term has a closed form")
-        f0 = (self._smooth_factor(ell, 1.0, self.gs.q)
-              * self._discrete_factor(ell))
-        value = complex(-4.0 * np.pi ** 2 * self.gs.D ** 2 * ell ** 2 * f0)
-        return _require_finite(value, f"harmonic amplitude at ell = {ell}")
+        rows = self._row_factor(ell, 1.0)[self.pairing.rows]
+        ld = self.pairing.logabsdet(rows[:, None] * self.k_zero)
+        im = self._bracket(ell, 1.0, self.gs.q).imag
+        value = (4.0 * np.pi ** 2 * (self.gs.D * ell / im) ** 2
+                 * np.exp(-ell ** 2 * self.c0.real
+                          + 2.0 * (ld - self.ld_k.real))
+                 * self._discrete_factor(ell).real)
+        return complex(_require_finite(value,
+                                       f"harmonic amplitude at ell = {ell}"))
 
 
 def smooth_amplitude(gs: GroundState, alpha: complex, ell: int,

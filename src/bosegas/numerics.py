@@ -3,7 +3,8 @@
 Gauss-Legendre grids (single interval or graded composite panels) with
 closed-form barycentric interpolation and differentiation on each panel,
 Nystrom solution of second-kind linear integral equations, Fredholm
-determinants on intervals and closed contours, and Cauchy transforms with
+determinants on intervals and closed contours (a conjugation-symmetric one
+through a real matrix of the same size), and Cauchy transforms with
 singularity subtraction near the integration domain.
 """
 
@@ -298,6 +299,48 @@ def fredholm_logdet(matrix, domain, prefactor: complex) -> complex:
     if sign == 0:
         raise NumericsError("vanishing Fredholm determinant")
     return complex(np.log(sign) + logabs)
+
+
+@dataclass(frozen=True)
+class ConjugatePairing:
+    """Node indices of a set closed under conjugation: the ``real`` nodes
+    are their own conjugates, and node ``pairs[k, 1]`` is the conjugate of
+    node ``pairs[k, 0]``.
+
+    A matrix A on such nodes with A[j~, k~] = conj(A[j, k]) has a real
+    determinant det(I + A): combining each pair of columns as a_k + a_k~ and
+    i(a_k - a_k~) (determinant (-2i)^m over m pairs) makes row j~ the
+    conjugate of row j, and taking Re and Im of each paired row (determinant
+    (i/2)^m) leaves a real matrix T with det T = det(I + A) and the identity
+    on its diagonal. T reads only the rows ``rows`` of A.
+    """
+
+    real: np.ndarray
+    pairs: np.ndarray  # shape (m, 2)
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The real nodes, then the first node of each pair."""
+        return np.concatenate([self.real, self.pairs[:, 0]])
+
+    def columns(self, matrix) -> np.ndarray:
+        """Columns of ``matrix`` at the real nodes, then a_k + a_k~ and then
+        i(a_k - a_k~) over the pairs (k, k~)."""
+        a, b = matrix[:, self.pairs[:, 0]], matrix[:, self.pairs[:, 1]]
+        return np.hstack([matrix[:, self.real], a + b, 1j * (a - b)])
+
+    def logabsdet(self, combined) -> float:
+        """log|det(I + A)| from ``combined = columns(A)[rows]``, by one real
+        LU of T; det(I + A) is real, and its sign is dropped."""
+        if not np.all(np.isfinite(combined)):
+            raise NumericsError(
+                "non-finite kernel sample in Fredholm determinant")
+        t = np.vstack([combined.real, combined[self.real.size:].imag])
+        t.flat[::len(t) + 1] += 1.0
+        sign, logabs = np.linalg.slogdet(t)
+        if sign == 0:
+            raise NumericsError("vanishing Fredholm determinant")
+        return float(logabs)
 
 
 # ---------------------------------------------------------------------------

@@ -379,14 +379,17 @@ class TestAmplitudePlan:
     # replaced; at ell = 1, where the contour determinant's condition
     # number is ~3.5e4 and double evaluations scatter by several 1e-13,
     # it is the 30-digit value of make_smooth_amplitude_pin.py (the
-    # per-call value was 5.0e-13 off it).  A_tilde is from the plan with C1
-    # of Z built on the Nystrom-exact Z' and Z'' (kernel derivatives under
-    # the integral), independent of the spectral derivative.
+    # per-call value was 5.0e-13 off it).  A_tilde at ell = 0 is from the
+    # plan with C1 of Z built on the Nystrom-exact Z' and Z'' (kernel
+    # derivatives under the integral), independent of the spectral
+    # derivative; at ell = 1 it is that 30-digit B_smooth times the
+    # well-conditioned double _discrete_factor(1.2), so it carries no
+    # double-evaluated determinant.
     PER_CALL = {
         0: (1.6979437288369905 + 4.2919855714803947e-16j,
             0.6528020040221837 + 7.683178456037069e-16j),
         1: (0.8340925922096065 + 0.0j,
-            4.961075245919725e-14 + 1.3387178785218532e-27j),
+            4.961075245920777e-14 - 3.645338952147629e-29j),
     }
 
     @pytest.mark.parametrize("ell", [0, 1])
@@ -424,13 +427,24 @@ class TestAmplitudePlan:
             plan.amplitude(0.2, 1)
 
 
+def row_scaled_kernel(plan, alpha, ell):
+    """The kernel of the smooth factor's first determinant, from the plan's
+    fields: k_alpha(w_i - w_j) - k_alpha(-q - w_j), row-scaled by
+    -e^{-al L}/denom1 at reference point -q."""
+    c, q, w = plan.gs.params.c, plan.gs.q, plan.contour.nodes
+    al, phase = alpha + ell, np.exp(2j * np.pi * alpha)
+    ka = k_alpha(w[:, None] - w[None, :], phase, c)
+    denom1 = np.exp(-al * plan.lz_up) - phase * np.exp(-al * plan.lz_dn)
+    row = (-np.exp(-al * plan.lz) / denom1)[:, None]
+    return row * (ka - k_alpha(-q - w[None, :], phase, c))
+
+
 def two_determinants(plan, alpha, ell):
     """The smooth factor as a product of its two determinants, each
-    computed from the plan's fields: the kernel row-scaled by
-    -e^{-al L}/denom1 at reference point -q and the kernel column-scaled
-    by e^{al L}/denom2 at q. Returns both log-determinants, the factor and
-    the winding number of denom1 over the contour nodes (the number of its
-    zeros inside the contour)."""
+    computed from the plan's fields: the row-scaled kernel at reference
+    point -q and the kernel column-scaled by e^{al L}/denom2 at q. Returns
+    both log-determinants, the factor and the winding number of denom1 over
+    the contour nodes (the number of its zeros inside the contour)."""
     gs, c, q = plan.gs, plan.gs.params.c, plan.gs.q
     w = plan.contour.nodes
     al, phase = alpha + ell, np.exp(2j * np.pi * alpha)
@@ -438,10 +452,9 @@ def two_determinants(plan, alpha, ell):
     denom1 = np.exp(-al * plan.lz_up) - phase * np.exp(-al * plan.lz_dn)
     denom2 = np.exp(al * plan.lz_dn) - phase * np.exp(al * plan.lz_up)
     pref = 1.0 / (2j * np.pi)
-    row = (-np.exp(-al * plan.lz) / denom1)[:, None]
     col = (np.exp(al * plan.lz) / denom2)[None, :]
-    ld1 = fredholm_logdet(row * (ka - k_alpha(-q - w[None, :], phase, c)),
-                          plan.contour, pref)
+    ld1 = fredholm_logdet(row_scaled_kernel(plan, alpha, ell), plan.contour,
+                          pref)
     ld2 = fredholm_logdet((ka - k_alpha(w[:, None] - q, phase, c)) * col,
                           plan.contour, pref)
     up1, dn1, dn2, up2 = cauchy_transform(gs.Z, np.array(
@@ -456,22 +469,22 @@ def two_determinants(plan, alpha, ell):
 
 # (h/c^2, ell, alpha) where denom has two zeros inside the default ellipse
 # (ROADMAP item 3): there rounding is amplified, so they are left out
-ENCLOSED = {(0.1, -1, 0.2), (0.3, -1, -0.3), (0.3, 1, -0.3), (0.3, 2, 0.0),
-            (0.3, 2, 0.2)}
+ENCLOSED = {(0.1, -1, 0.2), (0.3, -1, -0.3), (0.3, 1, -0.3), (0.3, -2, 0.0),
+            (0.3, 2, 0.0), (0.3, 2, 0.2)}
 
 
 @pytest.fixture(scope="module", params=[(r, n) for r in (0.01, 0.1, 0.3)
-                                        for n in (256, 512)],
+                                        for n in (6, 130, 256, 512)],
                 ids=lambda p: f"h/c2={p[0]}-n={p[1]}")
 def plan_cases(request):
-    """A plan at h = 1 and the given h/c^2 and contour size, with the
-    two-determinant reference at every (ell, alpha) where no zero of denom
-    is enclosed."""
+    """A plan at h = 1 and the given h/c^2 and contour size (n/2 odd at
+    6 and 130), with the two-determinant reference at every (ell, alpha)
+    where no zero of denom is enclosed."""
     ratio, n = request.param
     plan = AmplitudePlan(build_ground_state(
         ModelParams(c=ratio ** -0.5, h=1.0)), n)
     refs = {(ell, alpha): two_determinants(plan, alpha, ell)
-            for ell in (-1, 1, 2) for alpha in (0.0, 0.2, -0.3)
+            for ell in (-2, -1, 1, 2) for alpha in (0.0, 0.2, -0.3)
             if (ratio, ell, alpha) not in ENCLOSED}
     return plan, refs
 
@@ -481,7 +494,7 @@ class TestOneDeterminant:
     so the plan computes one and squares it."""
 
     def test_determinants_agree(self, plan_cases):
-        # measured <= 1.2e-14
+        # measured <= 1.1e-14
         _, refs = plan_cases
         for (ell, alpha), (ld1, ld2, _, winding) in refs.items():
             assert winding == 0, (ell, alpha)
@@ -490,13 +503,14 @@ class TestOneDeterminant:
                 (ell, alpha, ld1, ld2)
 
     def test_matches_two_determinants(self, plan_cases):
-        # measured <= 1.2e-14
+        # measured <= 1.7e-14 (the harmonics take the real form)
         plan, refs = plan_cases
         gs = plan.gs
         for (ell, alpha), (_, _, factor, _) in refs.items():
             al = alpha + ell
             if alpha == 0.0:
                 value = plan.harmonic(ell)
+                assert value.imag == 0.0, ell
                 ref = (-4.0 * np.pi ** 2 * gs.D ** 2 * ell ** 2 * factor
                        * plan._discrete_factor(al))
             else:
@@ -511,3 +525,25 @@ class TestOneDeterminant:
         c = plan.gs.params.c
         direct = cauchy_transform(plan.gs.Z, plan.contour.nodes - 1j * c)
         assert np.max(np.abs(plan.lz_dn - direct) / np.abs(direct)) <= 4e-15
+
+
+@pytest.mark.parametrize("n", [6, 256])
+@pytest.mark.parametrize("ratio", [0.01, 1.0, 16.0])
+def test_zero_twist_matrix_is_conjugation_symmetric(ratio, n):
+    """The premise of the real form of ``AmplitudePlan.harmonic``: at zero
+    twist the matrix A = K dz/2 pi i of the row-scaled kernel has
+    A[-i, -j] = conj(A[i, j]) bit for bit on the ellipse's node pairing.
+    At alpha = 0.2 it holds only in exact arithmetic: k_alpha and the row
+    factor each pick up the phase, whose products round, so the bitwise
+    identity singles out zero twist, the one input that takes the real
+    form."""
+    plan = AmplitudePlan(build_ground_state(
+        ModelParams(c=ratio ** -0.5, h=1.0)), n)
+    mirror = -np.arange(n) % n
+    mirror = np.ix_(mirror, mirror)
+    weights = plan.contour.weights / (2j * np.pi)
+    for ell in (-1, 2):
+        mat = row_scaled_kernel(plan, 0.0, ell) * weights
+        assert np.array_equal(mat[mirror], np.conj(mat)), ell
+        mat = row_scaled_kernel(plan, 0.2, ell) * weights
+        assert not np.array_equal(mat[mirror], np.conj(mat)), ell

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from bosegas.groundstate import ModelParams, build_ground_state, kernel
-from bosegas.numerics import (Contour, NumericsError, SampledFunction,
-                              cauchy_transform, composite_grid,
-                              fredholm_logdet, graded_breakpoints,
-                              nystrom_factorize, nystrom_solve)
+from bosegas.numerics import (ConjugatePairing, Contour, NumericsError,
+                              SampledFunction, cauchy_transform,
+                              composite_grid, fredholm_logdet,
+                              graded_breakpoints, nystrom_factorize,
+                              nystrom_solve)
 
 
 def _spectral_case(case):
@@ -212,6 +213,25 @@ class TestFredholm:
         np.fill_diagonal(kern, np.inf)
         with pytest.raises(NumericsError):
             fredholm_logdet(kern, grid, 1.0)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_real_form_of_conjugation_symmetric_matrix(self, n):
+        # A[-j, -k] = conj(A[j, k]) on the index pairing of an n-node
+        # ellipse: node 0 (and n/2 for even n) real, the rest in pairs
+        rng = np.random.default_rng(n)
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        flip = -np.arange(n) % n
+        a = 0.5 * (m + np.conj(m[np.ix_(flip, flip)]))
+        k = np.arange(1, (n + 1) // 2)
+        real = np.array([0] if n % 2 else [0, n // 2])
+        pairing = ConjugatePairing(real, np.stack([k, n - k], axis=1))
+        det = np.linalg.det(np.eye(n) + a)
+        assert abs(det.imag) <= 1e-14 * abs(det)
+        combined = pairing.columns(a)[pairing.rows]
+        assert abs(pairing.logabsdet(combined) - np.log(abs(det))) <= 1e-14
+        combined[0, 0] = np.nan
+        with pytest.raises(NumericsError):
+            pairing.logabsdet(combined)
 
 
 class TestCauchyTransforms:
