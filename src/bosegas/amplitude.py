@@ -205,11 +205,11 @@ class AmplitudePlan:
     the Cauchy transforms L[Z] at its nodes w and at w +- ic; the interval
     log-determinant; and the offset and edge functionals of the dressed
     charge at unit twist (both are homogeneous of degree 2, so C0 and C1 of
-    alpha_ell Z are alpha_ell^2 times these). On first use it builds the
-    zero-twist kernel of ``harmonic``, in the real form of the pairing, and
-    the kernel 1/(w_i - w_j + ic) of the twisted ``amplitude``. The contour
+    alpha_ell Z are alpha_ell^2 times these). On first use it builds, in
+    the real form of the pairing, the zero-twist kernel of ``harmonic`` and
+    the phase part that makes it the kernel of any real twist. The contour
     size must be even, so that its nodes are closed under w -> -w (see
-    ``_smooth_factor``).
+    ``_complex_smooth_factor``).
     """
 
     def __init__(self, gs: GroundState, contour_n: int = CONTOUR_NODES):
@@ -250,10 +250,20 @@ class AmplitudePlan:
         return self.pairing.columns(mat)
 
     @cached_property
-    def k_up(self) -> np.ndarray:
-        """1/(w_i - w_j + ic); its partner 1/(w_i - w_j - ic) is -k_up.T."""
-        w = self.contour.nodes
-        return 1.0 / (w[:, None] - w[None, :] + 1j * self.gs.params.c)
+    def k_dn(self) -> np.ndarray:
+        """The phase part of the twisted kernel of ``_smooth_factor``:
+        k_alpha(d) = kappa(d) - (phase - 1)/(d - ic), so at theta = q its
+        kernel is k_zero - (phase - 1) k_dn, with k_dn the kernel
+        1/(w_i - w_j - ic) - 1/(-q - w_j - ic) with the weights and
+        1/2 pi i, on the rows and combined columns of ``pairing``."""
+        w, dz = self.contour.nodes, self.contour.weights
+        c = self.gs.params.c
+        mat = np.subtract.outer(w[self.pairing.rows], w)
+        mat -= 1j * c
+        np.divide(1.0, mat, out=mat)
+        mat -= 1.0 / (-self.gs.q - w - 1j * c)
+        mat *= dz / (2.0j * np.pi)
+        return self.pairing.columns(mat)
 
     def _row_factor(self, al, phase) -> np.ndarray:
         """-e^{-al L[Z](w)} / denom(w), the row scaling of the contour
@@ -269,11 +279,46 @@ class AmplitudePlan:
                                   -theta + 1j * c * np.array([1.0, -1.0]))
         return np.exp(-al * up) - phase * np.exp(-al * dn)
 
-    def _smooth_factor(self, al, phase, theta) -> complex:
+    def _smooth_factor(self, alpha, al, phase, theta) -> float:
+        """The smooth amplitude at real twist alpha off the integers, shifted
+        twist al, phase e^{2 pi i alpha} and real reference pair
+        (-theta, theta), through the real form of its determinant.
+
+        The matrix of ``_complex_smooth_factor`` is conjugation-symmetric on
+        the pairing of the contour here, as at zero twist (see
+        ``harmonic``): Z is real, k_alpha(conj d) = -phase conj k_alpha(d)
+        and the row factor obeys r(conj w) = -conj r(w)/phase, so the phase
+        cancels. Its determinant is that of a real matrix, built from
+        ``k_zero``, ``k_dn`` and, at theta != q, a rank-one change of the
+        reference column. The smooth amplitude holds the square of that
+        determinant, so ``logabsdet`` may drop its sign. With
+        u = e^{-al L[Z](-theta + ic)} the bracket is
+        e^{i pi alpha} 2i Im(e^{-i pi alpha} u), and phase - 1 is
+        e^{i pi alpha} 2i sin(pi alpha): the prefactor (phase - 1)^2 over
+        the squared bracket is sin^2(pi alpha)/Im^2(e^{-i pi alpha} u), and
+        the amplitude is real.
+        """
+        c, q = self.gs.params.c, self.gs.q
+        w = self.contour.nodes
+        kern = np.multiply(1.0 - phase, self.k_dn)
+        kern += self.k_zero
+        if theta != q:
+            ref = k_alpha(-q - w, phase, c) - k_alpha(-theta - w, phase, c)
+            ref *= self.contour.weights / (2.0j * np.pi)
+            kern += self.pairing.columns(ref[None, :])
+        kern *= self._row_factor(al, phase)[self.pairing.rows, None]
+        ld = self.pairing.logabsdet(kern)
+        up = cauchy_transform(self.gs.Z, -theta + 1j * c)
+        im = np.exp(-al * up - 1j * np.pi * alpha).imag
+        return float((np.sin(np.pi * alpha) / im) ** 2
+                     * np.exp(-al ** 2 * self.c0.real
+                              + 2.0 * (ld - self.ld_k.real)))
+
+    def _complex_smooth_factor(self, al, phase, theta) -> complex:
         """Ratio of contour Fredholm determinants at shifted twist al and
         phase e^{2 pi i alpha}, reference pair (-theta, theta): the smooth
-        amplitude with its (phase - 1)^2 prefactor divided out, regular at
-        integer alpha.
+        amplitude with its (phase - 1)^2 prefactor divided out, for complex
+        alpha or theta.
 
         Its second determinant, the kernel column-scaled by e^{al L}/denom2
         at theta, equals the first, row-scaled by -e^{-al L}/denom1 at
@@ -283,11 +328,14 @@ class AmplitudePlan:
         Residue nodes at enclosed zeros keep this: denom1 vanishes at z
         where denom2 vanishes at -z.
         """
-        c = self.gs.params.c
-        # one buffer, in C order: a transposed one changes slogdet's rounding
-        mat = np.multiply(phase, self.k_up.T, order="C")
-        mat += self.k_up
-        mat -= k_alpha(-theta - self.contour.nodes, phase, c)
+        c, w = self.gs.params.c, self.contour.nodes
+        # k_alpha(w_i - w_j) in two buffers: 1/(w_i - w_j - ic) is
+        # -1/(w_j - w_i + ic)
+        mat = np.subtract.outer(w, w)
+        mat += 1j * c
+        np.divide(1.0, mat, out=mat)
+        mat += np.multiply(phase, mat.T, order="C")
+        mat -= k_alpha(-theta - w, phase, c)
         mat *= self._row_factor(al, phase)[:, None]
         ld = fredholm_logdet(mat, self.contour, 1.0 / (2.0j * np.pi))
         return complex(np.exp(-al ** 2 * self.c0 + 2.0 * (ld - self.ld_k))
@@ -309,6 +357,9 @@ class AmplitudePlan:
         The result does not depend on the reference pair (-theta, theta),
         by default (-q, q). The smooth part is 1 at alpha + ell = 0 and
         vanishes quadratically at integer alpha for ell != 0; inf/NaN raises.
+        A real alpha and theta, of any dtype, take the real form of the
+        determinant, and both amplitudes come back with imaginary part 0;
+        a complex one takes the complex determinant.
         """
         theta = self.gs.q if theta is None else theta
         al = alpha + ell
@@ -317,12 +368,19 @@ class AmplitudePlan:
             b_s = a_tilde = 1.0 + 0.0j
         elif phase == 1.0:  # integer alpha, nonzero al: prefactor kills everything
             b_s = a_tilde = 0.0 + 0.0j
-        else:
+        elif np.imag(alpha) or np.imag(theta):
             b_s = complex((phase - 1.0) ** 2
-                          * self._smooth_factor(al, phase, theta))
+                          * self._complex_smooth_factor(al, phase, theta))
             # a NaN or infinite b_s leaves a_tilde non-finite too
             a_tilde = _require_finite(b_s * self._discrete_factor(al),
                                       f"term amplitude at ell = {ell}")
+        else:
+            al = np.real(al)
+            b = self._smooth_factor(np.real(alpha), al, phase, np.real(theta))
+            b_s = complex(b)
+            a_tilde = _require_finite(
+                complex(b * self._discrete_factor(al).real),
+                f"term amplitude at ell = {ell}")
         return AmplitudeResult(B_smooth=b_s, A_tilde=a_tilde)
 
     def harmonic(self, ell: int) -> complex:
@@ -332,7 +390,7 @@ class AmplitudePlan:
         with F regular at zero twist, so the coefficient D^2 ell^2 A''(0)/2
         is -4 pi^2 D^2 ell^2 F(0): one determinant evaluation at phase 1.
 
-        At phase 1 the row-scaled kernel of ``_smooth_factor`` is
+        At phase 1 the row-scaled kernel of the smooth factor is
         conjugation-symmetric on the pairing of the contour (Z is real, so
         L[Z](conj w) = conj L[Z](w), and conj(w_k) = w_{-k}), so its
         determinant is that of a real matrix, and it is squared. C0 is real

@@ -229,7 +229,9 @@ def check_smooth_amplitude(ws: Workspace):
     """Contour-determinant amplitude invariances: independence of the
     auxiliary reference pair (-theta, theta), the identity limit at zero
     twist, and the quadratic vanishing at integer twist for a nonzero
-    umklapp number."""
+    umklapp number.  The reference pair at theta = q takes the real form of
+    the determinant and the one at complex theta the complex determinant,
+    so ``theta_dev`` also compares the two routes."""
     plan = ws.plan()
     q = plan.gs.q
 
