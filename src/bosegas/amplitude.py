@@ -208,8 +208,9 @@ class AmplitudePlan:
     alpha_ell Z are alpha_ell^2 times these). On first use it builds, in
     the real form of the pairing, the zero-twist kernel of ``harmonic`` and
     the phase part that makes it the kernel of any real twist. The contour
-    size must be even, so that its nodes are closed under w -> -w (see
-    ``_complex_smooth_factor``).
+    size must be even, so that its nodes are closed under w -> -w: that
+    closure makes the smooth factor's two determinants equal, and so one of
+    them is squared.
     """
 
     def __init__(self, gs: GroundState, contour_n: int = CONTOUR_NODES):
@@ -238,7 +239,7 @@ class AmplitudePlan:
 
     @cached_property
     def k_zero(self) -> np.ndarray:
-        """The phase-1 kernel of ``_smooth_factor`` at theta = q with the
+        """The phase-1 kernel of ``_smooth_ratio`` at theta = q with the
         weights and 1/2 pi i, kappa(w_i - w_j) - kappa(-q - w_j) with
         kappa(d) = 1/(d + ic) - 1/(d - ic) = -i K(d), on the rows and
         combined columns of ``pairing``."""
@@ -251,7 +252,7 @@ class AmplitudePlan:
 
     @cached_property
     def k_dn(self) -> np.ndarray:
-        """The phase part of the twisted kernel of ``_smooth_factor``:
+        """The phase part of the twisted kernel of ``_smooth_ratio``:
         k_alpha(d) = kappa(d) - (phase - 1)/(d - ic), so at theta = q its
         kernel is k_zero - (phase - 1) k_dn, with k_dn the kernel
         1/(w_i - w_j - ic) - 1/(-q - w_j - ic) with the weights and
@@ -265,81 +266,49 @@ class AmplitudePlan:
         mat *= dz / (2.0j * np.pi)
         return self.pairing.columns(mat)
 
-    def _row_factor(self, al, phase) -> np.ndarray:
-        """-e^{-al L[Z](w)} / denom(w), the row scaling of the contour
-        kernel, with denom(w) = e^{-al L[Z](w + ic)}
-        - phase e^{-al L[Z](w - ic)}."""
-        denom = np.exp(-al * self.lz_up) - phase * np.exp(-al * self.lz_dn)
-        return -np.exp(-al * self.lz) / denom
+    def _smooth_ratio(self, alpha: float, al: float, theta: float) -> float:
+        """The smooth amplitude over sin^2(pi alpha), at real twist alpha,
+        shifted twist al and real reference pair (-theta, theta).
 
-    def _bracket(self, al, phase, theta) -> complex:
-        """e^{-al L[Z](-theta + ic)} - phase e^{-al L[Z](-theta - ic)}."""
-        c = self.gs.params.c
-        up, dn = cauchy_transform(self.gs.Z,
-                                  -theta + 1j * c * np.array([1.0, -1.0]))
-        return np.exp(-al * up) - phase * np.exp(-al * dn)
-
-    def _smooth_factor(self, alpha, al, phase, theta) -> float:
-        """The smooth amplitude at real twist alpha off the integers, shifted
-        twist al, phase e^{2 pi i alpha} and real reference pair
-        (-theta, theta), through the real form of its determinant.
-
-        The matrix of ``_complex_smooth_factor`` is conjugation-symmetric on
-        the pairing of the contour here, as at zero twist (see
-        ``harmonic``): Z is real, k_alpha(conj d) = -phase conj k_alpha(d)
-        and the row factor obeys r(conj w) = -conj r(w)/phase, so the phase
-        cancels. Its determinant is that of a real matrix, built from
-        ``k_zero``, ``k_dn`` and, at theta != q, a rank-one change of the
-        reference column. The smooth amplitude holds the square of that
-        determinant, so ``logabsdet`` may drop its sign. With
-        u = e^{-al L[Z](-theta + ic)} the bracket is
-        e^{i pi alpha} 2i Im(e^{-i pi alpha} u), and phase - 1 is
-        e^{i pi alpha} 2i sin(pi alpha): the prefactor (phase - 1)^2 over
-        the squared bracket is sin^2(pi alpha)/Im^2(e^{-i pi alpha} u), and
-        the amplitude is real.
+        The smooth amplitude is (phase - 1)^2 e^{-al^2 C0} det1 det2
+        / (det_K^2 bracket1 bracket2) with phase = e^{2 pi i alpha}. det1 is
+        the contour determinant of k_alpha(w_i - w_j) - k_alpha(-theta - w_j)
+        row-scaled by -e^{-al L[Z](w)}/denom(w), denom(w) =
+        e^{-al L[Z](w + ic)} - phase e^{-al L[Z](w - ic)}, and det2 its
+        column-scaled twin at theta. L[Z] is odd and w -> -w permutes the
+        nodes, so det2 = det1 and one determinant is squared. Z is real,
+        k_alpha(conj d) = -phase conj k_alpha(d) and the row factor obeys
+        r(conj w) = -conj r(w)/phase, so the phase cancels and the matrix is
+        conjugation-symmetric on ``pairing``: det1 is the determinant of a
+        real matrix, built from ``k_zero``, ``k_dn`` (off zero twist only)
+        and, at theta != q, a rank-one change of the reference column, and
+        its square drops its sign. With u = e^{-al L[Z](-theta + ic)} the
+        bracket is e^{i pi alpha} 2i Im(e^{-i pi alpha} u), and phase - 1 is
+        e^{i pi alpha} 2i sin(pi alpha), so the smooth amplitude is
+        sin^2(pi alpha) times the real value returned here.
         """
         c, q = self.gs.params.c, self.gs.q
         w = self.contour.nodes
-        kern = np.multiply(1.0 - phase, self.k_dn)
-        kern += self.k_zero
+        phase = np.exp(2.0j * np.pi * alpha)
+        rows = self.pairing.rows
+        denom = (np.exp(-al * self.lz_up[rows])
+                 - phase * np.exp(-al * self.lz_dn[rows]))
+        row = (-np.exp(-al * self.lz[rows]) / denom)[:, None]
+        if alpha:
+            kern = np.multiply(1.0 - phase, self.k_dn)
+            kern += self.k_zero
+            kern *= row
+        else:
+            kern = row * self.k_zero
         if theta != q:
             ref = k_alpha(-q - w, phase, c) - k_alpha(-theta - w, phase, c)
             ref *= self.contour.weights / (2.0j * np.pi)
-            kern += self.pairing.columns(ref[None, :])
-        kern *= self._row_factor(al, phase)[self.pairing.rows, None]
+            kern += row * self.pairing.columns(ref[None, :])
         ld = self.pairing.logabsdet(kern)
         up = cauchy_transform(self.gs.Z, -theta + 1j * c)
         im = np.exp(-al * up - 1j * np.pi * alpha).imag
-        return float((np.sin(np.pi * alpha) / im) ** 2
-                     * np.exp(-al ** 2 * self.c0.real
-                              + 2.0 * (ld - self.ld_k.real)))
-
-    def _complex_smooth_factor(self, al, phase, theta) -> complex:
-        """Ratio of contour Fredholm determinants at shifted twist al and
-        phase e^{2 pi i alpha}, reference pair (-theta, theta): the smooth
-        amplitude with its (phase - 1)^2 prefactor divided out, for complex
-        alpha or theta.
-
-        Its second determinant, the kernel column-scaled by e^{al L}/denom2
-        at theta, equals the first, row-scaled by -e^{-al L}/denom1 at
-        -theta: L[Z] is odd, and w -> -w permutes the even node set with
-        dz -> -dz, mapping the first matrix onto W^-1 M2^T W (W = diag(dz))
-        and denom1(-w) onto denom2(w). So one determinant is squared.
-        Residue nodes at enclosed zeros keep this: denom1 vanishes at z
-        where denom2 vanishes at -z.
-        """
-        c, w = self.gs.params.c, self.contour.nodes
-        # k_alpha(w_i - w_j) in two buffers: 1/(w_i - w_j - ic) is
-        # -1/(w_j - w_i + ic)
-        mat = np.subtract.outer(w, w)
-        mat += 1j * c
-        np.divide(1.0, mat, out=mat)
-        mat += np.multiply(phase, mat.T, order="C")
-        mat -= k_alpha(-theta - w, phase, c)
-        mat *= self._row_factor(al, phase)[:, None]
-        ld = fredholm_logdet(mat, self.contour, 1.0 / (2.0j * np.pi))
-        return complex(np.exp(-al ** 2 * self.c0 + 2.0 * (ld - self.ld_k))
-                       / self._bracket(al, phase, theta) ** 2)
+        return float(np.exp(-al ** 2 * self.c0.real
+                            + 2.0 * (ld - self.ld_k.real)) / im ** 2)
 
     def _discrete_factor(self, al) -> complex:
         """Barnes, edge-functional and normalisation factors of the term
@@ -350,74 +319,58 @@ class AmplitudePlan:
         return complex(barnes_g_one(al * gs.Zq) ** 2 * np.exp(al ** 2 * self.c1)
                        * norm)
 
-    def amplitude(self, alpha: complex, ell: int,
+    def amplitude(self, alpha: float, ell: int,
                   theta=None) -> AmplitudeResult:
         """Constant coefficient of one oscillating harmonic of the series.
 
-        The result does not depend on the reference pair (-theta, theta),
-        by default (-q, q). The smooth part is 1 at alpha + ell = 0 and
-        vanishes quadratically at integer alpha for ell != 0; inf/NaN raises.
-        A real alpha and theta, of any dtype, take the real form of the
-        determinant, and both amplitudes come back with imaginary part 0;
-        a complex one takes the complex determinant.
+        B_smooth is sin^2(pi alpha) times ``_smooth_ratio``, and A_tilde is
+        B_smooth times the discrete factor; both are real, and come back
+        with imaginary part 0. They do not depend on the reference pair
+        (-theta, theta), by default (-q, q). They are exactly 1 at
+        alpha + ell = 0 and exactly 0 at any other integer alpha, near which
+        they vanish quadratically; inf/NaN raises. A complex alpha or theta
+        raises ``ValueError``; a real value of complex dtype is taken as
+        real.
         """
         theta = self.gs.q if theta is None else theta
+        if np.imag(alpha) or np.imag(theta):
+            raise ValueError("the twist and the reference pair must be real")
+        alpha, theta = float(np.real(alpha)), float(np.real(theta))
         al = alpha + ell
-        phase = np.exp(2.0j * np.pi * alpha)
         if al == 0:
-            b_s = a_tilde = 1.0 + 0.0j
-        elif phase == 1.0:  # integer alpha, nonzero al: prefactor kills everything
-            b_s = a_tilde = 0.0 + 0.0j
-        elif np.imag(alpha) or np.imag(theta):
-            b_s = complex((phase - 1.0) ** 2
-                          * self._complex_smooth_factor(al, phase, theta))
-            # a NaN or infinite b_s leaves a_tilde non-finite too
-            a_tilde = _require_finite(b_s * self._discrete_factor(al),
-                                      f"term amplitude at ell = {ell}")
-        else:
-            al = np.real(al)
-            b = self._smooth_factor(np.real(alpha), al, phase, np.real(theta))
-            b_s = complex(b)
-            a_tilde = _require_finite(
-                complex(b * self._discrete_factor(al).real),
-                f"term amplitude at ell = {ell}")
-        return AmplitudeResult(B_smooth=b_s, A_tilde=a_tilde)
+            return AmplitudeResult(B_smooth=1.0 + 0.0j, A_tilde=1.0 + 0.0j)
+        if alpha.is_integer():
+            return AmplitudeResult(B_smooth=0.0 + 0.0j, A_tilde=0.0 + 0.0j)
+        b_s = np.sin(np.pi * alpha) ** 2 * self._smooth_ratio(alpha, al, theta)
+        a_tilde = _require_finite(b_s * self._discrete_factor(al).real,
+                                  f"term amplitude at ell = {ell}")
+        return AmplitudeResult(B_smooth=complex(b_s), A_tilde=complex(a_tilde))
 
     def harmonic(self, ell: int) -> complex:
         """Coefficient of the e^{2 i x ell kF} harmonic of the correlator.
 
-        The term amplitude is A(alpha) = (e^{2 pi i alpha} - 1)^2 F(alpha)
-        with F regular at zero twist, so the coefficient D^2 ell^2 A''(0)/2
-        is -4 pi^2 D^2 ell^2 F(0): one determinant evaluation at phase 1.
-
-        At phase 1 the row-scaled kernel of the smooth factor is
-        conjugation-symmetric on the pairing of the contour (Z is real, so
-        L[Z](conj w) = conj L[Z](w), and conj(w_k) = w_{-k}), so its
-        determinant is that of a real matrix, and it is squared. C0 is real
-        by l <-> m symmetry, and the bracket is 2i Im e^{-ell L[Z](-q + ic)},
-        so its square is -(Im)^2: the coefficient is real, and returned with
-        imaginary part 0.
+        The term amplitude is sin^2(pi alpha) R(alpha) times the discrete
+        factor, with R = ``_smooth_ratio`` regular at zero twist, so the
+        coefficient D^2 ell^2 A''(0)/2 is pi^2 D^2 ell^2 R(0) times the
+        discrete factor at alpha = 0: one real determinant, and a real
+        coefficient, returned with imaginary part 0.
         """
         if ell == 0:
             raise ValueError("the ell = 0 term has a closed form")
-        rows = self._row_factor(ell, 1.0)[self.pairing.rows]
-        ld = self.pairing.logabsdet(rows[:, None] * self.k_zero)
-        im = self._bracket(ell, 1.0, self.gs.q).imag
-        value = (4.0 * np.pi ** 2 * (self.gs.D * ell / im) ** 2
-                 * np.exp(-ell ** 2 * self.c0.real
-                          + 2.0 * (ld - self.ld_k.real))
+        value = (np.pi ** 2 * (self.gs.D * ell) ** 2
+                 * self._smooth_ratio(0.0, ell, self.gs.q)
                  * self._discrete_factor(ell).real)
         return complex(_require_finite(value,
                                        f"harmonic amplitude at ell = {ell}"))
 
 
-def smooth_amplitude(gs: GroundState, alpha: complex, ell: int,
+def smooth_amplitude(gs: GroundState, alpha: float, ell: int,
                      theta=None, contour_n: int = CONTOUR_NODES) -> complex:
     """Smooth part of one term amplitude (see ``AmplitudePlan.amplitude``)."""
     return AmplitudePlan(gs, contour_n).amplitude(alpha, ell, theta).B_smooth
 
 
-def amplitude_tilde(gs: GroundState, alpha: complex, ell: int, theta=None,
+def amplitude_tilde(gs: GroundState, alpha: float, ell: int, theta=None,
                     contour_n: int = CONTOUR_NODES) -> AmplitudeResult:
     """Constant coefficient of one oscillating harmonic of the series (see
     ``AmplitudePlan.amplitude``)."""

@@ -38,9 +38,10 @@ class AsymptoticTerm:
     value: complex                # full term
 
 
-def generating_asymptotics(plan: AmplitudePlan, alpha: complex, x: float,
+def generating_asymptotics(plan: AmplitudePlan, alpha: float, x: float,
                            T: float, ell_max: int):
-    """Truncated harmonic sum of the generating function at one (x, T).
+    """Truncated harmonic sum of the generating function at one (x, T),
+    over the harmonics |ell| <= ell_max at real twist alpha.
 
     Returns (total, terms) with the terms sorted by decreasing envelope
     magnitude; valid deep in the decaying regime x -> infinity, T -> 0,
@@ -49,6 +50,8 @@ def generating_asymptotics(plan: AmplitudePlan, alpha: complex, x: float,
     gs = plan.gs
     if not (0 < x < np.inf and 0 < T < np.inf):
         raise ValueError("need finite x > 0 and T > 0")
+    if ell_max < 0:
+        raise ValueError(f"ell_max must be non-negative: {ell_max}")
     if np.pi * T * x / gs.v0 < 1.0:
         warnings.warn("x T below the asymptotic regime; terms of comparable "
                       "size are being dropped", stacklevel=2)
@@ -107,6 +110,8 @@ def density_correlator(plan: AmplitudePlan, x, T: float, ell_max: int = 2):
     xs = np.asarray(x, dtype=float)
     if not (np.all((0 < xs) & (xs < np.inf)) and 0 < T < np.inf):
         raise ValueError("need finite x > 0 and T > 0")
+    if ell_max < 0:
+        raise ValueError(f"ell_max must be non-negative: {ell_max}")
     amps = {ell: plan.harmonic(ell) for ell in range(1, ell_max + 1)}
     series = tuple(_series_at(plan.gs, float(xx), T, amps)
                    for xx in xs.reshape(-1))

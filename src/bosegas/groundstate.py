@@ -57,6 +57,8 @@ class ModelParams:
             raise ValueError("chemical potential must be positive and finite")
         if not 0 <= self.T < np.inf:
             raise ValueError("temperature must be non-negative and finite")
+        if not np.isfinite(self.alpha):
+            raise ValueError("twist alpha must be finite")
 
 
 def fermi_grid(q: float, n_nodes: int) -> Grid:

@@ -65,10 +65,10 @@ class TestSmoothAmplitude:
         assert smooth_amplitude(gs, 0.0, 0) == 1.0 + 0.0j
 
     def test_vanishes_at_integer_twist(self, gs):
-        assert smooth_amplitude(gs, 0.0, 1) == 0.0 + 0.0j
-        # e^{2 pi i} is off 1.0 by rounding, so the shifted twist vanishes
-        # quadratically in that rounding rather than bitwise
-        assert abs(smooth_amplitude(gs, 1.0, 1)) < 1e-12
+        # sin^2(pi alpha) is off 0 by rounding at alpha = 1, so every
+        # integer twist is taken as exactly 0
+        for alpha in (0.0, 1.0, -2.0):
+            assert smooth_amplitude(gs, alpha, 1) == 0.0 + 0.0j, alpha
 
     def test_conjugation_symmetry(self, gs):
         b = smooth_amplitude(gs, 0.2, 1)
@@ -372,8 +372,9 @@ class TestAssembledAmplitude:
     def test_theta_pair_independence(self, gs):
         q = gs.q
         a = amplitude_tilde(gs, 0.2, 1).A_tilde
-        b = amplitude_tilde(gs, 0.2, 1, theta=q - 0.1j * q).A_tilde
-        assert abs(b - a) <= 1e-6 * abs(a)
+        for theta in (0.6 * q, 0.0):
+            b = amplitude_tilde(gs, 0.2, 1, theta=theta).A_tilde
+            assert abs(b - a) <= 1e-6 * abs(a), theta
 
 
 class TestAmplitudePlan:
@@ -412,21 +413,17 @@ class TestAmplitudePlan:
         assert plan.amplitude(0.0, 1).B_smooth == 0.0 + 0.0j
         assert plan.amplitude(0.0, 1).A_tilde == 0.0 + 0.0j
 
-    def test_route_follows_the_value(self, plan, monkeypatch):
-        # a real value of complex dtype takes the real form; a complex
-        # twist or reference pair takes the complex determinant
+    def test_complex_values_refused(self, plan):
+        # a complex twist or reference pair raises; a real value of complex
+        # dtype is taken as real
         q = plan.gs.q
-        routes = []
-        for name in ("_smooth_factor", "_complex_smooth_factor"):
-            method = getattr(plan, name)
-            monkeypatch.setattr(plan, name, lambda *args, _n=name, _m=method:
-                                routes.append(_n) or _m(*args))
+        with pytest.raises(ValueError, match="real"):
+            plan.amplitude(0.2 + 1e-3j, 1)
+        with pytest.raises(ValueError, match="real"):
+            plan.amplitude(0.2, 1, q - 0.1j * q)
         real = plan.amplitude(0.2, 1)
         assert plan.amplitude(0.2 + 0j, 1, q + 0j) == real
         assert plan.amplitude(0.2, 1, np.complex128(q)) == real
-        plan.amplitude(0.2 + 1e-3j, 1)
-        plan.amplitude(0.2, 1, q - 0.1j * q)
-        assert routes == ["_smooth_factor"] * 3 + ["_complex_smooth_factor"] * 2
 
     def test_c1_homogeneous_of_degree_two(self, gs, plan):
         al = 1.2

@@ -41,6 +41,8 @@ class TestGeneratingAsymptotics:
                      (1.0, np.nan)):
             with pytest.raises(ValueError):
                 generating_asymptotics(plan, 0.2, x, T, 1)
+        with pytest.raises(ValueError, match="ell_max"):
+            generating_asymptotics(plan, 0.2, 200.0, 0.01, -1)
 
     def test_warns_below_regime(self, plan):
         with pytest.warns(UserWarning, match="asymptotic regime"):
@@ -140,6 +142,8 @@ class TestDensityCorrelator:
                      ([np.nan], 0.05), (10.0, np.nan)):
             with pytest.raises(ValueError):
                 density_correlator(plan, x, T)
+        with pytest.raises(ValueError, match="ell_max"):
+            density_correlator(plan, 10.0, 0.05, ell_max=-3)
 
     def test_constant_part(self, gs, series):
         assert abs(series.constant - gs.D ** 2) < 1e-14

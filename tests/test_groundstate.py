@@ -30,7 +30,7 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(c=1.0, h=1.0, T=-0.1)
 
-    @pytest.mark.parametrize("field", ["c", "h", "T"])
+    @pytest.mark.parametrize("field", ["c", "h", "T", "alpha"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite(self, field, value):
         with pytest.raises(ValueError, match="finite"):
