@@ -2,11 +2,11 @@
 
 Functionals C0 and C1 of the dressed charge, the smooth amplitude via
 contour Fredholm determinants, the discrete amplitude built from
-Gamma/Barnes factors over quantum numbers, the configuration sum W and its
-closed form, the assembled term amplitude on a plan that holds its
-twist-independent parts (with the closed-form harmonic coefficients), and
-the finite-temperature discrete factor with its edge and double-integral
-verification operations.
+Gamma/Barnes factors over quantum numbers, the configuration sum W, the
+assembled term amplitude on a plan that holds its twist-independent parts
+(with the closed-form harmonic coefficients), and the finite-temperature
+discrete factor.  The closed form of W and the edge estimates of the
+finite-temperature factor are checks, in ``verification``.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from .excitation import USolution
 from .groundstate import GroundState, kernel, weighted_kernel
 from .numerics import (ConjugatePairing, Contour, NumericsError,
                        SampledFunction, cauchy_transform, fredholm_logdet)
-from .specfun import (barnes_g, barnes_g_one, gamma_ratio, ln_barnes_g,
-                      ln_gamma)
+from .specfun import barnes_g_one, gamma_ratio, ln_gamma
 
 CONTOUR_NODES = 256  # trapezoid nodes on the determinant contour
 
@@ -59,13 +58,6 @@ def c0_functional(Z: SampledFunction, c: float) -> complex:
     lam, w = Z.grid.nodes, Z.grid.weights
     ker = 1.0 / (lam[:, None] - lam[None, :] - 1j * c) ** 2
     return complex((w * Z.values) @ ker @ (w * Z.values))
-
-
-def edge_charge_integral(gs: GroundState) -> float:
-    """int_{-q}^{q} (Z(m) - Zq) / (m - q) dm; regular since Z(q) = Zq."""
-    grid = gs.grid
-    vals = (gs.Z.values - gs.Zq) / (grid.nodes - gs.q)
-    return float(np.real(np.sum(grid.weights * vals)))
 
 
 # ---------------------------------------------------------------------------
@@ -163,20 +155,6 @@ def w_series(nu: complex, r: int, tau: float, cutoff: int) -> complex:
     mat = d[:, None] * (x.T @ (a[:, None] * x))
     mat[np.arange(cutoff), np.arange(cutoff)] += 1.0      # + Lambda
     return complex(np.linalg.det(mat) * sine ** max(-r, 0))
-
-
-def w_closed(nu: complex, r: int, tau: float) -> complex:
-    """Closed form of the configuration sum."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    g_num = barnes_g(1.0 + r + complex(nu))
-    if g_num == 0:
-        return 0.0 + 0.0j
-    g_den = barnes_g(1.0 + complex(nu))
-    base = 1.0 - np.exp(-tau)
-    power = np.exp(-((complex(nu) + r) ** 2) * np.log(base))
-    return complex((g_num / g_den) ** 2 * np.exp(-0.5 * tau * r * (r - 1))
-                   * power)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +356,7 @@ def amplitude_tilde(gs: GroundState, alpha: float, ell: int, theta=None,
 
 
 # ---------------------------------------------------------------------------
-# finite-temperature discrete factor and its verification operations
+# finite-temperature discrete factor
 # ---------------------------------------------------------------------------
 
 def contour_cauchy(sol: USolution, omega: complex) -> complex:
@@ -441,45 +419,3 @@ def bd_finite_T(sol: USolution) -> complex:
                  / (T * (1.0 + np.exp(-eps_val / T))))
         out *= np.exp(-2.0 * r.half * contour_cauchy(sol, s)) / deriv
     return complex(out)
-
-
-def verify_cauchy_edge(sol: USolution) -> list:
-    """Relative deviations of the weighted per-root Cauchy transforms from
-    their closed Gamma-ratio limits, in root order; they are expected to
-    vanish linearly in T."""
-    gs = sol.thermal.gs
-    T = sol.params.T
-    al = sol.params.alpha + sol.cls.ell
-    u1 = sol.roots.u1_at_q
-    nu1 = u1 / (2.0j * np.pi)
-    scale = np.log(gs.q * gs.eps0_prime_q / (np.pi * T))
-    edge = edge_charge_integral(gs)
-
-    deviations = []
-    for r, s in zip(sol.roots, sol.points):
-        x = r.side * nu1
-        lhs = np.exp(contour_cauchy(sol, s) + x * scale)
-        # the e^{+-u1/4} factors carry the sign fixed by consistency with
-        # the product over all roots (and hence with the discrete-amplitude
-        # limit): +u1/4 for the upper-half roots, -u1/4 for the lower-half
-        num, den = (r.k, r.k - x) if r.half > 0 else (r.k + x, r.k)
-        rhs = (np.exp(-al * r.side * edge + r.half * u1 / 4.0)
-               * gamma_ratio([num], [den]))
-        deviations.append(abs(lhs - rhs) / abs(rhs))
-    return deviations
-
-
-def verify_double_integral(sol: USolution) -> float:
-    """Relative deviation of the double integral from its closed low-T form
-    C1[u1/2pi i] - 2 (u1/2pi i)^2 log(q eps0'/pi T) + 2 log G(1, u1/2pi i)."""
-    gs = sol.thermal.gs
-    T = sol.params.T
-    al = sol.params.alpha + sol.cls.ell
-    nu1 = sol.roots.u1_at_q / (2.0j * np.pi)
-    a_num = double_integral(sol)
-    f_vals = sol.cls.ell - al * gs.Z.values   # u1(lambda) / 2 pi i
-    pred = (c1_functional(SampledFunction(gs.grid, f_vals))
-            - 2.0 * nu1 ** 2 * np.log(gs.q * gs.eps0_prime_q / (np.pi * T)))
-    if nu1 != 0:
-        pred += 2.0 * (ln_barnes_g(1.0 + nu1) + ln_barnes_g(1.0 - nu1))
-    return float(abs(a_num - pred) / max(1.0, abs(pred)))

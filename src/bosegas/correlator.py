@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .amplitude import CONTOUR_NODES, AmplitudePlan
+from .amplitude import CONTOUR_NODES, AmplitudePlan, _require_finite
 from .groundstate import GroundState
 
 
@@ -45,7 +45,7 @@ def generating_asymptotics(plan: AmplitudePlan, alpha: float, x: float,
 
     Returns (total, terms) with the terms sorted by decreasing envelope
     magnitude; valid deep in the decaying regime x -> infinity, T -> 0,
-    x T -> infinity.
+    x T -> infinity.  A non-finite term, and so total, raises NumericsError.
     """
     gs = plan.gs
     if not (0 < x < np.inf and 0 < T < np.inf):
@@ -68,7 +68,7 @@ def generating_asymptotics(plan: AmplitudePlan, alpha: float, x: float,
                                     envelope=env, value=complex(value)))
     terms.sort(key=lambda t: -abs(t.envelope))
     total = complex(sum(t.value for t in terms))
-    return total, terms
+    return _require_finite(total, "generating-function total"), terms
 
 
 def harmonic_amplitude(gs: GroundState, ell: int,
@@ -91,9 +91,11 @@ class CorrelatorSeries:
 
 
 def ell0_closed(gs: GroundState, x: float, T: float) -> float:
-    """Non-oscillating hyperbolic term -(T Zq / v0)^2 / 2 sinh^2(pi T x/v0)."""
-    return float(-(T * gs.Zq / gs.v0) ** 2
-                 / (2.0 * np.sinh(np.pi * T * x / gs.v0) ** 2))
+    """Non-oscillating term -(T Zq/v0)^2 / 2 sinh^2(a), a = pi T x / v0, as
+    -(Zq/pi x)^2 (a/sinh a)^2 / 2, which stays finite as T -> 0."""
+    a = np.pi * T * x / gs.v0
+    ratio = 2.0 * a * np.exp(-a) / -np.expm1(-2.0 * a)
+    return float(-0.5 * (gs.Zq / (np.pi * x) * ratio) ** 2)
 
 
 def density_correlator(plan: AmplitudePlan, x, T: float, ell_max: int = 2):
@@ -105,7 +107,8 @@ def density_correlator(plan: AmplitudePlan, x, T: float, ell_max: int = 2):
     envelope.  Negative harmonics are the conjugates of the positive ones,
     so the assembled series is real for real inputs.  The amplitudes are
     computed once, from ``plan``, and shared by every x.  Returns one
-    CorrelatorSeries for a scalar x and a tuple of them for an array.
+    CorrelatorSeries for a scalar x and a tuple of them for an array.  A
+    non-finite term, and so total, raises NumericsError.
     """
     xs = np.asarray(x, dtype=float)
     if not (np.all((0 < xs) & (xs < np.inf)) and 0 < T < np.inf):
@@ -133,16 +136,18 @@ def _series_at(gs: GroundState, x: float, T: float,
     harmonics.sort(key=lambda t: (abs(t.ell), -t.ell))
     constant = gs.D ** 2
     ell0 = ell0_closed(gs, x, T)
-    total = constant + ell0 + sum(t.value for t in harmonics)
+    total = _require_finite(complex(constant + ell0 + sum(
+        t.value for t in harmonics)), f"correlator total at x = {x:g}")
     return CorrelatorSeries(x=x, T=T, constant=constant, ell0_term=ell0,
-                            harmonics=tuple(harmonics), total=complex(total))
+                            harmonics=tuple(harmonics), total=total)
 
 
 def ell0_term_fd(plan: AmplitudePlan, x: float, T: float) -> float:
     """Non-oscillating part of the correlator by the full finite-difference
     route: second twist derivative of the zero-harmonic term followed by a
     Richardson second x-derivative; reproduces D^2 plus the closed
-    hyperbolic term up to higher-order thermal corrections."""
+    hyperbolic term up to higher-order thermal corrections.  Twist steps h,
+    h/2, h/4 (h = 0.1/(1 + kF x)) and Richardson to O(h^6) damp rounding."""
     gs = plan.gs
     cache = {}
 
@@ -152,13 +157,14 @@ def ell0_term_fd(plan: AmplitudePlan, x: float, T: float) -> float:
         return (np.exp(2.0j * alpha * gs.kF * xx)
                 * envelope_power(gs, xx, T, gs.exponent(alpha)) * cache[alpha])
 
-    h = 1e-3 / (1.0 + gs.kF * x)
+    h = 0.1 / (1.0 + gs.kF * x)
 
     def twist_curvature(xx):
         def d2(step):
             return (zero_harmonic(step, xx) - 2.0
                     + zero_harmonic(-step, xx)) / step ** 2
-        return (4.0 * d2(0.5 * h) - d2(h)) / 3.0
+        d_h, d_2, d_4 = (d2(f * h) for f in (1.0, 0.5, 0.25))
+        return (16.0 * (4.0 * d_4 - d_2) - (4.0 * d_2 - d_h)) / 45.0
 
     def x_curvature(dx):
         return (twist_curvature(x + dx) - 2.0 * twist_curvature(x)

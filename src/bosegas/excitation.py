@@ -1,11 +1,11 @@
 """Excited-sector data and solvers.
 
-Bookkeeping of umklapp/particle-hole classes, closed low-temperature forms
-for the linear and quadratic corrections of the excited-state energy u, the
-table of its complex roots at leading order, the full nonlinear solve for
-u on a deformed contour (the thermal solve's path on other nodes and another
-driving term), the auxiliary phase function z, and the correlation decay
-rates by the direct-integral and closed routes.
+Bookkeeping of umklapp/particle-hole classes, the table of the complex
+roots of the excited-state energy u at leading order, the full nonlinear
+solve for u on a deformed contour (the thermal solve's path on other nodes
+and another driving term), the auxiliary phase function z, and the
+correlation decay rate by the direct integral.  The closed low-temperature
+forms of u and of the decay rate are checks, in ``verification``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .groundstate import (GroundState, ModelParams, kernel, kernel_prime,
                           weighted_kernel)
-from .numerics import Contour, SampledFunction
+from .numerics import Contour
 from .thermal import ThermalSolution, continuation, solve_on, stable_log1pexp
 
 
@@ -64,23 +64,10 @@ class ExcitationClass:
     def n(self) -> int:
         return len(self.p_plus) + len(self.p_minus)
 
-    @property
-    def qn_sum(self) -> int:
-        return (sum(self.p_plus) + sum(self.p_minus)
-                + sum(self.h_plus) + sum(self.h_minus))
-
 
 def u1_value(gs: GroundState, alpha: complex, ell: int) -> complex:
     """u1 at the Fermi boundary: 2 pi i (ell - alpha_ell * Zq)."""
     return 2.0j * np.pi * (ell - (alpha + ell) * gs.Zq)
-
-
-def u1_function(gs: GroundState, alpha: complex, ell: int) -> SampledFunction:
-    """Linear thermal correction of the excited-state energy, even in
-    lambda: -2 pi i alpha_ell Z(lambda) + 2 pi i ell."""
-    al = alpha + ell
-    vals = -2.0j * np.pi * al * gs.Z.values + 2.0j * np.pi * ell
-    return SampledFunction(gs.grid, vals)
 
 
 class Root(NamedTuple):
@@ -125,17 +112,6 @@ def root_offsets(gs: GroundState, cls: ExcitationClass,
                     f"root offset {offset} not in the required half-plane")
             roots.append(Root(side, half, k, offset))
     return RootTable(tuple(roots), u1)
-
-
-def u2_function(gs: GroundState, roots: RootTable) -> SampledFunction:
-    """Quadratic thermal correction of the excited-state energy, in terms of
-    the resolvent columns and the per-side root-offset sums."""
-    u1 = roots.u1_at_q
-    common = (np.pi ** 2 / 3.0 + u1 ** 2) / (2.0 * gs.eps0_prime_q)
-    coef = {side: 2.0 * np.pi * sum(r.offset for r in roots if r.side == side)
-            - common for side in (1, -1)}
-    vals = coef[1] * gs.R_plus.values + coef[-1] * gs.R_minus.values
-    return SampledFunction(gs.grid, vals)
 
 
 def excitation_contour(thermal: ThermalSolution, u1_at_q: complex) -> Contour:
@@ -272,11 +248,3 @@ def decay_rate_numeric(sol: USolution) -> complex:
     """Decay rate from the phase integral minus the root sum."""
     root_sum = sum(r.half * s for r, s in zip(sol.roots, sol.points))
     return complex(1j * np.sum(sol.contour.weights * sol.z) - 1j * root_sum)
-
-
-def decay_rate_closed(gs: GroundState, cls: ExcitationClass, alpha: complex,
-                      T: float) -> complex:
-    """Closed decay rate, linear in T."""
-    al = alpha + cls.ell
-    bracket = ((al * gs.Zq) ** 2 - cls.ell ** 2 - cls.n + cls.qn_sum)
-    return complex(-2.0j * al * gs.kF + (2.0 * np.pi * T / gs.v0) * bracket)

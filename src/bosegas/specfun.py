@@ -3,14 +3,13 @@
 Vectorised log-Gamma on numpy alone, products/ratios of Gamma functions in
 hypergeometric-style notation, the Barnes G-function, and the symmetric
 product G(1+x)G(1-x).  All ratios are assembled in log space so that long
-Gamma products never overflow.
+Gamma products never overflow.  A leaf module: it imports no other module
+of the package.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .numerics import composite_grid
 
 # zeta'(-1); fixes the additive constant of the Barnes asymptotic series
 _ZETA_PRIME_MINUS_ONE = -0.16542114370045092921
@@ -115,41 +114,3 @@ def ln_barnes_g(z: complex) -> complex:
 def barnes_g_one(x: complex) -> complex:
     """The symmetric product G(1+x) G(1-x); even in x by construction."""
     return barnes_g(1.0 + complex(x)) * barnes_g(1.0 - complex(x))
-
-
-def _laplace_integral(a: float, b: float, p: float) -> float:
-    """The left side of the identity below, by 16 Gauss-Legendre nodes on
-    each unit panel of [0, ceil(40/p)]: the poles of 1/sinh(pi w) lie at
-    distance 1, and the e^{-p w} tail is below 1e-17 past the cutoff."""
-    grid = composite_grid(np.arange(np.ceil(40.0 / p) + 1.0), 16)
-    w = grid.nodes
-    # pi/sinh(pi w) * e^{-aw} = 2 pi e^{-(pi+a)w} / (1 - e^{-2 pi w});
-    # everything decays since |a|, |b| < pi + p
-    damp = 1.0 - np.exp(-2.0 * np.pi * w)
-    br = (b - a) - 2.0 * np.pi * (np.exp(-(np.pi + a) * w)
-                                  - np.exp(-(np.pi + b) * w)) / damp
-    return float(np.sum(grid.weights * np.exp(-p * w) * br / w))
-
-
-def verify_gamma_integral_identity(a: float, b: float, p: float) -> float:
-    """Residual of the Laplace-type integral identity
-
-    int_0^inf e^{-p w}/w [b - a - pi/sinh(pi w) (e^{-a w} - e^{-b w})] dw
-        = (a-b) log(p/2pi) + 2pi log Gamma((p+b)/2pi + 1/2)
-                           - 2pi log Gamma((p+a)/2pi + 1/2),
-
-    evaluated by fixed Gauss-Legendre panels on the left and log-Gamma on
-    the right.  Returns |LHS - RHS| / (1 + |RHS|).
-    """
-    if p <= 0.0:
-        raise ValueError("p must be positive")
-    if max(abs(a), abs(b)) >= p + np.pi:
-        raise ValueError("integrand does not decay for these (a, b, p)")
-    if a == b:
-        return 0.0
-    lhs = _laplace_integral(a, b, p)
-    two_pi = 2.0 * np.pi
-    rhs = ((a - b) * np.log(p / two_pi)
-           + two_pi * (ln_gamma((p + b) / two_pi + 0.5).real
-                       - ln_gamma((p + a) / two_pi + 0.5).real))
-    return abs(lhs - rhs) / (1.0 + abs(rhs))

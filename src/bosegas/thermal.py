@@ -6,7 +6,7 @@ a deformed contour): one Anderson-accelerated solve with its tolerance and
 its refusal of an undecayed log weight, and one continuation off the nodes.
 eps is even and its grid mirror-symmetric, so its solve runs on the half
 line and its continuation on half of any negation-closed set of points.
-Also the low-temperature correction law of eps.
+The low-temperature correction law of eps is a check, in ``verification``.
 """
 
 from __future__ import annotations
@@ -214,9 +214,3 @@ def solve_yang_yang(params: ModelParams, gs: GroundState,
     return ThermalSolution(params=params, gs=gs, grid=grid,
                            eps=SampledFunction(grid, eps), log_weight=lw,
                            iterations=it, residual=residual)
-
-
-def eps2_at(gs: GroundState, lam):
-    """Off-grid evaluation of the quadratic thermal correction."""
-    return -(np.pi ** 2 / (6.0 * gs.eps0_prime_q)) * (
-        gs.R_plus(lam) + gs.R_minus(lam))

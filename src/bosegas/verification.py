@@ -5,6 +5,7 @@ compares against an independent route (closed form, exact finite sum, limit
 anchor, or grid refinement).  Each check returns its details and a table of
 bounds, quantity -> (value, "<=" | ">=", limit), the one place its limits
 are stated; pass/fail, the report and the acceptance tests read that table.
+The closed forms and estimates that only a check reads sit next to it.
 """
 
 from __future__ import annotations
@@ -17,16 +18,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .amplitude import (CONTOUR_NODES, AmplitudePlan, bd_finite_T,
-                        discrete_amplitude, verify_cauchy_edge,
-                        verify_double_integral, w_closed, w_series)
+                        c1_functional, contour_cauchy, discrete_amplitude,
+                        double_integral, w_series)
 from .correlator import (density_correlator, ell0_closed, ell0_term_fd,
                          generating_asymptotics)
-from .excitation import (ExcitationClass, decay_rate_closed,
-                         decay_rate_numeric, root_offsets, solve_u,
-                         u1_function, u2_function)
-from .groundstate import FERMI_NODES, ModelParams, build_ground_state
-from .specfun import verify_gamma_integral_identity
-from .thermal import eps2_at, solve_yang_yang
+from .excitation import (ExcitationClass, RootTable, USolution,
+                         decay_rate_numeric, root_offsets, solve_u)
+from .groundstate import (FERMI_NODES, GroundState, ModelParams,
+                          build_ground_state)
+from .numerics import SampledFunction, composite_grid
+from .specfun import barnes_g, gamma_ratio, ln_barnes_g, ln_gamma
+from .thermal import solve_yang_yang
 
 
 _OPS = {"<=": operator.le, ">=": operator.ge}
@@ -136,6 +138,12 @@ def check_free_fermion(ws: Workspace):
     return details, bounds
 
 
+def eps2_at(gs: GroundState, lam):
+    """Quadratic thermal correction of eps, off the grid."""
+    return -(np.pi ** 2 / (6.0 * gs.eps0_prime_q)) * (
+        gs.R_plus(lam) + gs.R_minus(lam))
+
+
 def check_thermal_low_t(ws: Workspace):
     """Low-temperature law of the thermal energy: the remainder beyond the
     quadratic correction scales like a power of T near 3, and the quadratic
@@ -157,6 +165,25 @@ def check_thermal_low_t(ws: Workspace):
     return details, bounds
 
 
+def u1_function(gs: GroundState, alpha: complex, ell: int) -> SampledFunction:
+    """Linear thermal correction of the excited-state energy, even in
+    lambda: -2 pi i alpha_ell Z(lambda) + 2 pi i ell."""
+    al = alpha + ell
+    vals = -2.0j * np.pi * al * gs.Z.values + 2.0j * np.pi * ell
+    return SampledFunction(gs.grid, vals)
+
+
+def u2_function(gs: GroundState, roots: RootTable) -> SampledFunction:
+    """Quadratic thermal correction of the excited-state energy, in terms of
+    the resolvent columns and the per-side root-offset sums."""
+    u1 = roots.u1_at_q
+    common = (np.pi ** 2 / 3.0 + u1 ** 2) / (2.0 * gs.eps0_prime_q)
+    coef = {side: 2.0 * np.pi * sum(r.offset for r in roots if r.side == side)
+            - common for side in (1, -1)}
+    vals = coef[1] * gs.R_plus.values + coef[-1] * gs.R_minus.values
+    return SampledFunction(gs.grid, vals)
+
+
 def check_excited_expansion(ws: Workspace):
     """The solved excited-state energy matches its closed expansion through
     the quadratic thermal correction, with remainder ~ T^3."""
@@ -173,6 +200,15 @@ def check_excited_expansion(ws: Workspace):
     details = {"T": list(T_SEQUENCE), "remainder": remainders}
     bounds = {"exponent": (_fit_exponent(T_SEQUENCE, remainders), ">=", 2.7)}
     return details, bounds
+
+
+def decay_rate_closed(gs: GroundState, cls: ExcitationClass, alpha: complex,
+                      T: float) -> complex:
+    """Closed decay rate, linear in T."""
+    al = alpha + cls.ell
+    qn_sum = sum(cls.p_plus + cls.p_minus + cls.h_plus + cls.h_minus)
+    bracket = ((al * gs.Zq) ** 2 - cls.ell ** 2 - cls.n + qn_sum)
+    return complex(-2.0j * al * gs.kF + (2.0 * np.pi * T / gs.v0) * bracket)
 
 
 def check_decay_rate(ws: Workspace):
@@ -198,6 +234,20 @@ def check_decay_rate(ws: Workspace):
     return details, bounds
 
 
+def w_closed(nu: complex, r: int, tau: float) -> complex:
+    """Closed form of the configuration sum ``w_series``."""
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    g_num = barnes_g(1.0 + r + complex(nu))
+    if g_num == 0:
+        return 0.0 + 0.0j
+    g_den = barnes_g(1.0 + complex(nu))
+    base = 1.0 - np.exp(-tau)
+    power = np.exp(-((complex(nu) + r) ** 2) * np.log(base))
+    return complex((g_num / g_den) ** 2 * np.exp(-0.5 * tau * r * (r - 1))
+                   * power)
+
+
 def check_w_identity(ws: Workspace):
     """Finite configuration sum, as its Cauchy-Binet determinant, vs its
     Barnes-function closed form."""
@@ -213,6 +263,44 @@ def check_w_identity(ws: Workspace):
                 worst = max(worst, rel)
                 table.append({"nu": nu, "r": r, "tau": tau, "rel_err": rel})
     return {"table": table}, {"worst": (worst, "<=", 1e-8)}
+
+
+def _laplace_integral(a: float, b: float, p: float) -> float:
+    """The left side of the identity below, by 16 Gauss-Legendre nodes on
+    each unit panel of [0, ceil(40/p)]: the poles of 1/sinh(pi w) lie at
+    distance 1, and the e^{-p w} tail is below 1e-17 past the cutoff."""
+    grid = composite_grid(np.arange(np.ceil(40.0 / p) + 1.0), 16)
+    w = grid.nodes
+    # pi/sinh(pi w) * e^{-aw} = 2 pi e^{-(pi+a)w} / (1 - e^{-2 pi w});
+    # everything decays since |a|, |b| < pi + p
+    damp = 1.0 - np.exp(-2.0 * np.pi * w)
+    br = (b - a) - 2.0 * np.pi * (np.exp(-(np.pi + a) * w)
+                                  - np.exp(-(np.pi + b) * w)) / damp
+    return float(np.sum(grid.weights * np.exp(-p * w) * br / w))
+
+
+def verify_gamma_integral_identity(a: float, b: float, p: float) -> float:
+    """Residual of the Laplace-type integral identity
+
+    int_0^inf e^{-p w}/w [b - a - pi/sinh(pi w) (e^{-a w} - e^{-b w})] dw
+        = (a-b) log(p/2pi) + 2pi log Gamma((p+b)/2pi + 1/2)
+                           - 2pi log Gamma((p+a)/2pi + 1/2),
+
+    evaluated by fixed Gauss-Legendre panels on the left and log-Gamma on
+    the right.  Returns |LHS - RHS| / (1 + |RHS|).
+    """
+    if p <= 0.0:
+        raise ValueError("p must be positive")
+    if max(abs(a), abs(b)) >= p + np.pi:
+        raise ValueError("integrand does not decay for these (a, b, p)")
+    if a == b:
+        return 0.0
+    lhs = _laplace_integral(a, b, p)
+    two_pi = 2.0 * np.pi
+    rhs = ((a - b) * np.log(p / two_pi)
+           + two_pi * (ln_gamma((p + b) / two_pi + 0.5).real
+                       - ln_gamma((p + a) / two_pi + 0.5).real))
+    return abs(lhs - rhs) / (1.0 + abs(rhs))
 
 
 def check_gamma_integral(ws: Workspace):
@@ -264,6 +352,55 @@ def check_discrete_limit(ws: Workspace):
     details = {"T": list(T_SEQUENCE), "target": complex(target),
                "rel_err": errs}
     return details, {"exponent": (_fit_exponent(T_SEQUENCE, errs), ">=", 0.7)}
+
+
+def edge_charge_integral(gs: GroundState) -> float:
+    """int_{-q}^{q} (Z(m) - Zq) / (m - q) dm; regular since Z(q) = Zq."""
+    grid = gs.grid
+    vals = (gs.Z.values - gs.Zq) / (grid.nodes - gs.q)
+    return float(np.real(np.sum(grid.weights * vals)))
+
+
+def verify_cauchy_edge(sol: USolution) -> list:
+    """Relative deviations of the weighted per-root Cauchy transforms from
+    their closed Gamma-ratio limits, in root order; they are expected to
+    vanish linearly in T."""
+    gs = sol.thermal.gs
+    T = sol.params.T
+    al = sol.params.alpha + sol.cls.ell
+    u1 = sol.roots.u1_at_q
+    nu1 = u1 / (2.0j * np.pi)
+    scale = np.log(gs.q * gs.eps0_prime_q / (np.pi * T))
+    edge = edge_charge_integral(gs)
+
+    deviations = []
+    for r, s in zip(sol.roots, sol.points):
+        x = r.side * nu1
+        lhs = np.exp(contour_cauchy(sol, s) + x * scale)
+        # the e^{+-u1/4} factors carry the sign fixed by consistency with
+        # the product over all roots (and hence with the discrete-amplitude
+        # limit): +u1/4 for the upper-half roots, -u1/4 for the lower-half
+        num, den = (r.k, r.k - x) if r.half > 0 else (r.k + x, r.k)
+        rhs = (np.exp(-al * r.side * edge + r.half * u1 / 4.0)
+               * gamma_ratio([num], [den]))
+        deviations.append(abs(lhs - rhs) / abs(rhs))
+    return deviations
+
+
+def verify_double_integral(sol: USolution) -> float:
+    """Relative deviation of the double integral from its closed low-T form
+    C1[u1/2pi i] - 2 (u1/2pi i)^2 log(q eps0'/pi T) + 2 log G(1, u1/2pi i)."""
+    gs = sol.thermal.gs
+    T = sol.params.T
+    al = sol.params.alpha + sol.cls.ell
+    nu1 = sol.roots.u1_at_q / (2.0j * np.pi)
+    a_num = double_integral(sol)
+    f_vals = sol.cls.ell - al * gs.Z.values   # u1(lambda) / 2 pi i
+    pred = (c1_functional(SampledFunction(gs.grid, f_vals))
+            - 2.0 * nu1 ** 2 * np.log(gs.q * gs.eps0_prime_q / (np.pi * T)))
+    if nu1 != 0:
+        pred += 2.0 * (ln_barnes_g(1.0 + nu1) + ln_barnes_g(1.0 - nu1))
+    return float(abs(a_num - pred) / max(1.0, abs(pred)))
 
 
 def check_edge_asymptotics(ws: Workspace):

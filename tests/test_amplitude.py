@@ -9,18 +9,19 @@ import pytest
 
 from bosegas.amplitude import (AmplitudePlan, amplitude_tilde, bd_finite_T,
                                c0_functional, c1_functional, cauchy_det_sq,
-                               discrete_amplitude, double_integral,
-                               edge_charge_integral, k_alpha, r_factor,
-                               smooth_amplitude, verify_cauchy_edge,
-                               verify_double_integral, w_closed, w_series)
-from bosegas.excitation import (ExcitationClass, decay_rate_closed,
-                                decay_rate_numeric, root_offsets, solve_u,
-                                u1_function, u2_function)
+                               discrete_amplitude, double_integral, k_alpha,
+                               r_factor, smooth_amplitude, w_series)
+from bosegas.excitation import (ExcitationClass, decay_rate_numeric,
+                                root_offsets, solve_u)
 from bosegas.groundstate import ModelParams, build_ground_state
 from bosegas.numerics import (NumericsError, SampledFunction,
                                cauchy_transform, composite_grid,
                                fredholm_logdet)
 from bosegas.thermal import solve_yang_yang
+from bosegas.verification import (decay_rate_closed, edge_charge_integral,
+                                  u1_function, u2_function,
+                                  verify_cauchy_edge, verify_double_integral,
+                                  w_closed)
 
 
 class TestEdgeFunctionals:

@@ -177,6 +177,15 @@ class TestExitCodes:
                          "--grid-n", "192"]) == 3
         assert "non-finite" in capsys.readouterr().err
 
+    def test_overflowed_correlator(self, tmp_path, capsys):
+        # at x = 1e-300 the envelopes and the ell = 0 term overflow; the
+        # correlator used to print inf and NaN with exit 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("x = 1e-300\n")
+        with np.errstate(all="ignore"):
+            assert main(["correlator", "--config", str(cfg)]) == 3
+        assert "non-finite" in capsys.readouterr().err
+
     def test_weak_coupling_thermal(self, tmp_path):
         # h/c^2 = 100 on a ground state sized for it: the thermal solve
         # converges well inside the sweep cap

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from bosegas.amplitude import AmplitudePlan
-from bosegas.correlator import (density_correlator, envelope_power,
+from bosegas.correlator import (density_correlator, ell0_closed,
+                                ell0_term_fd, envelope_power,
                                 generating_asymptotics, harmonic_amplitude)
 from bosegas.groundstate import ModelParams, build_ground_state
 from bosegas.numerics import NumericsError
@@ -43,6 +44,11 @@ class TestGeneratingAsymptotics:
                 generating_asymptotics(plan, 0.2, x, T, 1)
         with pytest.raises(ValueError, match="ell_max"):
             generating_asymptotics(plan, 0.2, 200.0, 0.01, -1)
+
+    def test_overflow_raises(self, plan):
+        with pytest.warns(UserWarning), np.errstate(all="ignore"):
+            with pytest.raises(NumericsError, match="non-finite"):
+                generating_asymptotics(plan, 0.2, 1e-300, 0.01, 1)
 
     def test_warns_below_regime(self, plan):
         with pytest.warns(UserWarning, match="asymptotic regime"):
@@ -153,6 +159,29 @@ class TestDensityCorrelator:
             2.0 * np.sinh(np.pi * series.T * series.x / gs.v0) ** 2)
         assert abs(series.ell0_term - expect) < 1e-15
         assert series.ell0_term < 0
+
+    def test_ell0_tends_to_zero_temperature(self, gs, plan):
+        # T^2 and sinh^2 both underflow at T = 1e-300; the term used to
+        # read NaN
+        for x in (1.0, 10.0, 123.0):
+            got = density_correlator(plan, x, 1e-300).ell0_term
+            zero_t = -gs.Zq ** 2 / (2.0 * np.pi ** 2 * x ** 2)
+            assert abs(got - zero_t) <= 1e-15 * abs(zero_t)
+
+    def test_overflow_raises(self, plan):
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericsError, match="non-finite"):
+                density_correlator(plan, [10.0, 1e-300], 0.01)
+
+    def test_ell0_finite_differences(self, gs, plan):
+        # the verify point of assembly's ell0_fd_rel, moved by rounding-size
+        # steps: a step that leaves the twist difference to rounding reads
+        # 1.5e-7 to 6.5e-7 here, the sixth-order one 5.6e-10 to 7.7e-10
+        T = 0.05
+        for k in range(4):
+            x = 1.5 * gs.v0 / (np.pi * T) * (1.0 + k * 1e-6)
+            ref = gs.D ** 2 + ell0_closed(gs, x, T)
+            assert abs(ell0_term_fd(plan, x, T) - ref) <= 1e-8 * abs(ref)
 
     def test_real_total(self, series):
         assert abs(series.total.imag) < 1e-9 * abs(series.total.real)

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from bosegas.excitation import (ConstraintError, ExcitationClass,
-                                decay_rate_closed, decay_rate_numeric,
-                                root_offsets, solve_u,
-                                theta_odd, u1_function, u1_value)
+                                decay_rate_numeric, root_offsets, solve_u,
+                                theta_odd, u1_value)
 from bosegas.groundstate import ModelParams, build_ground_state
 from bosegas.thermal import solve_yang_yang
-from bosegas.verification import BENCHMARK_CLASS
+from bosegas.verification import (BENCHMARK_CLASS, decay_rate_closed,
+                                  u1_function)
 
 
 def polish_roots(sol, n_steps: int = 1) -> np.ndarray:
@@ -36,11 +36,10 @@ class TestExcitationClass:
     def test_counts(self):
         cls = ExcitationClass(ell=1, p_plus=(1, 3), h_plus=(2,), h_minus=(1,))
         assert cls.n == 2
-        assert cls.qn_sum == 7
 
     def test_trivial(self):
         cls = ExcitationClass(ell=0)
-        assert cls.n == 0 and cls.qn_sum == 0
+        assert cls.n == 0
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -218,7 +217,8 @@ class TestDecayRate:
         T = 0.01
         p = decay_rate_closed(gs, cls, 0.0, T)
         assert abs(p.imag + 2.0 * cls.ell * gs.kF) < 1e-14
-        bracket = (cls.ell * gs.Zq) ** 2 - cls.ell ** 2 - cls.n + cls.qn_sum
+        # quantum-number sum of p+ = (1,) and h- = (1,)
+        bracket = (cls.ell * gs.Zq) ** 2 - cls.ell ** 2 - cls.n + 2
         assert abs(p.real - 2.0 * np.pi * T * bracket / gs.v0) < 1e-14
 
     def test_numeric_approaches_closed(self, gs, workspace):

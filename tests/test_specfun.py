@@ -1,4 +1,5 @@
-"""Special-function oracles: log-Gamma, Gamma ratios, Barnes G."""
+"""Special-function oracles: log-Gamma, Gamma ratios, Barnes G, and the
+Laplace-type Gamma identity of the gamma-integral check."""
 
 import numpy as np
 import pytest
@@ -6,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import loggamma
 
-from bosegas.specfun import (GammaPoleError, _laplace_integral, barnes_g,
-                             barnes_g_one, gamma_ratio, ln_barnes_g,
-                             ln_gamma, verify_gamma_integral_identity)
-from bosegas.verification import check_gamma_integral
+from bosegas.specfun import (GammaPoleError, barnes_g, barnes_g_one,
+                             gamma_ratio, ln_barnes_g, ln_gamma)
+from bosegas.verification import (_laplace_integral, check_gamma_integral,
+                                  verify_gamma_integral_identity)
 
 # (a, b, p) triples of the gamma-integral verification check
 VERIFY_TRIPLES = [(0.5, 0.5, 1.0), (0.3, 0.7, 1.0), (-0.4, 0.4, 2.0)]

@@ -14,9 +14,9 @@ from bosegas.cli import main
 from bosegas.excitation import excitation_contour, solve_u
 from bosegas.groundstate import ModelParams, build_ground_state, weighted_kernel
 from bosegas.numerics import NumericsError
-from bosegas.thermal import (_fixed_point, continuation, eps2_at,
-                             solve_yang_yang, stable_log1pexp, thermal_grid)
-from bosegas.verification import BENCHMARK_CLASS
+from bosegas.thermal import (_fixed_point, continuation, solve_yang_yang,
+                             stable_log1pexp, thermal_grid)
+from bosegas.verification import BENCHMARK_CLASS, eps2_at
 
 
 def damped_fixed_point(bare, kmat, T, tol):
