@@ -19,7 +19,8 @@ import numpy as np
 from .excitation import USolution
 from .groundstate import GroundState, kernel, weighted_kernel
 from .numerics import (ConjugatePairing, Contour, NumericsError,
-                       SampledFunction, cauchy_transform, fredholm_logdet)
+                       SampledFunction, cauchy_transform, fredholm_logdet,
+                       upper_half)
 from .specfun import barnes_g_one, gamma_ratio, ln_gamma
 
 CONTOUR_NODES = 256  # trapezoid nodes on the determinant contour
@@ -373,6 +374,8 @@ def double_integral(sol: USolution) -> complex:
     two-term Taylor subtraction at each node regularizes the quadrature,
     the subtracted terms integrate in closed form, and the left-shifted
     pole contributes the +i pi half-residue to the logarithmic term.
+    The contour is odd, so 1/dl is formed on its upper-half rows only, and
+    the lower rows are that block applied to z(-l), z' -> -z'(-l).
     """
     g, w, z = sol.contour.nodes, sol.contour.weights, sol.z
     base = sol.thermal.grid
@@ -380,17 +383,23 @@ def double_integral(sol: USolution) -> complex:
     zp = base.derivative(z) / gamma_prime
     zpp = base.derivative(zp) / gamma_prime
 
-    # (z_i - z_j - z'_j dl) / dl^2 as ((z_i - z_j) P - z'_j) P, with
-    # P = 1/dl, in two buffers
-    inv_dl = np.subtract.outer(g, g)
-    np.fill_diagonal(inv_dl, 1.0)
+    x, wx = upper_half(g, w)
+    half = g.size // 2
+    diag = (np.arange(x.size), np.arange(half, g.size))
+    inv_dl = np.subtract.outer(x, g)
+    inv_dl[diag] = 1.0
     np.divide(1.0, inv_dl, out=inv_dl)
-    mat = np.subtract.outer(z, z)
-    mat *= inv_dl
-    mat -= zp
-    mat *= inv_dl
-    np.fill_diagonal(mat, 0.5 * zpp)
-    reg = w @ mat                     # J_j before the subtracted closed forms
+
+    def rows(z, zp, zpp):
+        # (z_i - z_j - z'_j dl) / dl^2 as ((z_i - z_j) P - z'_j) P, P = 1/dl
+        mat = np.subtract.outer(z[half:], z)
+        mat *= inv_dl
+        mat -= zp
+        mat *= inv_dl
+        mat[diag] = 0.5 * zpp[half:]
+        return wx @ mat               # J_j before the subtracted closed forms
+
+    reg = rows(z, zp, zpp) + rows(z[::-1], -zp[::-1], zpp[::-1])[::-1]
 
     a, b = base.a, base.b
     i2 = 1.0 / (a - g) - 1.0 / (b - g)

@@ -18,11 +18,18 @@ from .amplitude import CONTOUR_NODES, AmplitudePlan, _require_finite
 from .groundstate import GroundState
 
 
+def _envelope_base(gs: GroundState, x: float, T: float) -> float:
+    """(pi T / v0) / sinh(pi T x / v0) as (a/sinh a)/x, a = pi T x / v0, by
+    expm1: exact as T -> 0, even where pi T / v0 is subnormal."""
+    a = np.pi * T * x / gs.v0
+    return 2.0 * a * np.exp(-a) / -np.expm1(-2.0 * a) / x
+
+
 def envelope_power(gs: GroundState, x: float, T: float, exponent) -> complex:
     """(pi T / v0 / sinh(pi T x / v0))^exponent on the principal branch of
-    the positive real base."""
-    base = (np.pi * T / gs.v0) / np.sinh(np.pi * T * x / gs.v0)
-    return complex(np.exp(exponent * np.log(base)))
+    the positive real base; an overflow is left to the callers' checks."""
+    with np.errstate(over="ignore"):
+        return complex(np.exp(exponent * np.log(_envelope_base(gs, x, T))))
 
 
 @dataclass(frozen=True)
@@ -92,10 +99,9 @@ class CorrelatorSeries:
 
 def ell0_closed(gs: GroundState, x: float, T: float) -> float:
     """Non-oscillating term -(T Zq/v0)^2 / 2 sinh^2(a), a = pi T x / v0, as
-    -(Zq/pi x)^2 (a/sinh a)^2 / 2, which stays finite as T -> 0."""
-    a = np.pi * T * x / gs.v0
-    ratio = 2.0 * a * np.exp(-a) / -np.expm1(-2.0 * a)
-    return float(-0.5 * (gs.Zq / (np.pi * x) * ratio) ** 2)
+    -(Zq/pi)^2 (a/sinh a / x)^2 / 2, which stays finite as T -> 0."""
+    with np.errstate(over="ignore"):
+        return float(-0.5 * (gs.Zq / np.pi * _envelope_base(gs, x, T)) ** 2)
 
 
 def density_correlator(plan: AmplitudePlan, x, T: float, ell_max: int = 2):

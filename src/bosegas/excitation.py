@@ -15,10 +15,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .groundstate import (GroundState, ModelParams, kernel, kernel_prime,
-                          weighted_kernel)
+from .groundstate import GroundState, ModelParams, kernel, kernel_prime
 from .numerics import Contour
-from .thermal import ThermalSolution, continuation, solve_on, stable_log1pexp
+from .thermal import (FoldedKernel, ThermalSolution, continuation, solve_on,
+                      stable_log1pexp)
 
 
 class ConstraintError(ValueError):
@@ -206,8 +206,9 @@ def solve_u(params: ModelParams, cls: ExcitationClass,
     The equation is solved on the deformed contour of excitation_contour,
     which realizes the analytic continuation in alpha of the
     constraint-satisfying regime; all closed low-temperature forms refer
-    to that continuation.  ``thermal`` carries the ground state; one of
-    other parameters, or on a ground state other than ``gs``, is refused.
+    to that continuation.  The contour is odd, so the kernel acts on it by
+    its mirror fold.  ``thermal`` carries the ground state; one of other
+    parameters, or on a ground state other than ``gs``, is refused.
     """
     if params.T > 0.05 * params.h:
         raise ValueError("excited-state solve gated to T <= 0.05 h")
@@ -227,7 +228,7 @@ def solve_u(params: ModelParams, cls: ExcitationClass,
     contour = excitation_contour(thermal, roots.u1_at_q)
     lam = contour.nodes
     u, lw, it, residual = solve_on(
-        weighted_kernel(lam, lam, contour.weights, params.c),
+        FoldedKernel(lam, contour.weights, params.c),
         _driving_term(lam, params, roots, points), params)
     # the phase z = -(1/2 pi i) log[(1+e^{-u/T})/(1+e^{-eps/T})] vanishes
     # at both contour ends.  log(1 + e^{-eps/T}) takes the two-sided stable

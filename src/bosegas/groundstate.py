@@ -91,8 +91,8 @@ def solve_fermi_boundary(params: ModelParams, n_nodes: int):
     Newton iteration on E(q) = eps0(q|q) from q = sqrt(h), where E < 0.
     As d eps0(lambda|q)/dq = E [R(lambda, q) + R(lambda, -q)], the exact
     slope dE/dq = eps0'(q) + 2 E R(q, -q) comes from the same factorization
-    as E; each iterate solves only eps0, eps0' and R(., -q), and Z and
-    R(., q) are solved once, at the accepted q.
+    as E; each iterate solves only eps0, eps0' and R(., -q), Z is solved
+    once, at the accepted q, and R(l, q) = R(-l, -q) is its exact mirror.
     The kernel poles at +-ic limit Gauss-Legendre on the two panels of
     half-width q/2 to the rate (a + sqrt(a^2 + 1))^(-n_nodes), a = 2c/q;
     it is checked at the root only, since the first step overshoots.
@@ -124,8 +124,8 @@ def solve_fermi_boundary(params: ModelParams, n_nodes: int):
     if rate > _RESOLUTION:
         raise NumericsError(f"{n_nodes} nodes unresolved at q/c = "
                             f"{q / params.c:.3g} (rate {rate:.1e})")
-    Z, R_plus = (nystrom_solve(kern, grid, inv, f)
-                 for f in (charge, drive_plus))
+    Z = nystrom_solve(kern, grid, inv, charge)
+    R_plus = NystromSolution(grid, R_minus.values[::-1], kern, drive_plus)
     return q, (eps0, eps0_prime, Z, R_plus, R_minus)
 
 

@@ -240,6 +240,20 @@ class ParityInverse:
     cond: float
 
 
+def upper_half(nodes, weights):
+    """x = nodes[n//2:] and weights w with sum f(nodes) weights =
+    sum (f(x) + f(-x)) w, a node at 0 keeping half its weight; a node set
+    whose nodes are not exactly odd and weights even raises ValueError."""
+    n = nodes.size
+    if not (np.array_equal(nodes[::-1], -nodes)
+            and np.array_equal(weights[::-1], weights)):
+        raise ValueError("nodes are not mirror-symmetric with even weights")
+    w = weights[n // 2:].copy()
+    if n % 2:
+        w[0] *= 0.5
+    return nodes[n // 2:], w
+
+
 def nystrom_factorize(kernel, grid: Grid) -> ParityInverse:
     """Invert A = I - (1/2pi) K W on an even-sized grid with nodes odd and
     weights even under x -> -x, for a kernel with K(-x, -y) = K(x, y): on
@@ -248,12 +262,10 @@ def nystrom_factorize(kernel, grid: Grid) -> ParityInverse:
     columns are (I - kd) over ks and A^-1's (inv_e + inv_o)/2 over
     (inv_e - inv_o)/2, so the blocks give cond_1(A) = ||A||_1 ||A^-1||_1;
     above 1e13 the operator is refused."""
-    n = grid.size
-    if n % 2 or not (np.array_equal(grid.nodes[::-1], -grid.nodes)
-                     and np.array_equal(grid.weights[::-1], grid.weights)):
+    if grid.size % 2:
         raise ValueError("Nystrom grid is not mirror-symmetric of even size")
-    x = grid.nodes[n // 2:]
-    w = grid.weights[n // 2:] / (2.0 * np.pi)
+    x, w = upper_half(grid.nodes, grid.weights)
+    w /= 2.0 * np.pi
     direct = np.eye(x.size) - kernel(x[:, None], x[None, :]) * w
     swap = kernel(x[:, None], -x[None, :]) * w
     try:

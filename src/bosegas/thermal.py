@@ -4,8 +4,9 @@ The one path for the nonlinear integral equation shared by the thermal
 excitation energy eps (on a real grid) and the excited-state energy u (on
 a deformed contour): one Anderson-accelerated solve with its tolerance and
 its refusal of an undecayed log weight, and one continuation off the nodes.
-eps is even and its grid mirror-symmetric, so its solve runs on the half
-line and its continuation on half of any negation-closed set of points.
+Both node sets are closed under negation, so one mirror fold halves the
+kernel: even eps solves on the half line, u takes its even and odd parts
+through half-size blocks, and eps continues on half of any such set.
 The low-temperature correction law of eps is a check, in ``verification``.
 """
 
@@ -18,7 +19,7 @@ import numpy as np
 from .groundstate import GroundState, ModelParams, weighted_kernel
 from .groundstate import build_ground_state  # kept for bench/test_bench.py
 from .numerics import (Grid, SampledFunction, NumericsError, composite_grid,
-                       graded_breakpoints)
+                       graded_breakpoints, upper_half)
 
 PANEL_NODES = 16  # Gauss-Legendre nodes per panel of the real-line grid
 # first-step damping, Anderson mixing depth, iteration cap and relative
@@ -92,6 +93,31 @@ def _unfold(half, n: int):
     return np.concatenate([half[::-1][:n // 2], half])
 
 
+def mirror_fold(nodes, weights, c: float):
+    """K(g_i - g_j) W_j on a negation-closed node set folded onto its upper
+    half x (``upper_half``): A = K(x - y) W and B = K(x + y) W.  K is even,
+    so A + B acts on even functions and A - B on odd ones."""
+    x, w = upper_half(nodes, weights)
+    return weighted_kernel(x, x, w, c), weighted_kernel(x, -x, w, c)
+
+
+class FoldedKernel:
+    """``kmat @ v`` for K(g_i - g_j) W_j on a negation-closed node set, by
+    the half-size products of ``mirror_fold`` on the parts of v."""
+
+    def __init__(self, nodes, weights, c: float):
+        direct, swap = mirror_fold(nodes, weights, c)
+        self.even = direct + swap
+        self.odd = np.subtract(direct, swap, out=direct)
+
+    def __matmul__(self, v):
+        half = v.size // 2
+        upper, mirror = v[half:], v[::-1][half:]
+        even = self.even @ (0.5 * (upper + mirror))
+        odd = self.odd @ (0.5 * (upper - mirror))
+        return np.concatenate([(even - odd)[::-1][:half], even + odd])
+
+
 @dataclass(frozen=True)
 class ThermalSolution:
     """Solved thermal excitation energy on a truncated real-line grid."""
@@ -124,7 +150,7 @@ class ThermalSolution:
 def _fixed_point(bare, kmat, T: float, tol: float):
     """Solve f = bare - (T/2pi) kmat log(1 + e^{-f/T}) by Anderson mixing.
 
-    ``kmat`` holds the kernel times the quadrature weights of the nodes
+    ``kmat`` applies the kernel times the quadrature weights of the nodes
     (real grid or deformed contour).  The first step is half-damped; after
     it, type-II Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 49 (2011)
     1715) over the last ``_DEPTH`` differences of residuals r = g - f and
@@ -192,10 +218,8 @@ def solve_yang_yang(params: ModelParams, gs: GroundState,
     ``gs``, which must be of the same (c, h).
 
     eps is even and the grid mirror-symmetric, so the solve runs on the
-    upper half of the nodes with the folded kernel K(x - y) + K(x + y),
-    and only the outermost node can show an undecayed tail.  A node at 0
-    (an odd-sized grid, from an odd ``n_per_panel``) is its own image and
-    keeps half its weight.
+    upper half of the nodes with the even block A + B of ``mirror_fold``,
+    and only the outermost node can show an undecayed tail.
     """
     if not params.T > 0:
         raise ValueError("finite-temperature solve requires T > 0")
@@ -203,11 +227,9 @@ def solve_yang_yang(params: ModelParams, gs: GroundState,
         raise ValueError("ground state was built for another (c, h)")
     grid = thermal_grid(params, gs, n_per_panel)
     n = grid.size
-    x, w = grid.nodes[n // 2:], grid.weights[n // 2:].copy()
-    if n % 2:
-        w[0] *= 0.5
-    kmat = weighted_kernel(x, x, w, params.c)
-    kmat += weighted_kernel(x, -x, w, params.c)
+    kmat, swap = mirror_fold(grid.nodes, grid.weights, params.c)
+    kmat += swap
+    x = grid.nodes[n // 2:]
     eps, lw, it, residual = solve_on(kmat, x ** 2 - params.h, params,
                                      ends=(-1,))
     eps, lw = _unfold(eps, n), _unfold(lw, n)

@@ -2,6 +2,7 @@
 contour-determinant invariances, Gamma-weight factors, configuration sums
 and the finite-temperature discrete factor."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -11,13 +12,14 @@ from bosegas.amplitude import (AmplitudePlan, amplitude_tilde, bd_finite_T,
                                c0_functional, c1_functional, cauchy_det_sq,
                                discrete_amplitude, double_integral, k_alpha,
                                r_factor, smooth_amplitude, w_series)
-from bosegas.excitation import (ExcitationClass, decay_rate_numeric,
-                                root_offsets, solve_u)
-from bosegas.groundstate import ModelParams, build_ground_state
-from bosegas.numerics import (NumericsError, SampledFunction,
+from bosegas.excitation import (ExcitationClass, _driving_term,
+                                decay_rate_numeric, root_offsets, solve_u)
+from bosegas.groundstate import (ModelParams, build_ground_state,
+                                 weighted_kernel)
+from bosegas.numerics import (Contour, NumericsError, SampledFunction,
                                cauchy_transform, composite_grid,
                                fredholm_logdet)
-from bosegas.thermal import solve_yang_yang
+from bosegas.thermal import _fixed_point, solve_yang_yang
 from bosegas.verification import (decay_rate_closed, edge_charge_integral,
                                   u1_function, u2_function,
                                   verify_cauchy_edge, verify_double_integral,
@@ -353,6 +355,56 @@ class TestAllRootKinds:
         # leaves the error near 1 while it still decreases
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 0.2
+
+
+def unfolded_u(sol):
+    """u by the shared fixed point on the full contour matrix
+    K(g_i - g_j) W_j, with no mirror fold: the reference for the folded
+    kernel of ``solve_u``."""
+    params, nodes = sol.params, sol.contour.nodes
+    kmat = weighted_kernel(nodes, nodes, sol.contour.weights, params.c)
+    bare = _driving_term(nodes, params, sol.roots, sol.points)
+    return _fixed_point(bare, kmat, params.T,
+                        1e-12 * max(params.h, params.T))[0]
+
+
+@pytest.fixture(scope="module")
+def odd_contour_sol():
+    """The benchmark class near the top of its range (h/c^2 = 1.98) on 15
+    nodes per panel: an odd contour (405 nodes), the middle one at 0."""
+    gs = build_ground_state(ModelParams(c=0.71, h=1.0))
+    params = ModelParams(c=0.71, h=1.0, T=0.02)
+    return solve_u(params, ExcitationClass(ell=1, p_plus=(1,), h_minus=(1,)),
+                   solve_yang_yang(params, gs, n_per_panel=15))
+
+
+class TestMirrorFold:
+    """The excited sector on the upper half of its odd contour, against
+    the full-contour formulas (measured gaps: u 6e-16, the double
+    integral 1.2e-16, relative)."""
+
+    def test_odd_contour_has_a_self_image_node(self, odd_contour_sol):
+        nodes = odd_contour_sol.contour.nodes
+        assert nodes.size % 2 == 1 and nodes[nodes.size // 2] == 0.0
+
+    def test_solve_u_matches_unfolded(self, all_kinds_sols, odd_contour_sol):
+        for sol in all_kinds_sols + [odd_contour_sol]:
+            ref = unfolded_u(sol)
+            assert np.max(np.abs(sol.u_values - ref)) \
+                <= 1e-12 * np.max(np.abs(ref))
+
+    def test_double_integral_matches_unfolded(self, all_kinds_sols,
+                                              odd_contour_sol):
+        for sol in all_kinds_sols + [odd_contour_sol]:
+            ref = double_integral_reference(sol)
+            assert abs(double_integral(sol) - ref) <= 1e-14 * abs(ref)
+
+    def test_unmirrored_contour_refused(self, odd_contour_sol):
+        sol = odd_contour_sol
+        shifted = dataclasses.replace(sol, contour=Contour(
+            sol.contour.nodes + 1e-9, sol.contour.weights))
+        with pytest.raises(ValueError, match="mirror"):
+            double_integral(shifted)
 
 
 class TestAssembledAmplitude:

@@ -2,6 +2,7 @@
 determinism and exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -183,6 +184,15 @@ class TestExitCodes:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("x = 1e-300\n")
         with np.errstate(all="ignore"):
+            assert main(["correlator", "--config", str(cfg)]) == 3
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_overflow_refused_without_warning(self, tmp_path, capsys):
+        # the refusal used to follow numpy's overflow RuntimeWarnings
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("x = 1e-300\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert main(["correlator", "--config", str(cfg)]) == 3
         assert "non-finite" in capsys.readouterr().err
 

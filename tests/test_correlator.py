@@ -33,6 +33,14 @@ class TestEnvelope:
         x, T, e = 1.0, 1e-6, 2.0
         assert abs(envelope_power(gs, x, T, e) - x ** -e) < 1e-9
 
+    @pytest.mark.parametrize("T", [1e-318, 1e-320, 1e-322])
+    def test_subnormal_temperature(self, gs, T):
+        # pi T / v0 and sinh(pi T x / v0) are subnormal here; their ratio
+        # was off by 7.3e-6, 7.3e-4 and 7.2e-2
+        e = gs.exponent(1)
+        ref = envelope_power(gs, 10.0, 1e-300, e)
+        assert abs(envelope_power(gs, 10.0, T, e) - ref) <= 1e-15 * abs(ref)
+
 
 class TestGeneratingAsymptotics:
     def test_invalid_arguments(self, plan):

@@ -14,8 +14,9 @@ from bosegas.cli import main
 from bosegas.excitation import excitation_contour, solve_u
 from bosegas.groundstate import ModelParams, build_ground_state, weighted_kernel
 from bosegas.numerics import NumericsError
-from bosegas.thermal import (_fixed_point, continuation, solve_yang_yang,
-                             stable_log1pexp, thermal_grid)
+from bosegas.thermal import (FoldedKernel, _fixed_point, continuation,
+                             mirror_fold, solve_yang_yang, stable_log1pexp,
+                             thermal_grid)
 from bosegas.verification import BENCHMARK_CLASS, eps2_at
 
 
@@ -173,6 +174,57 @@ class TestExactParity:
             assert np.any(contour.nodes.imag != 0.0)
             assert np.array_equal(contour.nodes[::-1], -contour.nodes)
             assert np.array_equal(contour.weights[::-1], contour.weights)
+
+
+class TestMirrorFold:
+    """The kernel on a negation-closed node set through its half-size
+    blocks, against the full matrix."""
+
+    @pytest.mark.parametrize("n_per_panel", [15, 16, 17])
+    def test_excitation_contour_odd_at_any_panel_size(self, n_per_panel):
+        gs = ground_state_at(2.0)
+        for t_over_h in PARITY_T_OVER_H:
+            thermal = solve_yang_yang(coupling_params(2.0, t_over_h), gs,
+                                      n_per_panel=n_per_panel)
+            contour = excitation_contour(thermal, CHANNEL_U1)
+            assert np.array_equal(contour.nodes[::-1], -contour.nodes)
+            assert np.array_equal(contour.weights[::-1], contour.weights)
+
+    @pytest.mark.parametrize("n_per_panel", [15, 16])
+    def test_folded_product_matches_full_matrix(self, thermal, n_per_panel):
+        sol = solve_yang_yang(thermal.params, thermal.gs,
+                              n_per_panel=n_per_panel)
+        contour = excitation_contour(sol, CHANNEL_U1)
+        nodes, weights, c = contour.nodes, contour.weights, sol.params.c
+        full = weighted_kernel(nodes, nodes, weights, c)
+        folded = FoldedKernel(nodes, weights, c)
+        rng = np.random.default_rng(7)
+        for v in (rng.standard_normal(nodes.size),
+                  np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, nodes.size))):
+            ref = full @ v
+            assert np.max(np.abs(folded @ v - ref)) \
+                <= 1e-13 * np.max(np.abs(ref))
+
+    def test_even_block_is_the_yang_yang_kernel(self, thermal):
+        # A + B on the half line, as solve_yang_yang folds it
+        grid, c = thermal.grid, thermal.params.c
+        direct, swap = mirror_fold(grid.nodes, grid.weights, c)
+        x = grid.nodes[grid.size // 2:]
+        ref = weighted_kernel(x, x, grid.weights[grid.size // 2:], c)
+        ref += weighted_kernel(x, -x, grid.weights[grid.size // 2:], c)
+        assert np.array_equal(direct + swap, ref)
+
+    @pytest.mark.parametrize("case", ["shifted", "uneven-weights"])
+    def test_unmirrored_nodes_refused(self, thermal, case):
+        nodes, weights = thermal.grid.nodes, thermal.grid.weights.copy()
+        if case == "shifted":
+            nodes = nodes + 1e-9
+        else:
+            weights[0] *= 1.0 + 1e-15
+        with pytest.raises(ValueError, match="mirror"):
+            mirror_fold(nodes, weights, 1.0)
+        with pytest.raises(ValueError, match="mirror"):
+            FoldedKernel(nodes, weights, 1.0)
 
 
 def full_grid_solve(sol):
