@@ -374,7 +374,9 @@ def double_integral(sol: USolution) -> complex:
     two-term Taylor subtraction at each node regularizes the quadrature,
     the subtracted terms integrate in closed form, and the left-shifted
     pole contributes the +i pi half-residue to the logarithmic term.
-    The contour is odd, so 1/dl is formed on its upper-half rows only, and
+    Off the diagonal, whose term is z''_j / 2, the sum over i of (z_i - z_j
+    - z'_j dl) / dl^2 is sum z_i P^2 - z_j sum P^2 - z'_j sum P, P = 1/dl.
+    The contour is odd, so P is formed on its upper-half rows only, and
     the lower rows are that block applied to z(-l), z' -> -z'(-l).
     """
     g, w, z = sol.contour.nodes, sol.contour.weights, sol.z
@@ -386,20 +388,18 @@ def double_integral(sol: USolution) -> complex:
     x, wx = upper_half(g, w)
     half = g.size // 2
     diag = (np.arange(x.size), np.arange(half, g.size))
-    inv_dl = np.subtract.outer(x, g)
-    inv_dl[diag] = 1.0
-    np.divide(1.0, inv_dl, out=inv_dl)
-
-    def rows(z, zp, zpp):
-        # (z_i - z_j - z'_j dl) / dl^2 as ((z_i - z_j) P - z'_j) P, P = 1/dl
-        mat = np.subtract.outer(z[half:], z)
-        mat *= inv_dl
-        mat -= zp
-        mat *= inv_dl
-        mat[diag] = 0.5 * zpp[half:]
-        return wx @ mat               # J_j before the subtracted closed forms
-
-    reg = rows(z, zp, zpp) + rows(z[::-1], -zp[::-1], zpp[::-1])[::-1]
+    p = np.subtract.outer(x, g)
+    p[diag] = 1.0
+    np.divide(1.0, p, out=p)
+    p[diag] = 0.0
+    s_p = wx @ p
+    p *= p
+    # a constant drops out of z_i - z_j; taking z from its middle value, flat
+    # across the Fermi sea, keeps the large near-diagonal sums small there
+    zc = z - z[half]
+    s_z, s_zr, s_p2 = np.stack([wx * zc[half:], wx * zc[::-1][half:], wx]) @ p
+    reg = (s_z + s_zr[::-1] - zc * (s_p2 + s_p2[::-1])
+           - zp * (s_p - s_p[::-1]) + 0.5 * w * zpp)
 
     a, b = base.a, base.b
     i2 = 1.0 / (a - g) - 1.0 / (b - g)

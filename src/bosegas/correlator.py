@@ -18,18 +18,15 @@ from .amplitude import CONTOUR_NODES, AmplitudePlan, _require_finite
 from .groundstate import GroundState
 
 
-def _envelope_base(gs: GroundState, x: float, T: float) -> float:
-    """(pi T / v0) / sinh(pi T x / v0) as (a/sinh a)/x, a = pi T x / v0, by
-    expm1: exact as T -> 0, even where pi T / v0 is subnormal."""
-    a = np.pi * T * x / gs.v0
-    return 2.0 * a * np.exp(-a) / -np.expm1(-2.0 * a) / x
-
-
 def envelope_power(gs: GroundState, x: float, T: float, exponent) -> complex:
     """(pi T / v0 / sinh(pi T x / v0))^exponent on the principal branch of
-    the positive real base; an overflow is left to the callers' checks."""
+    the positive real base, from its logarithm log(2a / -expm1(-2a)) - a
+    - log x, a = pi T x / v0, which stays finite where e^{-a} underflows;
+    an overflow is left to the callers' checks."""
+    a = np.pi * T * x / gs.v0
+    log_base = np.log(2.0 * a / -np.expm1(-2.0 * a)) - a - np.log(x)
     with np.errstate(over="ignore"):
-        return complex(np.exp(exponent * np.log(_envelope_base(gs, x, T))))
+        return complex(np.exp(exponent * log_base))
 
 
 @dataclass(frozen=True)
@@ -99,9 +96,11 @@ class CorrelatorSeries:
 
 def ell0_closed(gs: GroundState, x: float, T: float) -> float:
     """Non-oscillating term -(T Zq/v0)^2 / 2 sinh^2(a), a = pi T x / v0, as
-    -(Zq/pi)^2 (a/sinh a / x)^2 / 2, which stays finite as T -> 0."""
+    -(Zq/pi)^2 (a/sinh a / x)^2 / 2 by expm1, finite as T -> 0."""
+    a = np.pi * T * x / gs.v0
+    base = 2.0 * a * np.exp(-a) / -np.expm1(-2.0 * a) / x
     with np.errstate(over="ignore"):
-        return float(-0.5 * (gs.Zq / np.pi * _envelope_base(gs, x, T)) ** 2)
+        return float(-0.5 * (gs.Zq / np.pi * base) ** 2)
 
 
 def density_correlator(plan: AmplitudePlan, x, T: float, ell_max: int = 2):

@@ -39,10 +39,9 @@ def stable_log1pexp(x):
     """
     x = np.asarray(x)
     pos = np.real(x) > 0
-    out = np.empty_like(x, dtype=complex if np.iscomplexobj(x) else float)
-    out[pos] = np.log1p(np.exp(-x[pos]))
-    out[~pos] = -x[~pos] + np.log1p(np.exp(x[~pos]))
-    return out
+    neg = -x
+    out = np.log1p(np.exp(np.where(pos, neg, x)))
+    return np.where(pos, out, neg + out)
 
 
 def thermal_cutoff(params: ModelParams, gs: GroundState) -> float:

@@ -2,6 +2,8 @@
 against finite differences, free-fermion anchor and structural properties
 of the density-density correlator."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,17 @@ class TestEnvelope:
         e = gs.exponent(1)
         ref = envelope_power(gs, 10.0, 1e-300, e)
         assert abs(envelope_power(gs, 10.0, T, e) - ref) <= 1e-15 * abs(ref)
+
+    def test_far_distance(self, gs, plan):
+        # pi T x / v0 is past 745, where e^{-a} underflows: the log of the
+        # base read -inf, with a warning, and the zero exponent gave NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            total, _ = generating_asymptotics(plan, 0.0, 1e5, 0.01, 1)
+            series = density_correlator(plan, 1e5, 0.01)
+        assert total == 1.0
+        assert series.total == gs.D ** 2
+        assert [t.value for t in series.harmonics] == [0.0] * 4
 
 
 class TestGeneratingAsymptotics:
