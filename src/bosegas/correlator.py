@@ -21,10 +21,12 @@ from .groundstate import GroundState
 def envelope_power(gs: GroundState, x: float, T: float, exponent) -> complex:
     """(pi T / v0 / sinh(pi T x / v0))^exponent on the principal branch of
     the positive real base, from its logarithm log(2a / -expm1(-2a)) - a
-    - log x, a = pi T x / v0, which stays finite where e^{-a} underflows;
-    an overflow is left to the callers' checks."""
+    - log x, a = pi T x / v0, which stays finite where e^{-a} underflows
+    (the ratio is its limit 1 where a underflows to 0); an overflow is
+    left to the callers' checks."""
     a = np.pi * T * x / gs.v0
-    log_base = np.log(2.0 * a / -np.expm1(-2.0 * a)) - a - np.log(x)
+    ratio = 2.0 * a / -np.expm1(-2.0 * a) if a > 0 else 1.0
+    log_base = np.log(ratio) - a - np.log(x)
     with np.errstate(over="ignore"):
         return complex(np.exp(exponent * log_base))
 
@@ -98,7 +100,7 @@ def ell0_closed(gs: GroundState, x: float, T: float) -> float:
     """Non-oscillating term -(T Zq/v0)^2 / 2 sinh^2(a), a = pi T x / v0, as
     -(Zq/pi)^2 (a/sinh a / x)^2 / 2 by expm1, finite as T -> 0."""
     a = np.pi * T * x / gs.v0
-    base = 2.0 * a * np.exp(-a) / -np.expm1(-2.0 * a) / x
+    base = (2.0 * a * np.exp(-a) / -np.expm1(-2.0 * a) if a > 0 else 1.0) / x
     with np.errstate(over="ignore"):
         return float(-0.5 * (gs.Zq / np.pi * base) ** 2)
 

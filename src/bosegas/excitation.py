@@ -16,8 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .groundstate import GroundState, ModelParams, kernel, kernel_prime
-from .numerics import Contour
-from .thermal import (FoldedKernel, ThermalSolution, continuation, solve_on,
+from .numerics import Contour, MirrorFold, unfold_even, upper_half
+from .thermal import (ThermalSolution, continuation, mirror_fold, solve_on,
                       stable_log1pexp)
 
 
@@ -207,8 +207,9 @@ def solve_u(params: ModelParams, cls: ExcitationClass,
     which realizes the analytic continuation in alpha of the
     constraint-satisfying regime; all closed low-temperature forms refer
     to that continuation.  The contour is odd, so the kernel acts on it by
-    its mirror fold.  ``thermal`` carries the ground state; one of other
-    parameters, or on a ground state other than ``gs``, is refused.
+    its mirror fold, and eps, which is even, is continued on its upper
+    half.  ``thermal`` carries the ground state; one of other parameters,
+    or on a ground state other than ``gs``, is refused.
     """
     if params.T > 0.05 * params.h:
         raise ValueError("excited-state solve gated to T <= 0.05 h")
@@ -228,8 +229,10 @@ def solve_u(params: ModelParams, cls: ExcitationClass,
     contour = excitation_contour(thermal, roots.u1_at_q)
     lam = contour.nodes
     u, lw, it, residual = solve_on(
-        FoldedKernel(lam, contour.weights, params.c),
+        MirrorFold.from_blocks(*mirror_fold(lam, contour.weights, params.c)),
         _driving_term(lam, params, roots, points), params)
+    eps = unfold_even(thermal.eps_at(upper_half(lam, contour.weights)[0]),
+                      lam.size)
     # the phase z = -(1/2 pi i) log[(1+e^{-u/T})/(1+e^{-eps/T})] vanishes
     # at both contour ends.  log(1 + e^{-eps/T}) takes the two-sided stable
     # evaluation, as for u in the fixed point.  Away from the Fermi
@@ -238,7 +241,7 @@ def solve_u(params: ModelParams, cls: ExcitationClass,
     # only branch freedom lives in windows of width ~T around +-q.  The
     # contour keeps the local phase |Im u/T| inside (-pi, pi) there, which
     # makes this the branch fixed by continuity and by decay at both tails.
-    z = -(lw - stable_log1pexp(thermal.eps_at(lam) / T)) / (2.0j * np.pi)
+    z = -(lw - stable_log1pexp(eps / T)) / (2.0j * np.pi)
     return USolution(params=params, cls=cls, thermal=thermal,
                      contour=contour, u_values=u, log_weight=lw, z=z,
                      roots=roots, points=points, iterations=it,

@@ -2,10 +2,11 @@
 
 Gauss-Legendre grids (single interval or graded composite panels) with
 closed-form barycentric interpolation and differentiation on each panel,
-Nystrom solution of second-kind linear integral equations, Fredholm
-determinants on intervals and closed contours (a conjugation-symmetric one
-through a real matrix of the same size), and Cauchy transforms with
-singularity subtraction near the integration domain.
+mirror folds on negation-closed node sets, Nystrom solution of second-kind
+linear integral equations by such a fold, Fredholm determinants on
+intervals and closed contours (a conjugation-symmetric one through a real
+matrix of the same size), and Cauchy transforms with singularity
+subtraction near the integration domain.
 """
 
 from __future__ import annotations
@@ -231,15 +232,6 @@ class NystromSolution(SampledFunction):
         return out[0] if x.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class ParityInverse:
-    """Inverses of the even and odd blocks of a Nystrom operator, and the
-    exact 1-norm condition number of the full operator."""
-
-    blocks: np.ndarray  # shape (2, n/2, n/2): even, odd
-    cond: float
-
-
 def upper_half(nodes, weights):
     """x = nodes[n//2:] and weights w with sum f(nodes) weights =
     sum (f(x) + f(-x)) w, a node at 0 keeping half its weight; a node set
@@ -252,6 +244,43 @@ def upper_half(nodes, weights):
     if n % 2:
         w[0] *= 0.5
     return nodes[n // 2:], w
+
+
+@dataclass(frozen=True)
+class MirrorFold:
+    """An operator with M(-x, -y) = M(x, y) on a negation-closed node set,
+    applied by ``@`` through its blocks on the upper nodes of ``upper_half``:
+    ``even`` on the even part of a vector and ``odd`` on its odd part, so
+    parity is exact.  For odd n the middle node, 0, is its own image."""
+
+    even: np.ndarray
+    odd: np.ndarray
+
+    @classmethod
+    def from_blocks(cls, direct, swap):
+        """Fold of M(x, y) and M(x, -y); ``direct`` becomes the odd block."""
+        return cls(direct + swap, np.subtract(direct, swap, out=direct))
+
+    def __matmul__(self, v):
+        half = v.size // 2
+        upper, mirror = v[half:], v[::-1][half:]
+        even = self.even @ (0.5 * (upper + mirror))
+        odd = self.odd @ (0.5 * (upper - mirror))
+        return np.concatenate([(even - odd)[::-1][:half], even + odd])
+
+
+def unfold_even(upper, n: int):
+    """An even function on the n nodes of a negation-closed set from its
+    values on the upper nodes of ``upper_half``."""
+    return np.concatenate([upper[::-1][:n // 2], upper])
+
+
+@dataclass(frozen=True)
+class ParityInverse(MirrorFold):
+    """Mirror fold of a Nystrom operator's inverse, and the exact 1-norm
+    condition number of the full operator."""
+
+    cond: float
 
 
 def nystrom_factorize(kernel, grid: Grid) -> ParityInverse:
@@ -277,7 +306,7 @@ def nystrom_factorize(kernel, grid: Grid) -> ParityInverse:
                                        + np.abs(inv[0] - inv[1]), axis=0)))
     if not np.isfinite(cond) or cond > 1e13:
         raise NumericsError(f"discretized operator ill-conditioned (cond={cond:.2e})")
-    return ParityInverse(inv, cond)
+    return ParityInverse(inv[0], inv[1], cond)
 
 
 def nystrom_solve(kernel, grid: Grid, inverse: ParityInverse,
@@ -286,12 +315,7 @@ def nystrom_solve(kernel, grid: Grid, inverse: ParityInverse,
     given ``inverse = nystrom_factorize(kernel, grid)``; the even and odd
     parts of rhs go through their own blocks, so the parity of an even or
     odd rhs is exact in f."""
-    rhs = rhs_fn(grid.nodes)
-    upper, lower = rhs[grid.size // 2:], rhs[grid.size // 2 - 1::-1]
-    even = inverse.blocks[0] @ (0.5 * (upper + lower))
-    odd = inverse.blocks[1] @ (0.5 * (upper - lower))
-    values = np.concatenate([(even - odd)[::-1], even + odd])
-    return NystromSolution(grid, values, kernel, rhs_fn)
+    return NystromSolution(grid, inverse @ rhs_fn(grid.nodes), kernel, rhs_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ The one path for the nonlinear integral equation shared by the thermal
 excitation energy eps (on a real grid) and the excited-state energy u (on
 a deformed contour): one Anderson-accelerated solve with its tolerance and
 its refusal of an undecayed log weight, and one continuation off the nodes.
-Both node sets are closed under negation, so one mirror fold halves the
-kernel: even eps solves on the half line, u takes its even and odd parts
-through half-size blocks, and eps continues on half of any such set.
+Both node sets are closed under negation, so the kernel is halved by its
+mirror fold: even eps solves on the half line with the even block, and u
+goes through both blocks of ``numerics.MirrorFold``.
 The low-temperature correction law of eps is a check, in ``verification``.
 """
 
@@ -19,7 +19,7 @@ import numpy as np
 from .groundstate import GroundState, ModelParams, weighted_kernel
 from .groundstate import build_ground_state  # kept for bench/test_bench.py
 from .numerics import (Grid, SampledFunction, NumericsError, composite_grid,
-                       graded_breakpoints, upper_half)
+                       graded_breakpoints, unfold_even, upper_half)
 
 PANEL_NODES = 16  # Gauss-Legendre nodes per panel of the real-line grid
 # first-step damping, Anderson mixing depth, iteration cap and relative
@@ -86,35 +86,12 @@ def thermal_grid(params: ModelParams, gs: GroundState,
                           n_per_panel)
 
 
-def _unfold(half, n: int):
-    """Values on the n nodes of a mirror-symmetric set from those on its
-    upper n - n//2 nodes (the middle one, for odd n, is its own image)."""
-    return np.concatenate([half[::-1][:n // 2], half])
-
-
 def mirror_fold(nodes, weights, c: float):
     """K(g_i - g_j) W_j on a negation-closed node set folded onto its upper
     half x (``upper_half``): A = K(x - y) W and B = K(x + y) W.  K is even,
     so A + B acts on even functions and A - B on odd ones."""
     x, w = upper_half(nodes, weights)
     return weighted_kernel(x, x, w, c), weighted_kernel(x, -x, w, c)
-
-
-class FoldedKernel:
-    """``kmat @ v`` for K(g_i - g_j) W_j on a negation-closed node set, by
-    the half-size products of ``mirror_fold`` on the parts of v."""
-
-    def __init__(self, nodes, weights, c: float):
-        direct, swap = mirror_fold(nodes, weights, c)
-        self.even = direct + swap
-        self.odd = np.subtract(direct, swap, out=direct)
-
-    def __matmul__(self, v):
-        half = v.size // 2
-        upper, mirror = v[half:], v[::-1][half:]
-        even = self.even @ (0.5 * (upper + mirror))
-        odd = self.odd @ (0.5 * (upper - mirror))
-        return np.concatenate([(even - odd)[::-1][:half], even + odd])
 
 
 @dataclass(frozen=True)
@@ -130,19 +107,8 @@ class ThermalSolution:
     residual: float
 
     def eps_at(self, lam):
-        """Analytic continuation of eps via its own integral equation.  eps
-        is even, so on points closed under negation in mirrored order
-        (lam[::-1] == -lam exactly, as on the excited contour) the upper
-        half is evaluated and mirrored."""
-        lam = np.asarray(lam)
-        flat = lam.reshape(-1)
-        if flat.size > 1 and np.array_equal(flat[::-1], -flat):
-            upper = self._continued(flat[flat.size // 2:])
-            return _unfold(upper, flat.size).reshape(lam.shape)
-        return self._continued(lam)
-
-    def _continued(self, lam):
-        return continuation(lam, lambda x: x ** 2 - self.params.h,
+        """Analytic continuation of eps via its own integral equation."""
+        return continuation(np.asarray(lam), lambda x: x ** 2 - self.params.h,
                             self.grid, self.log_weight, self.params)
 
 
@@ -231,7 +197,7 @@ def solve_yang_yang(params: ModelParams, gs: GroundState,
     x = grid.nodes[n // 2:]
     eps, lw, it, residual = solve_on(kmat, x ** 2 - params.h, params,
                                      ends=(-1,))
-    eps, lw = _unfold(eps, n), _unfold(lw, n)
+    eps, lw = unfold_even(eps, n), unfold_even(lw, n)
     return ThermalSolution(params=params, gs=gs, grid=grid,
                            eps=SampledFunction(grid, eps), log_weight=lw,
                            iterations=it, residual=residual)

@@ -35,13 +35,21 @@ class TestEnvelope:
         x, T, e = 1.0, 1e-6, 2.0
         assert abs(envelope_power(gs, x, T, e) - x ** -e) < 1e-9
 
-    @pytest.mark.parametrize("T", [1e-318, 1e-320, 1e-322])
-    def test_subnormal_temperature(self, gs, T):
+    @pytest.mark.parametrize("T, x", [(1e-318, 10.0), (1e-320, 10.0),
+                                      (1e-322, 10.0), (1e-320, 1e-5)],
+                             ids=["1e-318", "1e-320", "1e-322", "1e-320-x"])
+    def test_subnormal_temperature(self, gs, T, x):
         # pi T / v0 and sinh(pi T x / v0) are subnormal here; their ratio
-        # was off by 7.3e-6, 7.3e-4 and 7.2e-2
+        # was off by 7.3e-6, 7.3e-4 and 7.2e-2 at x = 10, and at x = 1e-5
+        # a = pi T x / v0 is 0, where 2a / -expm1(-2a) read 0/0
         e = gs.exponent(1)
-        ref = envelope_power(gs, 10.0, 1e-300, e)
-        assert abs(envelope_power(gs, 10.0, T, e) - ref) <= 1e-15 * abs(ref)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for ref, got in ((envelope_power(gs, x, 1e-300, e),
+                              envelope_power(gs, x, T, e)),
+                             (ell0_closed(gs, x, 1e-300),
+                              ell0_closed(gs, x, T))):
+                assert abs(got - ref) <= 1e-15 * abs(ref)
 
     def test_far_distance(self, gs, plan):
         # pi T x / v0 is past 745, where e^{-a} underflows: the log of the

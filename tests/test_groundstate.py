@@ -229,7 +229,7 @@ class TestParitySplit:
         # odd block, fails the residual check of the unfolded equations
         kern = lambda x, y: kernel(x - y, gs.params.c)
         inv = nystrom_factorize(kern, gs.grid)
-        swapped = ParityInverse(inv.blocks[::-1], inv.cond)
+        swapped = ParityInverse(inv.odd, inv.even, inv.cond)
         wrong = nystrom_solve(kern, gs.grid, swapped, drive)
         with pytest.raises(ArithmeticError, match="residual"):
             dataclasses.replace(gs, **{name: wrong})._check()

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from bosegas.groundstate import ModelParams, build_ground_state, kernel
-from bosegas.numerics import (ConjugatePairing, Contour, NumericsError,
-                              SampledFunction, cauchy_transform,
-                              composite_grid, fredholm_logdet,
-                              graded_breakpoints, nystrom_factorize,
-                              nystrom_solve)
+from bosegas.numerics import (ConjugatePairing, Contour, MirrorFold,
+                              NumericsError, SampledFunction,
+                              cauchy_transform, composite_grid,
+                              fredholm_logdet, graded_breakpoints,
+                              nystrom_factorize, nystrom_solve, unfold_even,
+                              upper_half)
 
 
 def _spectral_case(case):
@@ -111,6 +112,52 @@ class TestContour:
         cont = Contour.ellipse(1.0, 0.5, 128)
         val = np.sum(cont.weights / (cont.nodes - 3.0))
         assert abs(val) < 1e-12
+
+
+def _mirror_kernel(x, y):
+    """Complex, with M(-x, -y) = M(x, y) and no symmetry in x or y alone."""
+    return np.exp(-(x - 0.5 * y) ** 2) + x * y ** 3 \
+        + 1j * np.sin(x) * np.sin(2.0 * y)
+
+
+def _mirror_case(n):
+    """n negation-closed nodes in mirrored order (0 among them for odd n),
+    even weights, and M(x_i, x_j) w_j on them, dense and folded."""
+    rng = np.random.default_rng(n)
+    pos = np.sort(rng.uniform(0.1, 2.0, n // 2))
+    nodes = np.concatenate([-pos[::-1], [0.0] * (n % 2), pos])
+    weights = np.abs(nodes) + 0.3
+    x, w = upper_half(nodes, weights)
+    fold = MirrorFold.from_blocks(_mirror_kernel(x[:, None], x[None, :]) * w,
+                                  _mirror_kernel(x[:, None], -x[None, :]) * w)
+    dense = _mirror_kernel(nodes[:, None], nodes[None, :]) * weights
+    return nodes, dense, fold
+
+
+class TestMirrorFold:
+    @pytest.mark.parametrize("n", [10, 11])
+    def test_matches_dense_product(self, n):
+        nodes, dense, fold = _mirror_case(n)
+        rng = np.random.default_rng(3)
+        for v in (rng.standard_normal(n),
+                  rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+            ref = dense @ v
+            assert np.max(np.abs(fold @ v - ref)) \
+                <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [10, 11])
+    def test_parity_exact(self, n):
+        nodes, _, fold = _mirror_case(n)
+        even, odd = fold @ np.cos(nodes), fold @ nodes ** 3
+        assert np.array_equal(even[::-1], even)
+        assert np.array_equal(odd[::-1], -odd)
+
+    def test_unfold_even(self):
+        # at odd n the middle node, 0, is its own image and appears once
+        assert np.array_equal(unfold_even(np.array([0.0, 1.0, 2.0]), 5),
+                              [2.0, 1.0, 0.0, 1.0, 2.0])
+        assert np.array_equal(unfold_even(np.array([1.0, 2.0, 3.0]), 6),
+                              [3.0, 2.0, 1.0, 1.0, 2.0, 3.0])
 
 
 class TestNystrom:

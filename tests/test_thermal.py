@@ -3,6 +3,7 @@
 the folded solve rests on (against a full-grid solve) and the
 low-temperature law."""
 
+import itertools
 import warnings
 from functools import lru_cache
 
@@ -14,10 +15,10 @@ import bosegas.thermal
 from bosegas.cli import main
 from bosegas.excitation import excitation_contour, solve_u
 from bosegas.groundstate import ModelParams, build_ground_state, weighted_kernel
-from bosegas.numerics import NumericsError
-from bosegas.thermal import (FoldedKernel, _fixed_point, continuation,
-                             mirror_fold, solve_yang_yang, stable_log1pexp,
-                             thermal_grid)
+from bosegas.numerics import (MirrorFold, NumericsError, unfold_even,
+                              upper_half)
+from bosegas.thermal import (_fixed_point, continuation, mirror_fold,
+                             solve_yang_yang, stable_log1pexp, thermal_grid)
 from bosegas.verification import BENCHMARK_CLASS, eps2_at
 
 
@@ -117,12 +118,9 @@ class TestYangYangSolve:
         assert thermal.iterations <= 30
 
     def test_even(self, thermal):
-        # exactly: on the nodes, and off them on a negation-closed set
+        # exactly, on the nodes
         assert np.array_equal(thermal.eps.values[::-1], thermal.eps.values)
         assert np.array_equal(thermal.log_weight[::-1], thermal.log_weight)
-        lam = np.array([-1.5, -0.8, -0.25, 0.0, 0.25, 0.8, 1.5])
-        vals = thermal.eps_at(lam)
-        assert np.array_equal(vals[::-1], vals)
 
     def test_tail_below_bare(self, thermal):
         # the tail integral is positive, so eps sits below the bare
@@ -237,7 +235,7 @@ class TestMirrorFold:
         contour = excitation_contour(sol, CHANNEL_U1)
         nodes, weights, c = contour.nodes, contour.weights, sol.params.c
         full = weighted_kernel(nodes, nodes, weights, c)
-        folded = FoldedKernel(nodes, weights, c)
+        folded = MirrorFold.from_blocks(*mirror_fold(nodes, weights, c))
         rng = np.random.default_rng(7)
         for v in (rng.standard_normal(nodes.size),
                   np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, nodes.size))):
@@ -263,8 +261,6 @@ class TestMirrorFold:
             weights[0] *= 1.0 + 1e-15
         with pytest.raises(ValueError, match="mirror"):
             mirror_fold(nodes, weights, 1.0)
-        with pytest.raises(ValueError, match="mirror"):
-            FoldedKernel(nodes, weights, 1.0)
 
 
 def full_grid_solve(sol):
@@ -295,16 +291,24 @@ class TestFoldAgainstFullGrid:
         sol = solve_yang_yang(thermal.params, thermal.gs, n_per_panel=15)
         assert sol.grid.size % 2 == 1
 
-    def test_negation_closed_continuation(self, thermal):
-        # on the odd excited contour eps_at evaluates one half and mirrors
-        # it; the plain continuation evaluates every point
-        contour = excitation_contour(thermal, CHANNEL_U1)
-        lam = contour.nodes
-        assert np.array_equal(lam[::-1], -lam)
-        ref = continuation(lam, lambda x: x ** 2 - thermal.params.h,
-                           thermal.grid, thermal.log_weight, thermal.params)
-        assert np.max(np.abs(thermal.eps_at(lam) - ref)) \
-            <= 1e-14 * np.max(np.abs(ref))
+    def test_negation_closed_continuation(self):
+        # solve_u continues eps on the upper half of the odd excited
+        # contour and unfolds it; the plain continuation evaluates every
+        # node.  An odd contour has a node at 0, its own image
+        for n_per_panel, ratio, t_over_h in itertools.product(
+                (15, 16, 17), (1.0, 1.98), (0.02, 0.005)):
+            thermal = solve_yang_yang(coupling_params(ratio, t_over_h),
+                                      ground_state_at(ratio),
+                                      n_per_panel=n_per_panel)
+            contour = excitation_contour(thermal, CHANNEL_U1)
+            lam = contour.nodes
+            upper, _ = upper_half(lam, contour.weights)
+            folded = unfold_even(thermal.eps_at(upper), lam.size)
+            ref = continuation(lam, lambda x: x ** 2 - thermal.params.h,
+                               thermal.grid, thermal.log_weight,
+                               thermal.params)
+            assert np.max(np.abs(folded - ref)) \
+                <= 1e-14 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("T", [0.002, 0.05])
