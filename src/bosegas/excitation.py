@@ -208,7 +208,8 @@ def solve_u(params: ModelParams, cls: ExcitationClass,
     constraint-satisfying regime; all closed low-temperature forms refer
     to that continuation.  The contour is odd, so the kernel acts on it by
     its mirror fold, and eps, which is even, is continued on its upper
-    half.  ``thermal`` carries the ground state; one of other parameters,
+    half; that eps, which the phase z needs, also starts the solve.
+    ``thermal`` carries the ground state; one of other parameters,
     or on a ground state other than ``gs``, is refused.
     """
     if params.T > 0.05 * params.h:
@@ -228,11 +229,11 @@ def solve_u(params: ModelParams, cls: ExcitationClass,
 
     contour = excitation_contour(thermal, roots.u1_at_q)
     lam = contour.nodes
-    u, lw, it, residual = solve_on(
-        MirrorFold.from_blocks(*mirror_fold(lam, contour.weights, params.c)),
-        _driving_term(lam, params, roots, points), params)
     eps = unfold_even(thermal.eps_at(upper_half(lam, contour.weights)[0]),
                       lam.size)
+    u, lw, it, residual = solve_on(
+        MirrorFold.from_blocks(*mirror_fold(lam, contour.weights, params.c)),
+        _driving_term(lam, params, roots, points), eps, params)
     # the phase z = -(1/2 pi i) log[(1+e^{-u/T})/(1+e^{-eps/T})] vanishes
     # at both contour ends.  log(1 + e^{-eps/T}) takes the two-sided stable
     # evaluation, as for u in the fixed point.  Away from the Fermi

@@ -71,6 +71,7 @@ def fermi_grid(q: float, n_nodes: int) -> Grid:
 
 
 _RESOLUTION = 1e-12  # largest Gauss-Legendre rate of an accepted Fermi grid
+_COARSE_RESOLUTION = 1e-13  # rate that sizes the grid of the coarse search
 _MAX_NEWTON = 50
 
 
@@ -84,28 +85,34 @@ def _drives(params: ModelParams, q: float):
             lambda lam: kernel(lam + q, c) / (2.0 * np.pi))
 
 
-def solve_fermi_boundary(params: ModelParams, n_nodes: int):
-    """Fermi boundary q, where eps0(q|q) = 0, and the interval solutions
-    eps0, eps0', Z, R(., q) and R(., -q).
+def _rate(c: float, q: float, n_nodes: int) -> float:
+    """Gauss-Legendre rate (a + sqrt(a^2 + 1))^(-n_nodes), a = 2c/q, of
+    ``fermi_grid(q, n_nodes)``: the kernel poles at +-ic limit the two
+    panels of half-width q/2 to it."""
+    a = 2.0 * c / q
+    return (a + np.sqrt(a * a + 1.0)) ** (-n_nodes)
 
-    Newton iteration on E(q) = eps0(q|q) from q = sqrt(h), where E < 0.
-    As d eps0(lambda|q)/dq = E [R(lambda, q) + R(lambda, -q)], the exact
-    slope dE/dq = eps0'(q) + 2 E R(q, -q) comes from the same factorization
-    as E; each iterate solves only eps0, eps0' and R(., -q), Z is solved
-    once, at the accepted q, and R(l, q) = R(-l, -q) is its exact mirror.
-    The kernel poles at +-ic limit Gauss-Legendre on the two panels of
-    half-width q/2 to the rate (a + sqrt(a^2 + 1))^(-n_nodes), a = 2c/q;
-    it is checked at the root only, since the first step overshoots.
-    """
-    kern = lambda x, y: kernel(x - y, params.c)
-    q = float(np.sqrt(params.h))
+
+def _check_resolution(params: ModelParams, q: float, n_nodes: int,
+                      relation: str):
+    """Refuse a grid whose rate at q exceeds ``_RESOLUTION``; ``relation``
+    says whether q is the root ("=") or a lower bound of it (">=")."""
+    rate = _rate(params.c, q, n_nodes)
+    if rate > _RESOLUTION:
+        raise NumericsError(f"{n_nodes} nodes unresolved at q/c {relation} "
+                            f"{q / params.c:.3g} (rate {rate:.1e})")
+
+
+def _newton(params: ModelParams, kern, q: float, n_nodes: int):
+    """Newton iteration on E(q) = eps0(q|q) from q on ``fermi_grid(q,
+    n_nodes)``, to a step of at most 1e-13 q.  Returns the last iterate,
+    its grid and factorization and its eps0, eps0' and R(., -q)."""
     for _ in range(_MAX_NEWTON):
         grid = fermi_grid(q, n_nodes)
         inv = nystrom_factorize(kern, grid)
-        energy, slope, charge, drive_plus, drive_minus = _drives(params, q)
+        energy, slope, _, _, drive_minus = _drives(params, q)
         terms = (energy, slope, drive_minus)
-        sols = eps0, eps0_prime, R_minus = [
-            nystrom_solve(kern, grid, inv, f) for f in terms]
+        sols = [nystrom_solve(kern, grid, inv, f) for f in terms]
         # the three at q by the natural Nystrom formula on one kernel row,
         # not three NystromSolution calls: this is the search's inner loop
         row = kern(q, grid.nodes) * grid.weights / (2.0 * np.pi)
@@ -113,17 +120,41 @@ def solve_fermi_boundary(params: ModelParams, n_nodes: int):
                                 for f, sol in zip(terms, sols))
         step = edge / (d_edge + 2.0 * edge * r_edge)
         if abs(step) <= 1e-13 * q:
-            break
+            return q, grid, inv, sols
         q -= step
         if not q > 0:
             raise NumericsError(f"Newton iterate q = {q:.3g}; use more nodes")
-    else:
-        raise NumericsError(f"no Fermi boundary in {_MAX_NEWTON} Newton steps")
-    a = 2.0 * params.c / q
-    rate = (a + np.sqrt(a * a + 1.0)) ** (-n_nodes)
-    if rate > _RESOLUTION:
-        raise NumericsError(f"{n_nodes} nodes unresolved at q/c = "
-                            f"{q / params.c:.3g} (rate {rate:.1e})")
+    raise NumericsError(f"no Fermi boundary in {_MAX_NEWTON} Newton steps")
+
+
+def solve_fermi_boundary(params: ModelParams, n_nodes: int):
+    """Fermi boundary q, where eps0(q|q) = 0, and the interval solutions
+    eps0, eps0', Z, R(., q) and R(., -q).
+
+    Newton iteration on E(q) = eps0(q|q), twice with one loop body: from
+    q = sqrt(h), where E < 0, on a coarse grid, then on the full grid from
+    the coarse root.  As d eps0(lambda|q)/dq = E [R(lambda, q) +
+    R(lambda, -q)], the exact slope dE/dq = eps0'(q) + 2 E R(q, -q) comes
+    from the same factorization as E; each iterate solves only eps0, eps0'
+    and R(., -q), Z is solved once, at the accepted q, and R(l, q) =
+    R(-l, -q) is its exact mirror.
+    The Gauss-Legendre rate ``_rate`` worsens as q grows, and the root lies
+    above sqrt(h): a grid unresolved at sqrt(h) is refused before any
+    solve, and the full grid is checked again at the root, not on the way,
+    since the first step overshoots.  The coarse grid is the smallest even
+    one of rate 1e-13 at sqrt(h), at most half the full one.
+    """
+    kern = lambda x, y: kernel(x - y, params.c)
+    q = float(np.sqrt(params.h))
+    _check_resolution(params, q, n_nodes, ">=")
+    coarse = 2 * int(np.ceil(np.log(_COARSE_RESOLUTION)
+                             / (2.0 * np.log(_rate(params.c, q, 1)))))
+    coarse = max(2, min(coarse, n_nodes // 4 * 2))
+    q = _newton(params, kern, q, coarse)[0]
+    q, grid, inv, (eps0, eps0_prime, R_minus) = _newton(params, kern, q,
+                                                        n_nodes)
+    _check_resolution(params, q, n_nodes, "=")
+    _, _, charge, drive_plus, _ = _drives(params, q)
     Z = nystrom_solve(kern, grid, inv, charge)
     R_plus = NystromSolution(grid, R_minus.values[::-1], kern, drive_plus)
     return q, (eps0, eps0_prime, Z, R_plus, R_minus)

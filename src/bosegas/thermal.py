@@ -112,8 +112,9 @@ class ThermalSolution:
                             self.grid, self.log_weight, self.params)
 
 
-def _fixed_point(bare, kmat, T: float, tol: float):
-    """Solve f = bare - (T/2pi) kmat log(1 + e^{-f/T}) by Anderson mixing.
+def _fixed_point(bare, start, kmat, T: float, tol: float):
+    """Solve f = bare - (T/2pi) kmat log(1 + e^{-f/T}) by Anderson mixing
+    from f = start.
 
     ``kmat`` applies the kernel times the quadrature weights of the nodes
     (real grid or deformed contour).  The first step is half-damped; after
@@ -123,7 +124,7 @@ def _fixed_point(bare, kmat, T: float, tol: float):
     dR gamma = r.  Returns the solution, its log weight log(1 + e^{-f/T}),
     the number of map evaluations and the final sup-norm residual.
     """
-    f = bare.copy()
+    f = start
     residual = np.inf
     d_r, d_g = [], []
     for it in range(1, _MAX_ITER + 1):
@@ -149,14 +150,14 @@ def _fixed_point(bare, kmat, T: float, tol: float):
     return f, stable_log1pexp(f / T), it, residual
 
 
-def solve_on(kmat, bare, params: ModelParams, ends=(0, -1)):
+def solve_on(kmat, bare, start, params: ModelParams, ends=(0, -1)):
     """The finite-temperature solve shared by eps and u: the fixed point of
-    f = bare - (T/2pi) kmat log(1 + e^{-f/T}), ``kmat`` the kernel times the
-    quadrature weights on the nodes, to 1e-12 max(h, T).  A log weight that
-    has not decayed at the outer nodes ``ends`` of the domain means the
-    truncation cuts into the occupied region, and is refused.  Returns what
-    ``_fixed_point`` returns."""
-    f, lw, it, residual = _fixed_point(bare, kmat, params.T,
+    f = bare - (T/2pi) kmat log(1 + e^{-f/T}) from f = start, ``kmat`` the
+    kernel times the quadrature weights on the nodes, to 1e-12 max(h, T).
+    A log weight that has not decayed at the outer nodes ``ends`` of the
+    domain means the truncation cuts into the occupied region, and is
+    refused.  Returns what ``_fixed_point`` returns."""
+    f, lw, it, residual = _fixed_point(bare, start, kmat, params.T,
                                        _TOL_FACTOR * max(params.h, params.T))
     tail_decay = float(np.max(np.abs(lw[list(ends)])))
     if tail_decay > 1e-8:
@@ -184,7 +185,8 @@ def solve_yang_yang(params: ModelParams, gs: GroundState,
 
     eps is even and the grid mirror-symmetric, so the solve runs on the
     upper half of the nodes with the even block A + B of ``mirror_fold``,
-    and only the outermost node can show an undecayed tail.
+    and only the outermost node can show an undecayed tail.  It starts from
+    its T -> 0 limit, eps0 continued to the nodes by its own equation.
     """
     if not params.T > 0:
         raise ValueError("finite-temperature solve requires T > 0")
@@ -195,8 +197,8 @@ def solve_yang_yang(params: ModelParams, gs: GroundState,
     kmat, swap = mirror_fold(grid.nodes, grid.weights, params.c)
     kmat += swap
     x = grid.nodes[n // 2:]
-    eps, lw, it, residual = solve_on(kmat, x ** 2 - params.h, params,
-                                     ends=(-1,))
+    eps, lw, it, residual = solve_on(kmat, x ** 2 - params.h, gs.eps0(x),
+                                     params, ends=(-1,))
     eps, lw = unfold_even(eps, n), unfold_even(lw, n)
     return ThermalSolution(params=params, gs=gs, grid=grid,
                            eps=SampledFunction(grid, eps), log_weight=lw,

@@ -364,7 +364,7 @@ def unfolded_u(sol):
     params, nodes = sol.params, sol.contour.nodes
     kmat = weighted_kernel(nodes, nodes, sol.contour.weights, params.c)
     bare = _driving_term(nodes, params, sol.roots, sol.points)
-    return _fixed_point(bare, kmat, params.T,
+    return _fixed_point(bare, bare, kmat, params.T,
                         1e-12 * max(params.h, params.T))[0]
 
 

@@ -167,6 +167,17 @@ class TestExitCodes:
         assert main(["ground-state", "--config", str(cfg)]) == 3
         assert "numerical failure:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid_n", [2, 4, 6, 8, 16])
+    def test_small_grid_unresolved(self, grid_n, capsys):
+        # at c = h = 1 these grids cannot resolve even q = sqrt(h); the
+        # coarse search of a half-size grid must not turn that into a
+        # configuration error (exit 2)
+        assert main(["ground-state", "--grid-n", str(grid_n)]) == 3
+        assert "unresolved" in capsys.readouterr().err
+
+    def test_smallest_resolved_grid(self):
+        assert main(["ground-state", "--grid-n", "24"]) == 0
+
     @pytest.mark.parametrize("command", ["amplitudes", "correlator"])
     def test_nonfinite_amplitude(self, tmp_path, capsys, command):
         # h/c^2 = 100 at alpha = 0.2: the ell = 1, 2 term amplitudes are

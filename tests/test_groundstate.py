@@ -2,6 +2,7 @@
 pinned benchmark scalars, structural symmetries and the boundary search."""
 
 import dataclasses
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -235,7 +236,7 @@ class TestParitySplit:
             dataclasses.replace(gs, **{name: wrong})._check()
 
 
-def _edge_energy(c, h, q, n_nodes=FERMI_NODES):
+def _edge_energy(c, h, q, n_nodes):
     """eps0(q|q) from its own factorization on [-q, q]."""
     grid = composite_grid([-q, 0.0, q], n_nodes // 2)
     kern = lambda x, y: 2.0 * c / ((x - y) ** 2 + c * c)
@@ -244,18 +245,87 @@ def _edge_energy(c, h, q, n_nodes=FERMI_NODES):
     return float(np.real(eps0(q)))
 
 
+BRACKET_CASES = [(ratio, h, n) for n in (96, 192) for ratio in
+                 (1e-4, 0.01, 1.0, 16.0) for h in (0.25, 4.0)]
+BRACKET_IDS = [f"{r}-{h}" if n == 96 else f"{r}-{h}-{n}"
+               for r, h, n in BRACKET_CASES]
+SWEEP_RATIOS = np.geomspace(1e-6, 1e4, 61)
+
+
+@lru_cache(maxsize=None)
+def _sweep(n_nodes):
+    """Per h/c^2 of SWEEP_RATIOS, at h = 1: the boundary q on n_nodes or
+    the message of the NumericsError that refused it."""
+    out = []
+    for ratio in SWEEP_RATIOS:
+        try:
+            q, _ = solve_fermi_boundary(
+                ModelParams(c=1.0 / np.sqrt(ratio), h=1.0), n_nodes)
+        except NumericsError as exc:
+            q = str(exc)
+        out.append(q)
+    return out
+
+
 class TestFermiBoundary:
     """Newton search for the boundary and its resolution guard."""
 
-    @pytest.mark.parametrize("h", [0.25, 4.0])
-    @pytest.mark.parametrize("ratio", [0.01, 1.0, 16.0])
-    def test_matches_bracketed_root(self, ratio, h):
+    @pytest.mark.parametrize("ratio, h, n_nodes", BRACKET_CASES,
+                             ids=BRACKET_IDS)
+    def test_matches_bracketed_root(self, ratio, h, n_nodes):
         c = np.sqrt(h / ratio)
-        q, _ = solve_fermi_boundary(ModelParams(c=c, h=h), FERMI_NODES)
+        q, _ = solve_fermi_boundary(ModelParams(c=c, h=h), n_nodes)
         sq = np.sqrt(h)
-        ref = brentq(lambda x: _edge_energy(c, h, x), sq, 10.0 * sq,
-                     xtol=1e-15, rtol=1e-14)
+        ref = brentq(lambda x: _edge_energy(c, h, x, n_nodes), sq,
+                     10.0 * sq, xtol=1e-15, rtol=1e-14)
         assert abs(q - ref) <= 1e-11 * ref
+
+    @pytest.mark.parametrize("n_nodes", [96, 192, 400, 800])
+    def test_sweep_returns_or_refuses_unresolved(self, n_nodes):
+        # 61 h/c^2 from 1e-6 to 1e4: the search returns or refuses a grid
+        # it cannot resolve, and nothing else; anything but a NumericsError
+        # propagates.  The accept set grows with n and is the one of the
+        # single full-grid search from sqrt(h), and every accepted q
+        # agrees with the 800-node one
+        fine = _sweep(800)
+        got = _sweep(n_nodes)
+        for ratio, q, ref in zip(SWEEP_RATIOS, got, fine):
+            if isinstance(q, str):
+                assert "unresolved" in q, (ratio, q)
+            else:
+                assert abs(q - ref) <= 1e-11 * ref, ratio
+        accepted = sum(not isinstance(q, str) for q in got)
+        assert accepted == {96: 45, 192: 49, 400: 52, 800: 56}[n_nodes]
+
+    @pytest.mark.parametrize("n_nodes", [2, 4, 6, 8, 16])
+    def test_unresolved_at_sqrt_h_refused_before_newton(self, monkeypatch,
+                                                        n_nodes):
+        # at c = h = 1 even the lower bound sqrt(h) of q is unresolved on
+        # these grids, so no operator is factorized
+        def refuse(kern, grid):
+            raise AssertionError("factorized before the resolution check")
+        monkeypatch.setattr(groundstate, "nystrom_factorize", refuse)
+        with pytest.raises(NumericsError, match="unresolved at q/c >="):
+            solve_fermi_boundary(ModelParams(c=1.0, h=1.0), n_nodes)
+
+    def test_full_grid_factorized_at_most_twice(self, monkeypatch):
+        # over the equation-of-state range h/c^2 in [0.01, 16] the coarse
+        # root is good to the stop rule, so the full grid takes one or two
+        # Newton iterates; the coarse pass adds its own, smaller grids
+        sizes = []
+        factorize = groundstate.nystrom_factorize
+        def counting(kern, grid):
+            sizes.append(grid.size)
+            return factorize(kern, grid)
+        monkeypatch.setattr(groundstate, "nystrom_factorize", counting)
+        for ratio in np.geomspace(0.01, 16.0, 13):
+            for h in (0.25, 4.0):
+                sizes.clear()
+                solve_fermi_boundary(ModelParams(c=np.sqrt(h / ratio), h=h),
+                                     FERMI_NODES)
+                full = sizes.count(FERMI_NODES)
+                assert 1 <= full <= 2, (ratio, h, sizes)
+                assert len(sizes) > full and max(sizes) == FERMI_NODES
 
     def test_weak_coupling_point_converges(self):
         # h/c^2 = 25: the old fixed bracket [0.1, 10] sqrt(h) failed here

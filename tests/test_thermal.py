@@ -22,10 +22,12 @@ from bosegas.thermal import (_fixed_point, continuation, mirror_fold,
 from bosegas.verification import BENCHMARK_CLASS, eps2_at
 
 
-def damped_fixed_point(bare, kmat, T, tol):
+def damped_fixed_point(bare, start, kmat, T, tol):
     """Half-damped Picard iteration for the shared fixed point, with the
     same signature, stopping test and returned iterate as _fixed_point;
-    slow but plain, so it serves as the reference."""
+    slow but plain, so it serves as the reference.  It ignores ``start``
+    and starts from ``bare``, so it shares no starting point with the
+    solve it checks."""
     f = bare.copy()
     for it in range(1, 20001):
         g = bare - (T / (2.0 * np.pi)) * (kmat @ stable_log1pexp(f / T))
@@ -117,6 +119,21 @@ class TestYangYangSolve:
         assert thermal.residual <= 1e-12
         assert thermal.iterations <= 30
 
+    def test_eps0_start_saves_iterations(self, gs, monkeypatch):
+        # the T -> 0 limit eps0 starts the solve: 6 iterations at c = h = 1,
+        # T = 0.01, against 9 from the bare lambda^2 - h, to the same eps
+        params = ModelParams(c=1.0, h=1.0, T=0.01)
+        fast = solve_yang_yang(params, gs)
+        fixed_point = bosegas.thermal._fixed_point
+        monkeypatch.setattr(
+            bosegas.thermal, "_fixed_point",
+            lambda bare, start, *rest: fixed_point(bare, bare, *rest))
+        ref = solve_yang_yang(params, gs)
+        assert fast.iterations < ref.iterations
+        scale = np.max(np.abs(ref.eps.values))
+        assert np.max(np.abs(fast.eps.values - ref.eps.values)) \
+            <= 1e-12 * scale
+
     def test_even(self, thermal):
         # exactly, on the nodes
         assert np.array_equal(thermal.eps.values[::-1], thermal.eps.values)
@@ -133,13 +150,15 @@ class TestYangYangSolve:
         # f + 8 log(1 + e^{-f}) >= ln 7 + 8 ln(8/7) > -10: no real fixed point
         kmat = np.array([[16.0 * np.pi]])
         with pytest.raises(NumericsError, match="not converged"):
-            _fixed_point(np.array([-10.0]), kmat, 1.0, 1e-12)
+            _fixed_point(np.array([-10.0]), np.array([-10.0]), kmat, 1.0,
+                         1e-12)
 
     def test_oscillating_case_converges(self):
         # f = -10 + 8 log(1 + e^{-f}) has slope about -6 at its root, where
         # the half-damped iteration oscillates; the accelerated one does not
         kmat = np.array([[-16.0 * np.pi]])
-        f, lw, it, residual = _fixed_point(np.array([-10.0]), kmat, 1.0, 1e-12)
+        bare = np.array([-10.0])
+        f, lw, it, residual = _fixed_point(bare, bare, kmat, 1.0, 1e-12)
         assert residual <= 1e-12 and it < 500
         assert abs(f[0] + 10.0 - 8.0 * np.log1p(np.exp(-f[0]))) < 1e-12
         assert abs(lw[0] - np.log1p(np.exp(-f[0]))) < 1e-15
@@ -267,7 +286,8 @@ def full_grid_solve(sol):
     """The unfolded Yang-Yang fixed point on the full grid of ``sol``."""
     params, grid = sol.params, sol.grid
     kmat = weighted_kernel(grid.nodes, grid.nodes, grid.weights, params.c)
-    return _fixed_point(grid.nodes ** 2 - params.h, kmat, params.T,
+    bare = grid.nodes ** 2 - params.h
+    return _fixed_point(bare, bare, kmat, params.T,
                         1e-12 * max(params.h, params.T))
 
 
