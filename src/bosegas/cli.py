@@ -14,6 +14,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -264,7 +265,10 @@ def cmd_verify(cfg: RunConfig, out, only=None) -> int:
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` leaves
+    it unchanged, and its six sub-parsers cost far more than a parse."""
     parser = argparse.ArgumentParser(
         prog="bosegas",
         description="Thermodynamics and correlation asymptotics of the "

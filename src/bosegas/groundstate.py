@@ -112,15 +112,16 @@ def _newton(params: ModelParams, kern, q: float, n_nodes: int):
         inv = nystrom_factorize(kern, grid)
         energy, slope, _, _, drive_minus = _drives(params, q)
         terms = (energy, slope, drive_minus)
-        sols = [nystrom_solve(kern, grid, inv, f) for f in terms]
+        values = [inv @ f(grid.nodes) for f in terms]
         # the three at q by the natural Nystrom formula on one kernel row,
         # not three NystromSolution calls: this is the search's inner loop
         row = kern(q, grid.nodes) * grid.weights / (2.0 * np.pi)
-        edge, d_edge, r_edge = (float(f(q) + row @ sol.values)
-                                for f, sol in zip(terms, sols))
+        edge, d_edge, r_edge = (float(f(q) + row @ v)
+                                for f, v in zip(terms, values))
         step = edge / (d_edge + 2.0 * edge * r_edge)
         if abs(step) <= 1e-13 * q:
-            return q, grid, inv, sols
+            return q, grid, inv, [NystromSolution(grid, v, kern, f)
+                                  for v, f in zip(values, terms)]
         q -= step
         if not q > 0:
             raise NumericsError(f"Newton iterate q = {q:.3g}; use more nodes")

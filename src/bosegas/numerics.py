@@ -362,8 +362,13 @@ class ConjugatePairing:
     def columns(self, matrix) -> np.ndarray:
         """Columns of ``matrix`` at the real nodes, then a_k + a_k~ and then
         i(a_k - a_k~) over the pairs (k, k~)."""
+        nr, m = self.real.size, len(self.pairs)
+        out = np.empty((len(matrix), nr + 2 * m), dtype=complex)
+        out[:, :nr] = matrix[:, self.real]
         a, b = matrix[:, self.pairs[:, 0]], matrix[:, self.pairs[:, 1]]
-        return np.hstack([matrix[:, self.real], a + b, 1j * (a - b)])
+        np.add(a, b, out=out[:, nr:nr + m])
+        np.multiply(1j, np.subtract(a, b, out=b), out=out[:, nr + m:])
+        return out
 
     def logabsdet(self, combined) -> float:
         """log|det(I + A)| from ``combined = columns(A)[rows]``, by one real
@@ -403,12 +408,22 @@ def cauchy_transform(f: SampledFunction, omega):
     dist_a, dist_b = np.abs(flat - a), np.abs(flat - b)
     dist = np.where(inside, np.abs(flat.imag), np.minimum(dist_a, dist_b))
     near = dist <= 4.0 * spacing
-    # far points subtract nothing, which leaves the plain quadrature
-    f_near = np.zeros(flat.shape, dtype=complex)
+    far = ~near
+    # far points subtract nothing: w f / (x - omega), w f formed once, is the
+    # subtracted formula's arithmetic on its exact zero.  x - omega, built
+    # C-ordered as (-omega) - (-x) so that rows sum contiguous memory, is
+    # exact but for the sign of a zero imaginary part; a numpy sum is never
+    # -0, so neither that sign nor the far points' closed-form term (0 times
+    # finite logs, so +-0) can change a bit of the result
+    d = np.subtract.outer(-flat[far], -f.nodes)
+    wf = np.multiply(f.weights, f.values, dtype=complex)
+    reg = np.empty(flat.shape, dtype=complex)
+    reg[far] = np.sum(np.divide(wf, d, out=d), axis=1)
     if np.any(near):
-        f_near[near] = f(np.clip(flat.real[near], a, b))
-    reg = np.sum(f.weights * (f.values - f_near[:, None])
-                 / (f.nodes - flat[:, None]), axis=1)
-    # principal logs are safe: Im(x - omega) has a fixed sign along [a, b]
-    out = reg + f_near * (np.log(b - flat) - np.log(a - flat))
-    return complex(out[0]) if om.ndim == 0 else out.reshape(om.shape)
+        z = flat[near]
+        f_near = np.asarray(f(np.clip(z.real, a, b)), dtype=complex)
+        # principal logs are safe: Im(x - omega) has a fixed sign on [a, b]
+        reg[near] = (np.sum(f.weights * (f.values - f_near[:, None])
+                            / (f.nodes - z[:, None]), axis=1)
+                     + f_near * (np.log(b - z) - np.log(a - z)))
+    return complex(reg[0]) if om.ndim == 0 else reg.reshape(om.shape)

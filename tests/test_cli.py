@@ -2,14 +2,19 @@
 determinism and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bosegas
 from bosegas.amplitude import AmplitudePlan
-from bosegas.cli import (ConfigError, RunConfig, load_config, main,
-                         render_tables)
+from bosegas.cli import (ConfigError, RunConfig, build_parser, load_config,
+                         main, render_tables)
 from bosegas.groundstate import ModelParams, build_ground_state
 from bosegas.verification import CHECKS, run_checks
 
@@ -117,6 +122,30 @@ class TestCommands:
             assert main(["ground-state", "--format", "json",
                          "--out", str(out)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_in_process_calls_match_fresh_processes(self, tmp_path, capsys):
+        # the parser is built once per process; each later call must still
+        # print what a fresh ``python -m bosegas.cli`` prints
+        configs = []
+        for name, text in (("a.cfg", "T = 0.02\nx = 5, 20\n"),
+                           ("b.cfg", "c = 2.0\nh = 0.5\nx = 7.5\n")):
+            configs.append(tmp_path / name)
+            configs[-1].write_text(text)
+        outs = []
+        for cfg in configs:
+            assert main(["correlator", "--config", str(cfg)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] != outs[1]
+        src = str(Path(bosegas.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        for cfg, out in zip(configs, outs):
+            fresh = subprocess.run(
+                [sys.executable, "-m", "bosegas.cli", "correlator",
+                 "--config", str(cfg)], env=env, check=True,
+                capture_output=True, timeout=120)
+            assert fresh.stdout == out.encode()
+        assert build_parser() is build_parser()
 
     def test_correlator_columns_sum(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -277,8 +306,10 @@ class TestExitCodes:
         assert f"{violated[0]} = " in line
 
     def test_bad_only_name(self):
-        with pytest.raises(SystemExit):
+        build_parser()  # the cached parser refuses it as a fresh one does
+        with pytest.raises(SystemExit) as exc:
             main(["verify", "--only", "no-such-check"])
+        assert exc.value.code == 2
 
     def test_verify_takes_no_format(self, tmp_path, capsys):
         # the report is always JSON; a --format that is silently ignored

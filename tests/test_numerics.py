@@ -280,6 +280,20 @@ class TestFredholm:
         with pytest.raises(NumericsError):
             pairing.logabsdet(combined)
 
+    @pytest.mark.parametrize("real, pairs", [
+        ([0, 4], [[1, 7], [2, 6], [3, 5]]),   # the 8-node ellipse's pairing
+        ([5], [[3, 0], [6, 2], [1, 4]]),      # unordered, not contiguous
+    ])
+    def test_columns_bitwise_equal_to_stacked(self, real, pairs):
+        rng = np.random.default_rng(len(real))
+        m = rng.normal(size=(5, 8)) + 1j * rng.normal(size=(5, 8))
+        pairing = ConjugatePairing(np.array(real), np.array(pairs))
+        a, b = m[:, pairing.pairs[:, 0]], m[:, pairing.pairs[:, 1]]
+        stacked = np.hstack([m[:, pairing.real], a + b, 1j * (a - b)])
+        for rows in (m, m[:1]):
+            out = pairing.columns(rows)
+            assert out.tobytes() == stacked[:len(rows)].tobytes()
+
 
 class TestCauchyTransforms:
     def _unit(self, n=24):
@@ -318,6 +332,28 @@ class TestCauchyTransforms:
         scalar = np.array([cauchy_transform(f, p) for p in om])
         assert vec.shape == om.shape
         assert np.all(np.abs(vec - scalar) <= 1e-14 * np.abs(scalar))
+
+    @pytest.mark.parametrize("imaginary", [False, True])
+    def test_bitwise_equal_to_subtracted_formula(self, imaginary):
+        # far points drop the subtraction of an exact 0 and the closed-form
+        # term it multiplies; each entry must still equal the subtracted
+        # formula bit for bit, down to the sign of a zero part, which a
+        # purely imaginary f gives at real omega
+        f = self._smooth()
+        if imaginary:
+            f = SampledFunction(f.grid, 1j * np.cos(f.nodes))
+        a, b = f.grid.a, f.grid.b
+        om = np.array([2.0 + 1.5j, 1.0 + 1e-3j, -1.5, 0.3 + 0.05j,
+                       0.1 + 4.0j, -1.01 + 0.01j, 3.0, 1.1 + 0.1j])
+        near = np.array([False, True, False, True, False, True, False, True])
+        f_near = np.zeros(om.shape, dtype=complex)
+        f_near[near] = f(np.clip(om.real[near], a, b))
+        ref = (np.sum(f.weights * (f.values - f_near[:, None])
+                      / (f.nodes - om[:, None]), axis=1)
+               + f_near * (np.log(b - om) - np.log(a - om)))
+        assert cauchy_transform(f, om).tobytes() == ref.tobytes()
+        # a far entry does not depend on the near points beside it
+        assert cauchy_transform(f, om[~near]).tobytes() == ref[~near].tobytes()
 
     def test_vectorised_keeps_shape(self):
         f = self._smooth()
