@@ -360,11 +360,14 @@ def amplitude_tilde(gs: GroundState, alpha: float, ell: int, theta=None,
 # finite-temperature discrete factor
 # ---------------------------------------------------------------------------
 
-def contour_cauchy(sol: USolution, omega: complex) -> complex:
+def contour_cauchy(sol: USolution, omega):
     """int z(l)/(l - omega) dl along the solution contour, for omega off
-    the contour (the complex roots sit several node spacings away)."""
-    g = sol.contour.nodes
-    return complex(np.sum(sol.contour.weights * sol.z / (g - omega)))
+    the contour (the complex roots sit several node spacings away); a
+    scalar omega gives a complex number, an array of them an array."""
+    om = np.asarray(omega, dtype=complex)
+    d = np.subtract.outer(-om, -sol.contour.nodes)  # l - omega, row by row
+    out = np.sum(np.divide(sol.contour.weights * sol.z, d, out=d), axis=-1)
+    return complex(out) if om.ndim == 0 else out
 
 
 def double_integral(sol: USolution) -> complex:
@@ -416,15 +419,12 @@ def bd_finite_T(sol: USolution) -> complex:
     Cauchy-transform and derivative factors of the phase exponential.
     """
     T = sol.params.T
-    upper = np.array([r.half > 0 for r in sol.roots], dtype=bool)
-    out = np.exp(double_integral(sol)) * cauchy_det_sq(sol.points[upper],
-                                                       sol.points[~upper])
-    for r, s in zip(sol.roots, sol.points):
-        u_val = sol.u_at(s)
-        eps_val = sol.thermal.eps_at(s)
-        # exact derivative of e^{-2 pi i z} at the root, no leading-order
-        # substitution: -(u'(s)/T) e^{-u/T} / (1 + e^{-eps/T})
-        deriv = (-sol.u_prime_at(s) * np.exp(-u_val / T)
-                 / (T * (1.0 + np.exp(-eps_val / T))))
-        out *= np.exp(-2.0 * r.half * contour_cauchy(sol, s)) / deriv
-    return complex(out)
+    halves, s = sol.roots.halves, sol.points
+    out = np.exp(double_integral(sol)) * cauchy_det_sq(s[halves > 0],
+                                                       s[halves < 0])
+    # exact derivative of e^{-2 pi i z} at the roots, no leading-order
+    # substitution: -(u'(s)/T) e^{-u/T} / (1 + e^{-eps/T})
+    deriv = (-sol.u_prime_at(s) * np.exp(-sol.u_at(s) / T)
+             / (T * (1.0 + np.exp(-sol.thermal.eps_at(s) / T))))
+    return complex(out * np.prod(
+        np.exp(-2.0 * halves * contour_cauchy(sol, s)) / deriv))

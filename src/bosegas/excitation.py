@@ -90,6 +90,11 @@ class RootTable:
     def __iter__(self):
         return iter(self.roots)
 
+    @property
+    def halves(self) -> np.ndarray:
+        """The half-plane of each root, +1 or -1, as floats."""
+        return np.array([r.half for r in self.roots], dtype=float)
+
     def points(self, q: float, T: float) -> np.ndarray:
         """Leading-order positions side*q + i T half offset."""
         return np.array([r.side * q + 1j * T * r.half * r.offset
@@ -153,11 +158,11 @@ def theta_odd(lam, c: float):
 
 def _driving_term(lam, params: ModelParams, roots: RootTable, points):
     """Free part of the excited-state equation: lambda^2 - h - 2 pi i alpha T
-    plus the root source i T sum_j half_j theta(lambda - s_j)."""
+    plus the root source i T sum_j half_j theta(lambda - s_j), summed as
+    the halves times one (roots x nodes) block."""
     T = params.T
     h_alpha = params.h + 2.0j * np.pi * params.alpha * T
-    src = sum(r.half * theta_odd(lam - s, params.c)
-              for r, s in zip(roots, points))
+    src = roots.halves @ theta_odd(np.subtract.outer(-points, -lam), params.c)
     return lam ** 2 - h_alpha + 1j * T * src
 
 
@@ -191,8 +196,8 @@ class USolution:
         flat = np.atleast_1d(lam)
         kx = kernel_prime(flat[:, None] - self.contour.nodes[None, :], c)
         tail = (T / (2.0 * np.pi)) * (kx @ (self.contour.weights * self.log_weight))
-        src = sum(r.half * kernel(flat - s, c)
-                  for r, s in zip(self.roots, self.points))
+        src = self.roots.halves @ kernel(
+            np.subtract.outer(-self.points, -flat), c)
         out = 2.0 * flat - tail + 1j * T * src
         return out[0] if lam.ndim == 0 else out
 
@@ -231,8 +236,9 @@ def solve_u(params: ModelParams, cls: ExcitationClass,
     lam = contour.nodes
     eps = unfold_even(thermal.eps_at(upper_half(lam, contour.weights)[0]),
                       lam.size)
+    direct, swap, w = mirror_fold(lam, contour.weights, params.c)
     u, lw, it, residual = solve_on(
-        MirrorFold.from_blocks(*mirror_fold(lam, contour.weights, params.c)),
+        MirrorFold.from_blocks(direct, swap), unfold_even(w, lam.size),
         _driving_term(lam, params, roots, points), eps, params)
     # the phase z = -(1/2 pi i) log[(1+e^{-u/T})/(1+e^{-eps/T})] vanishes
     # at both contour ends.  log(1 + e^{-eps/T}) takes the two-sided stable

@@ -28,14 +28,23 @@ def kernel_prime(lam, c: float):
     return -4.0 * c * lam / (lam * lam + c * c) ** 2
 
 
-def weighted_kernel(rows, cols, weights, c: float):
-    """Quadrature matrix K(rows_i - cols_j) * weights_j, built in place in
-    one buffer of the result dtype of all three inputs."""
-    m = np.subtract.outer(rows, cols,
-                          dtype=np.result_type(rows, cols, weights, float))
+def kernel_block(rows, cols, c: float, dtype=None):
+    """Kernel matrix K(rows_i - cols_j), built in place in one buffer of
+    ``dtype``, by default the result dtype of the nodes."""
+    if dtype is None:
+        dtype = np.result_type(rows, cols, float)
+    m = np.subtract.outer(rows, cols, dtype=dtype)
     m *= m
     m += c * c
     np.divide(2.0 * c, m, out=m)
+    return m
+
+
+def weighted_kernel(rows, cols, weights, c: float):
+    """Quadrature matrix K(rows_i - cols_j) * weights_j, built in place in
+    one buffer of the result dtype of all three inputs."""
+    m = kernel_block(rows, cols, c,
+                     np.result_type(rows, cols, weights, float))
     m *= weights
     return m
 

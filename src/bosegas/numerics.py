@@ -395,12 +395,15 @@ def cauchy_transform(f: SampledFunction, omega):
     the same shape).  Direct quadrature at points far from the interval;
     close to it, f is subtracted at the nearest point of [a, b] (Re omega
     clipped to the interval) and the subtracted constant is integrated in
-    closed form, point by point.
+    closed form, point by point.  A non-finite omega raises
+    ``NumericsError``.
     """
     grid = f.grid
     a, b = grid.a, grid.b
     om = np.asarray(omega, dtype=complex)
     flat = om.reshape(-1)
+    if not np.all(np.isfinite(flat)):
+        raise NumericsError("Cauchy transform at a non-finite point")
     inside = (a <= flat.real) & (flat.real <= b)
     if np.any(inside & (flat.imag == 0.0)):
         raise NumericsError("Cauchy transform evaluated on the integration interval")

@@ -4,6 +4,8 @@ The one path for the nonlinear integral equation shared by the thermal
 excitation energy eps (on a real grid) and the excited-state energy u (on
 a deformed contour): one Anderson-accelerated solve with its tolerance and
 its refusal of an undecayed log weight, and one continuation off the nodes.
+Kernel blocks carry no quadrature weights: both the solve and the
+continuation multiply the weights into the vector they apply the kernel to.
 Both node sets are closed under negation, so the kernel is halved by its
 mirror fold: even eps solves on the half line with the even block, and u
 goes through both blocks of ``numerics.MirrorFold``.
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groundstate import GroundState, ModelParams, weighted_kernel
+from .groundstate import GroundState, ModelParams, kernel_block
 from .groundstate import build_ground_state  # kept for bench/test_bench.py
 from .numerics import (Grid, SampledFunction, NumericsError, composite_grid,
                        graded_breakpoints, unfold_even, upper_half)
@@ -87,11 +89,13 @@ def thermal_grid(params: ModelParams, gs: GroundState,
 
 
 def mirror_fold(nodes, weights, c: float):
-    """K(g_i - g_j) W_j on a negation-closed node set folded onto its upper
-    half x (``upper_half``): A = K(x - y) W and B = K(x + y) W.  K is even,
-    so A + B acts on even functions and A - B on odd ones."""
+    """The kernel on a negation-closed node set folded onto its upper half
+    x (``upper_half``): A = K(x - y), B = K(x + y) and the weights w of x.
+    K is even, so A + B acts on even functions and A - B on odd ones, each
+    times w; a node at 0 has half its weight in w, as A + B counts it
+    twice."""
     x, w = upper_half(nodes, weights)
-    return weighted_kernel(x, x, w, c), weighted_kernel(x, -x, w, c)
+    return kernel_block(x, x, c), kernel_block(x, -x, c), w
 
 
 @dataclass(frozen=True)
@@ -112,36 +116,62 @@ class ThermalSolution:
                             self.grid, self.log_weight, self.params)
 
 
-def _fixed_point(bare, start, kmat, T: float, tol: float):
-    """Solve f = bare - (T/2pi) kmat log(1 + e^{-f/T}) by Anderson mixing
-    from f = start.
+def _fixed_point(bare, start, kmat, weights, T: float, tol: float):
+    """Solve f = bare - (T/2pi) kmat (weights log(1 + e^{-f/T})) by Anderson
+    mixing from f = start.
 
-    ``kmat`` applies the kernel times the quadrature weights of the nodes
-    (real grid or deformed contour).  The first step is half-damped; after
-    it, type-II Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 49 (2011)
-    1715) over the last ``_DEPTH`` differences of residuals r = g - f and
-    maps g takes f = g - dG gamma with gamma the least-squares solution of
-    dR gamma = r.  Returns the solution, its log weight log(1 + e^{-f/T}),
-    the number of map evaluations and the final sup-norm residual.
+    ``kmat`` applies the kernel on the nodes (real grid or deformed
+    contour, or a mirror fold of either) and ``weights`` are the quadrature
+    weights it meets on the vector side.  The first step is half-damped;
+    after it, type-II Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 49
+    (2011) 1715) over the last ``_DEPTH`` differences dR of residuals
+    r = g - f and dG of maps g takes f = g - dG gamma, with gamma from the
+    Gram system dR^H dR gamma = dR^H r.  The differences live in a ring
+    buffer of ``_DEPTH`` rows, each pair scaled so that its dR has unit
+    norm, and each step writes one row and one column of the Gram matrix.
+    Unit norms put 1 on its diagonal, and +-1 off it for collinear
+    differences, as in any one-node problem: such a singular Gram matrix
+    (``LinAlgError``), or a zero dR, restarts the history with another
+    half-damped step.  Returns the solution, its log weight
+    log(1 + e^{-f/T}), the number of map evaluations and the final
+    sup-norm residual.
     """
+    scaled = (T / (2.0 * np.pi)) * weights
     f = start
     residual = np.inf
-    d_r, d_g = [], []
+    held = 0  # differences taken since the last half-damped step
     for it in range(1, _MAX_ITER + 1):
-        lw = stable_log1pexp(f / T)
-        g = bare - (T / (2.0 * np.pi)) * (kmat @ lw)
+        g = bare - kmat @ (scaled * stable_log1pexp(f / T))
         r = g - f
         residual = float(np.max(np.abs(r)))
         if residual <= tol:
             f = g
             break
         if it == 1:
-            f = (1.0 - _DAMPING) * f + _DAMPING * g
+            d_r = np.empty((_DEPTH, r.size), dtype=r.dtype)
+            d_g = np.empty_like(d_r)
+            gram = np.empty((_DEPTH, _DEPTH), dtype=r.dtype)
         else:
-            d_r = (d_r + [r - r_prev])[-_DEPTH:]
-            d_g = (d_g + [g - g_prev])[-_DEPTH:]
-            gamma = np.linalg.lstsq(np.stack(d_r, axis=1), r, rcond=None)[0]
-            f = g - np.stack(d_g, axis=1) @ gamma
+            k = held % _DEPTH
+            norm = np.linalg.norm(np.subtract(r, r_prev, out=d_r[k]))
+            held = held + 1 if norm > 0.0 else 0  # a zero dR is singular too
+        if held:
+            m = min(held, _DEPTH)
+            d_r[k] /= norm
+            np.divide(np.subtract(g, g_prev, out=d_g[k]), norm, out=d_g[k])
+            # row k of the Gram matrix is d_k^H d_i, its column the conjugate
+            row = d_r[:m] @ np.conj(d_r[k])
+            gram[k, :m], gram[:m, k] = row, np.conj(row)
+            gram[k, k] = row[k].real
+            try:
+                gamma = np.linalg.solve(gram[:m, :m],
+                                        np.conj(d_r[:m] @ np.conj(r)))
+            except np.linalg.LinAlgError:
+                held = 0
+            else:
+                f = g - gamma @ d_g[:m]
+        if not held:
+            f = (1.0 - _DAMPING) * f + _DAMPING * g
         r_prev, g_prev = r, g
     else:
         raise NumericsError(
@@ -150,14 +180,15 @@ def _fixed_point(bare, start, kmat, T: float, tol: float):
     return f, stable_log1pexp(f / T), it, residual
 
 
-def solve_on(kmat, bare, start, params: ModelParams, ends=(0, -1)):
+def solve_on(kmat, weights, bare, start, params: ModelParams, ends=(0, -1)):
     """The finite-temperature solve shared by eps and u: the fixed point of
-    f = bare - (T/2pi) kmat log(1 + e^{-f/T}) from f = start, ``kmat`` the
-    kernel times the quadrature weights on the nodes, to 1e-12 max(h, T).
-    A log weight that has not decayed at the outer nodes ``ends`` of the
-    domain means the truncation cuts into the occupied region, and is
-    refused.  Returns what ``_fixed_point`` returns."""
-    f, lw, it, residual = _fixed_point(bare, start, kmat, params.T,
+    f = bare - (T/2pi) kmat (weights log(1 + e^{-f/T})) from f = start,
+    ``kmat`` the kernel on the nodes and ``weights`` their quadrature
+    weights, to 1e-12 max(h, T).  A log weight that has not decayed at the
+    outer nodes ``ends`` of the domain means the truncation cuts into the
+    occupied region, and is refused.  Returns what ``_fixed_point``
+    returns."""
+    f, lw, it, residual = _fixed_point(bare, start, kmat, weights, params.T,
                                        _TOL_FACTOR * max(params.h, params.T))
     tail_decay = float(np.max(np.abs(lw[list(ends)])))
     if tail_decay > 1e-8:
@@ -170,10 +201,11 @@ def solve_on(kmat, bare, start, params: ModelParams, ends=(0, -1)):
 def continuation(lam, driving, domain, log_weight, params: ModelParams):
     """A solution of the shared equation continued off the nodes of its
     ``domain`` through the equation itself: driving(lam) minus
-    (T/2pi) sum_j K(lam - x_j) W_j log_weight_j."""
+    (T/2pi) sum_j K(lam - x_j) W_j log_weight_j, the weights taken into
+    the vector."""
     flat = np.atleast_1d(lam)
-    kx = weighted_kernel(flat, domain.nodes, domain.weights, params.c)
-    tail = (params.T / (2.0 * np.pi)) * (kx @ log_weight)
+    kx = kernel_block(flat, domain.nodes, params.c)
+    tail = kx @ ((params.T / (2.0 * np.pi)) * domain.weights * log_weight)
     out = driving(flat) - tail
     return out[0] if lam.ndim == 0 else out
 
@@ -194,10 +226,10 @@ def solve_yang_yang(params: ModelParams, gs: GroundState,
         raise ValueError("ground state was built for another (c, h)")
     grid = thermal_grid(params, gs, n_per_panel)
     n = grid.size
-    kmat, swap = mirror_fold(grid.nodes, grid.weights, params.c)
+    kmat, swap, w = mirror_fold(grid.nodes, grid.weights, params.c)
     kmat += swap
     x = grid.nodes[n // 2:]
-    eps, lw, it, residual = solve_on(kmat, x ** 2 - params.h, gs.eps0(x),
+    eps, lw, it, residual = solve_on(kmat, w, x ** 2 - params.h, gs.eps0(x),
                                      params, ends=(-1,))
     eps, lw = unfold_even(eps, n), unfold_even(lw, n)
     return ThermalSolution(params=params, gs=gs, grid=grid,

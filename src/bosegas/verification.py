@@ -374,9 +374,9 @@ def verify_cauchy_edge(sol: USolution) -> list:
     edge = edge_charge_integral(gs)
 
     deviations = []
-    for r, s in zip(sol.roots, sol.points):
+    for r, cz in zip(sol.roots, contour_cauchy(sol, sol.points)):
         x = r.side * nu1
-        lhs = np.exp(contour_cauchy(sol, s) + x * scale)
+        lhs = np.exp(cz + x * scale)
         # the e^{+-u1/4} factors carry the sign fixed by consistency with
         # the product over all roots (and hence with the discrete-amplitude
         # limit): +u1/4 for the upper-half roots, -u1/4 for the lower-half

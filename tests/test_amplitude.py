@@ -10,12 +10,13 @@ import pytest
 
 from bosegas.amplitude import (AmplitudePlan, amplitude_tilde, bd_finite_T,
                                c0_functional, c1_functional, cauchy_det_sq,
-                               discrete_amplitude, double_integral, k_alpha,
-                               r_factor, smooth_amplitude, w_series)
+                               contour_cauchy, discrete_amplitude,
+                               double_integral, k_alpha, r_factor,
+                               smooth_amplitude, w_series)
 from bosegas.excitation import (ExcitationClass, _driving_term,
                                 decay_rate_numeric, root_offsets, solve_u)
 from bosegas.groundstate import (ModelParams, build_ground_state,
-                                 weighted_kernel)
+                                 kernel_block, weighted_kernel)
 from bosegas.numerics import (Contour, NumericsError, SampledFunction,
                                cauchy_transform, composite_grid,
                                fredholm_logdet)
@@ -343,6 +344,27 @@ class TestAllRootKinds:
         di = [verify_double_integral(sol) for sol in all_kinds_sols]
         assert di[0] > di[1] > di[2]
 
+    def test_batched_root_factors(self, all_kinds_sols):
+        # one call per factor at all four roots, against the per-root
+        # formulas: the Cauchy transform bit for bit, bd_finite_T as the
+        # product of one factor per root to rounding (measured 3.3e-14)
+        for sol in all_kinds_sols:
+            g, wz, T = sol.contour.nodes, sol.contour.weights * sol.z, \
+                sol.params.T
+            batched = contour_cauchy(sol, sol.points)
+            assert batched.shape == sol.points.shape
+            for s, value in zip(sol.points, batched):
+                assert complex(value) == contour_cauchy(sol, s) \
+                    == complex(np.sum(wz / (g - s)))
+            ref = np.exp(double_integral(sol)) * cauchy_det_sq(
+                [s for r, s in zip(sol.roots, sol.points) if r.half > 0],
+                [s for r, s in zip(sol.roots, sol.points) if r.half < 0])
+            for r, s in zip(sol.roots, sol.points):
+                deriv = (-sol.u_prime_at(s) * np.exp(-sol.u_at(s) / T)
+                         / (T * (1.0 + np.exp(-sol.thermal.eps_at(s) / T))))
+                ref *= np.exp(-2.0 * r.half * contour_cauchy(sol, s)) / deriv
+            assert abs(bd_finite_T(sol) - ref) <= 1e-12 * abs(ref)
+
     def test_approaches_discrete_amplitude(self, gs, all_kinds_sols):
         target = discrete_amplitude(gs, ALL_KINDS_CLASS, ALL_KINDS_ALPHA)
         expo = 2.0 * (ALL_KINDS_ALPHA * gs.Zq) ** 2
@@ -359,12 +381,12 @@ class TestAllRootKinds:
 
 def unfolded_u(sol):
     """u by the shared fixed point on the full contour matrix
-    K(g_i - g_j) W_j, with no mirror fold: the reference for the folded
-    kernel of ``solve_u``."""
+    K(g_i - g_j) and the full weights W_j, with no mirror fold: the
+    reference for the folded kernel of ``solve_u``."""
     params, nodes = sol.params, sol.contour.nodes
-    kmat = weighted_kernel(nodes, nodes, sol.contour.weights, params.c)
+    kmat = kernel_block(nodes, nodes, params.c)
     bare = _driving_term(nodes, params, sol.roots, sol.points)
-    return _fixed_point(bare, bare, kmat, params.T,
+    return _fixed_point(bare, bare, kmat, sol.contour.weights, params.T,
                         1e-12 * max(params.h, params.T))[0]
 
 
@@ -465,6 +487,20 @@ class TestAmplitudePlan:
         b_ref, a_ref = self.PER_CALL[ell]
         assert abs(res.B_smooth - b_ref) <= 1e-12 * abs(b_ref)
         assert abs(res.A_tilde - a_ref) <= 1e-12 * abs(a_ref)
+
+    def test_weighted_kernel_is_the_block_times_weights(self, gs, plan):
+        # the T = 0 path keeps its bits: on k_zero's inputs (complex rows,
+        # nodes and weights) and on GroundState._check's (all real), the
+        # weighted kernel is the unweighted block times the weights
+        w, c = plan.contour.nodes, gs.params.c
+        lam = gs.grid.nodes
+        for rows, cols, weights in (
+                (w[plan.pairing.rows], w, plan.contour.weights),
+                (lam, lam, gs.grid.weights / (2.0 * np.pi))):
+            got = weighted_kernel(rows, cols, weights, c)
+            ref = kernel_block(rows, cols, c) * weights
+            assert got.dtype == ref.dtype
+            assert got.tobytes() == ref.tobytes()
 
     def test_wrappers_share_the_plan(self, gs, plan):
         res = plan.amplitude(0.2, 1)

@@ -355,6 +355,18 @@ class TestCauchyTransforms:
         # a far entry does not depend on the near points beside it
         assert cauchy_transform(f, om[~near]).tobytes() == ref[~near].tobytes()
 
+    @pytest.mark.parametrize("bad", [
+        complex(np.nan, 0.0), complex(0.3, np.nan), complex(np.inf, 0.0),
+        complex(0.0, np.inf), complex(-np.inf, np.inf)])
+    def test_non_finite_point_raises(self, bad):
+        # a NaN point gave NaN and an infinite one 0, with no refusal; the
+        # finite points beside it do not hide it
+        f = self._smooth()
+        with pytest.raises(NumericsError, match="non-finite"):
+            cauchy_transform(f, bad)
+        with pytest.raises(NumericsError, match="non-finite"):
+            cauchy_transform(f, np.array([2.0 + 1.5j, bad, 1.0 + 1e-3j]))
+
     def test_vectorised_keeps_shape(self):
         f = self._smooth()
         om = np.array([[2.0 + 1.5j, 1.0 + 1e-3j], [0.3 + 0.05j, -1.5]])

@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 import bosegas.thermal
 from bosegas.cli import main
 from bosegas.excitation import excitation_contour, solve_u
-from bosegas.groundstate import ModelParams, build_ground_state, weighted_kernel
+from bosegas.groundstate import (ModelParams, build_ground_state, kernel,
+                                 kernel_block, weighted_kernel)
 from bosegas.numerics import (MirrorFold, NumericsError, unfold_even,
                               upper_half)
 from bosegas.thermal import (_fixed_point, continuation, mirror_fold,
@@ -22,7 +23,7 @@ from bosegas.thermal import (_fixed_point, continuation, mirror_fold,
 from bosegas.verification import BENCHMARK_CLASS, eps2_at
 
 
-def damped_fixed_point(bare, start, kmat, T, tol):
+def damped_fixed_point(bare, start, kmat, weights, T, tol):
     """Half-damped Picard iteration for the shared fixed point, with the
     same signature, stopping test and returned iterate as _fixed_point;
     slow but plain, so it serves as the reference.  It ignores ``start``
@@ -30,7 +31,8 @@ def damped_fixed_point(bare, start, kmat, T, tol):
     solve it checks."""
     f = bare.copy()
     for it in range(1, 20001):
-        g = bare - (T / (2.0 * np.pi)) * (kmat @ stable_log1pexp(f / T))
+        g = bare - (T / (2.0 * np.pi)) * (
+            kmat @ (weights * stable_log1pexp(f / T)))
         residual = float(np.max(np.abs(g - f)))
         if residual <= tol:
             return g, stable_log1pexp(g / T), it, residual
@@ -150,18 +152,44 @@ class TestYangYangSolve:
         # f + 8 log(1 + e^{-f}) >= ln 7 + 8 ln(8/7) > -10: no real fixed point
         kmat = np.array([[16.0 * np.pi]])
         with pytest.raises(NumericsError, match="not converged"):
-            _fixed_point(np.array([-10.0]), np.array([-10.0]), kmat, 1.0,
-                         1e-12)
+            _fixed_point(np.array([-10.0]), np.array([-10.0]), kmat,
+                         np.ones(1), 1.0, 1e-12)
 
     def test_oscillating_case_converges(self):
         # f = -10 + 8 log(1 + e^{-f}) has slope about -6 at its root, where
         # the half-damped iteration oscillates; the accelerated one does not
         kmat = np.array([[-16.0 * np.pi]])
         bare = np.array([-10.0])
-        f, lw, it, residual = _fixed_point(bare, bare, kmat, 1.0, 1e-12)
+        f, lw, it, residual = _fixed_point(bare, bare, kmat, np.ones(1),
+                                           1.0, 1e-12)
         assert residual <= 1e-12 and it < 500
         assert abs(f[0] + 10.0 - 8.0 * np.log1p(np.exp(-f[0]))) < 1e-12
         assert abs(lw[0] - np.log1p(np.exp(-f[0]))) < 1e-15
+
+    def test_singular_gram_restarts(self, monkeypatch):
+        # one node: every residual difference is collinear with the one
+        # before, so the second makes the Gram matrix singular.  The
+        # history restarts with a half-damped step, and the solve reaches
+        # the plain iteration's root of f = 1 + 2 log(1 + e^{-f})
+        singular = []
+        solve = np.linalg.solve
+
+        def spy(gram, rhs):
+            try:
+                return solve(gram, rhs)
+            except np.linalg.LinAlgError:
+                singular.append(gram.copy())
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        bare, kmat, weights = np.array([1.0]), np.array([[-np.pi]]), \
+            np.array([4.0])
+        f, lw, it, residual = _fixed_point(bare, bare, kmat, weights, 1.0,
+                                           1e-12)
+        ref = damped_fixed_point(bare, bare, kmat, weights, 1.0, 1e-12)[0]
+        assert singular and all(g.shape == (2, 2) for g in singular)
+        assert residual <= 1e-12
+        assert abs(f[0] - ref[0]) <= 1e-12 * abs(ref[0])
 
 
 class TestAgainstDampedReference:
@@ -254,22 +282,27 @@ class TestMirrorFold:
         contour = excitation_contour(sol, CHANNEL_U1)
         nodes, weights, c = contour.nodes, contour.weights, sol.params.c
         full = weighted_kernel(nodes, nodes, weights, c)
-        folded = MirrorFold.from_blocks(*mirror_fold(nodes, weights, c))
+        direct, swap, w = mirror_fold(nodes, weights, c)
+        folded = MirrorFold.from_blocks(direct, swap)
+        # the weights go into the vector, the middle one halved
+        w = unfold_even(w, nodes.size)
         rng = np.random.default_rng(7)
         for v in (rng.standard_normal(nodes.size),
                   np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, nodes.size))):
             ref = full @ v
-            assert np.max(np.abs(folded @ v - ref)) \
+            assert np.max(np.abs(folded @ (w * v) - ref)) \
                 <= 1e-13 * np.max(np.abs(ref))
 
     def test_even_block_is_the_yang_yang_kernel(self, thermal):
-        # A + B on the half line, as solve_yang_yang folds it
+        # A + B on the half line, as solve_yang_yang folds it, with no
+        # weights: those of the upper nodes come back on their own
         grid, c = thermal.grid, thermal.params.c
-        direct, swap = mirror_fold(grid.nodes, grid.weights, c)
+        direct, swap, w = mirror_fold(grid.nodes, grid.weights, c)
         x = grid.nodes[grid.size // 2:]
-        ref = weighted_kernel(x, x, grid.weights[grid.size // 2:], c)
-        ref += weighted_kernel(x, -x, grid.weights[grid.size // 2:], c)
+        ref = kernel(np.subtract.outer(x, x), c)
+        ref += kernel(np.subtract.outer(x, -x), c)
         assert np.array_equal(direct + swap, ref)
+        assert np.array_equal(w, grid.weights[grid.size // 2:])
 
     @pytest.mark.parametrize("case", ["shifted", "uneven-weights"])
     def test_unmirrored_nodes_refused(self, thermal, case):
@@ -285,9 +318,9 @@ class TestMirrorFold:
 def full_grid_solve(sol):
     """The unfolded Yang-Yang fixed point on the full grid of ``sol``."""
     params, grid = sol.params, sol.grid
-    kmat = weighted_kernel(grid.nodes, grid.nodes, grid.weights, params.c)
+    kmat = kernel_block(grid.nodes, grid.nodes, params.c)
     bare = grid.nodes ** 2 - params.h
-    return _fixed_point(bare, bare, kmat, params.T,
+    return _fixed_point(bare, bare, kmat, grid.weights, params.T,
                         1e-12 * max(params.h, params.T))
 
 
