@@ -17,10 +17,10 @@ from functools import cached_property
 import numpy as np
 
 from .excitation import USolution
-from .groundstate import GroundState, kernel, weighted_kernel
+from .groundstate import GroundState, kernel, kernel_block
 from .numerics import (ConjugatePairing, Contour, NumericsError,
-                       SampledFunction, cauchy_transform, fredholm_logdet,
-                       upper_half)
+                       SampledFunction, cauchy_sum, cauchy_transform,
+                       fredholm_logdet, upper_half)
 from .specfun import barnes_g_one, gamma_ratio, ln_gamma
 
 CONTOUR_NODES = 256  # trapezoid nodes on the determinant contour
@@ -64,12 +64,6 @@ def c0_functional(Z: SampledFunction, c: float) -> complex:
 # ---------------------------------------------------------------------------
 # smooth amplitude (contour Fredholm determinants)
 # ---------------------------------------------------------------------------
-
-def k_alpha(lam, phase: complex, c: float):
-    """Twisted Cauchy kernel 1/(l + ic) - phase/(l - ic), where
-    phase = e^{2 pi i alpha}."""
-    return 1.0 / (lam + 1j * c) - phase / (lam - 1j * c)
-
 
 def smooth_contour(gs: GroundState, n: int) -> Contour:
     """Anticlockwise ellipse surrounding [-q, q].
@@ -181,7 +175,8 @@ class AmplitudePlan:
     alpha nor the distance x, for one ground state and contour size.
 
     Holds the determinant contour and the conjugate pairing of its nodes;
-    the Cauchy transforms L[Z] at its nodes w and at w +- ic; the interval
+    the Cauchy transforms L[Z] at its nodes w, at w +- ic and at the
+    reference point -q + ic of the bracket; the interval
     log-determinant; and the offset and edge functionals of the dressed
     charge at unit twist (both are homogeneous of degree 2, so C0 and C1 of
     alpha_ell Z are alpha_ell^2 times these). On first use it builds, in
@@ -205,6 +200,7 @@ class AmplitudePlan:
         # Z is real and conj(w_k) = w_{-k}, so L[Z](w_k - ic) is the
         # conjugate of L[Z](w_{-k} + ic)
         self.lz_dn = np.conj(self.lz_up[-np.arange(n) % n])
+        self.lz_ref = cauchy_transform(gs.Z, -gs.q + 1j * c)
         lam = gs.grid.nodes
         self.ld_k = fredholm_logdet(kernel(lam[:, None] - lam[None, :], c),
                                     gs.grid, -1.0 / (2.0 * np.pi))
@@ -218,13 +214,14 @@ class AmplitudePlan:
 
     @cached_property
     def k_zero(self) -> np.ndarray:
-        """The phase-1 kernel of ``_smooth_ratio`` at theta = q with the
-        weights and 1/2 pi i, kappa(w_i - w_j) - kappa(-q - w_j) with
+        """The phase-1 kernel of ``_smooth_ratio`` with the weights and
+        1/2 pi i, kappa(w_i - w_j) - kappa(-q - w_j) with
         kappa(d) = 1/(d + ic) - 1/(d - ic) = -i K(d), on the rows and
         combined columns of ``pairing``."""
         w, dz = self.contour.nodes, self.contour.weights
         c = self.gs.params.c
-        mat = weighted_kernel(w[self.pairing.rows], w, dz, c)
+        mat = kernel_block(w[self.pairing.rows], w, c)
+        mat *= dz
         mat -= kernel(-self.gs.q - w, c) * dz
         mat *= -1.0 / (2.0 * np.pi)
         return self.pairing.columns(mat)
@@ -232,8 +229,8 @@ class AmplitudePlan:
     @cached_property
     def k_dn(self) -> np.ndarray:
         """The phase part of the twisted kernel of ``_smooth_ratio``:
-        k_alpha(d) = kappa(d) - (phase - 1)/(d - ic), so at theta = q its
-        kernel is k_zero - (phase - 1) k_dn, with k_dn the kernel
+        k_alpha(d) = kappa(d) - (phase - 1)/(d - ic), so its kernel is
+        k_zero - (phase - 1) k_dn, with k_dn the kernel
         1/(w_i - w_j - ic) - 1/(-q - w_j - ic) with the weights and
         1/2 pi i, on the rows and combined columns of ``pairing``."""
         w, dz = self.contour.nodes, self.contour.weights
@@ -245,29 +242,28 @@ class AmplitudePlan:
         mat *= dz / (2.0j * np.pi)
         return self.pairing.columns(mat)
 
-    def _smooth_ratio(self, alpha: float, al: float, theta: float) -> float:
-        """The smooth amplitude over sin^2(pi alpha), at real twist alpha,
-        shifted twist al and real reference pair (-theta, theta).
+    def _smooth_ratio(self, alpha: float, al: float) -> float:
+        """The smooth amplitude over sin^2(pi alpha), at real twist alpha
+        and shifted twist al.
 
         The smooth amplitude is (phase - 1)^2 e^{-al^2 C0} det1 det2
         / (det_K^2 bracket1 bracket2) with phase = e^{2 pi i alpha}. det1 is
-        the contour determinant of k_alpha(w_i - w_j) - k_alpha(-theta - w_j)
-        row-scaled by -e^{-al L[Z](w)}/denom(w), denom(w) =
-        e^{-al L[Z](w + ic)} - phase e^{-al L[Z](w - ic)}, and det2 its
-        column-scaled twin at theta. L[Z] is odd and w -> -w permutes the
-        nodes, so det2 = det1 and one determinant is squared. Z is real,
-        k_alpha(conj d) = -phase conj k_alpha(d) and the row factor obeys
-        r(conj w) = -conj r(w)/phase, so the phase cancels and the matrix is
+        the contour determinant of k_alpha(w_i - w_j) - k_alpha(-q - w_j),
+        k_alpha(d) = 1/(d + ic) - phase/(d - ic), row-scaled by
+        -e^{-al L[Z](w)}/denom(w), denom(w) = e^{-al L[Z](w + ic)} - phase
+        e^{-al L[Z](w - ic)}, and det2 its column-scaled twin at q (any
+        pair (-theta, theta) gives the same value). L[Z] is odd and
+        w -> -w permutes the nodes, so det2 = det1 and one determinant is
+        squared. Z is real, k_alpha(conj d) = -phase conj k_alpha(d) and
+        the row factor obeys r(conj w) = -conj r(w)/phase, so the phase
+        cancels and the matrix is
         conjugation-symmetric on ``pairing``: det1 is the determinant of a
-        real matrix, built from ``k_zero``, ``k_dn`` (off zero twist only)
-        and, at theta != q, a rank-one change of the reference column, and
-        its square drops its sign. With u = e^{-al L[Z](-theta + ic)} the
-        bracket is e^{i pi alpha} 2i Im(e^{-i pi alpha} u), and phase - 1 is
-        e^{i pi alpha} 2i sin(pi alpha), so the smooth amplitude is
+        real matrix, built from ``k_zero`` and ``k_dn`` (off zero twist
+        only), and its square drops its sign. With u = e^{-al L[Z](-q + ic)}
+        the bracket is e^{i pi alpha} 2i Im(e^{-i pi alpha} u), and phase - 1
+        is e^{i pi alpha} 2i sin(pi alpha), so the smooth amplitude is
         sin^2(pi alpha) times the real value returned here.
         """
-        c, q = self.gs.params.c, self.gs.q
-        w = self.contour.nodes
         phase = np.exp(2.0j * np.pi * alpha)
         rows = self.pairing.rows
         denom = (np.exp(-al * self.lz_up[rows])
@@ -279,13 +275,8 @@ class AmplitudePlan:
             kern *= row
         else:
             kern = row * self.k_zero
-        if theta != q:
-            ref = k_alpha(-q - w, phase, c) - k_alpha(-theta - w, phase, c)
-            ref *= self.contour.weights / (2.0j * np.pi)
-            kern += row * self.pairing.columns(ref[None, :])
         ld = self.pairing.logabsdet(kern)
-        up = cauchy_transform(self.gs.Z, -theta + 1j * c)
-        im = np.exp(-al * up - 1j * np.pi * alpha).imag
+        im = np.exp(-al * self.lz_ref - 1j * np.pi * alpha).imag
         return float(np.exp(-al ** 2 * self.c0.real
                             + 2.0 * (ld - self.ld_k.real)) / im ** 2)
 
@@ -298,29 +289,25 @@ class AmplitudePlan:
         return complex(barnes_g_one(al * gs.Zq) ** 2 * np.exp(al ** 2 * self.c1)
                        * norm)
 
-    def amplitude(self, alpha: float, ell: int,
-                  theta=None) -> AmplitudeResult:
+    def amplitude(self, alpha: float, ell: int) -> AmplitudeResult:
         """Constant coefficient of one oscillating harmonic of the series.
 
         B_smooth is sin^2(pi alpha) times ``_smooth_ratio``, and A_tilde is
         B_smooth times the discrete factor; both are real, and come back
-        with imaginary part 0. They do not depend on the reference pair
-        (-theta, theta), by default (-q, q). They are exactly 1 at
-        alpha + ell = 0 and exactly 0 at any other integer alpha, near which
-        they vanish quadratically; inf/NaN raises. A complex alpha or theta
-        raises ``ValueError``; a real value of complex dtype is taken as
-        real.
+        with imaginary part 0. They are exactly 1 at alpha + ell = 0 and
+        exactly 0 at any other integer alpha, near which they vanish
+        quadratically; inf/NaN raises. A complex alpha raises
+        ``ValueError``; a real value of complex dtype is taken as real.
         """
-        theta = self.gs.q if theta is None else theta
-        if np.imag(alpha) or np.imag(theta):
-            raise ValueError("the twist and the reference pair must be real")
-        alpha, theta = float(np.real(alpha)), float(np.real(theta))
+        if np.imag(alpha):
+            raise ValueError("the twist must be real")
+        alpha = float(np.real(alpha))
         al = alpha + ell
         if al == 0:
             return AmplitudeResult(B_smooth=1.0 + 0.0j, A_tilde=1.0 + 0.0j)
         if alpha.is_integer():
             return AmplitudeResult(B_smooth=0.0 + 0.0j, A_tilde=0.0 + 0.0j)
-        b_s = np.sin(np.pi * alpha) ** 2 * self._smooth_ratio(alpha, al, theta)
+        b_s = np.sin(np.pi * alpha) ** 2 * self._smooth_ratio(alpha, al)
         a_tilde = _require_finite(b_s * self._discrete_factor(al).real,
                                   f"term amplitude at ell = {ell}")
         return AmplitudeResult(B_smooth=complex(b_s), A_tilde=complex(a_tilde))
@@ -337,38 +324,28 @@ class AmplitudePlan:
         if ell == 0:
             raise ValueError("the ell = 0 term has a closed form")
         value = (np.pi ** 2 * (self.gs.D * ell) ** 2
-                 * self._smooth_ratio(0.0, ell, self.gs.q)
+                 * self._smooth_ratio(0.0, ell)
                  * self._discrete_factor(ell).real)
         return complex(_require_finite(value,
                                        f"harmonic amplitude at ell = {ell}"))
 
 
 def smooth_amplitude(gs: GroundState, alpha: float, ell: int,
-                     theta=None, contour_n: int = CONTOUR_NODES) -> complex:
+                     contour_n: int = CONTOUR_NODES) -> complex:
     """Smooth part of one term amplitude (see ``AmplitudePlan.amplitude``)."""
-    return AmplitudePlan(gs, contour_n).amplitude(alpha, ell, theta).B_smooth
+    return AmplitudePlan(gs, contour_n).amplitude(alpha, ell).B_smooth
 
 
-def amplitude_tilde(gs: GroundState, alpha: float, ell: int, theta=None,
+def amplitude_tilde(gs: GroundState, alpha: float, ell: int,
                     contour_n: int = CONTOUR_NODES) -> AmplitudeResult:
     """Constant coefficient of one oscillating harmonic of the series (see
     ``AmplitudePlan.amplitude``)."""
-    return AmplitudePlan(gs, contour_n).amplitude(alpha, ell, theta)
+    return AmplitudePlan(gs, contour_n).amplitude(alpha, ell)
 
 
 # ---------------------------------------------------------------------------
 # finite-temperature discrete factor
 # ---------------------------------------------------------------------------
-
-def contour_cauchy(sol: USolution, omega):
-    """int z(l)/(l - omega) dl along the solution contour, for omega off
-    the contour (the complex roots sit several node spacings away); a
-    scalar omega gives a complex number, an array of them an array."""
-    om = np.asarray(omega, dtype=complex)
-    d = np.subtract.outer(-om, -sol.contour.nodes)  # l - omega, row by row
-    out = np.sum(np.divide(sol.contour.weights * sol.z, d, out=d), axis=-1)
-    return complex(out) if om.ndim == 0 else out
-
 
 def double_integral(sol: USolution) -> complex:
     """The double integral of z(l) z(m) / (l - m_+)^2 along the contour.
@@ -416,7 +393,9 @@ def bd_finite_T(sol: USolution) -> complex:
 
     The exponential of the double integral, the squared Cauchy determinant
     of the particle roots against the hole roots, and per-root
-    Cauchy-transform and derivative factors of the phase exponential.
+    Cauchy-transform and derivative factors of the phase exponential;
+    the roots sit several node spacings off the contour, so its Cauchy
+    transform at them is the plain ``cauchy_sum``.
     """
     T = sol.params.T
     halves, s = sol.roots.halves, sol.points
@@ -426,5 +405,5 @@ def bd_finite_T(sol: USolution) -> complex:
     # substitution: -(u'(s)/T) e^{-u/T} / (1 + e^{-eps/T})
     deriv = (-sol.u_prime_at(s) * np.exp(-sol.u_at(s) / T)
              / (T * (1.0 + np.exp(-sol.thermal.eps_at(s) / T))))
-    return complex(out * np.prod(
-        np.exp(-2.0 * halves * contour_cauchy(sol, s)) / deriv))
+    cz = cauchy_sum(sol.contour.nodes, sol.contour.weights * sol.z, s)
+    return complex(out * np.prod(np.exp(-2.0 * halves * cz) / deriv))

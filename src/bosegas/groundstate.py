@@ -28,24 +28,13 @@ def kernel_prime(lam, c: float):
     return -4.0 * c * lam / (lam * lam + c * c) ** 2
 
 
-def kernel_block(rows, cols, c: float, dtype=None):
+def kernel_block(rows, cols, c: float):
     """Kernel matrix K(rows_i - cols_j), built in place in one buffer of
-    ``dtype``, by default the result dtype of the nodes."""
-    if dtype is None:
-        dtype = np.result_type(rows, cols, float)
-    m = np.subtract.outer(rows, cols, dtype=dtype)
+    the result dtype of the nodes."""
+    m = np.subtract.outer(rows, cols, dtype=np.result_type(rows, cols, float))
     m *= m
     m += c * c
     np.divide(2.0 * c, m, out=m)
-    return m
-
-
-def weighted_kernel(rows, cols, weights, c: float):
-    """Quadrature matrix K(rows_i - cols_j) * weights_j, built in place in
-    one buffer of the result dtype of all three inputs."""
-    m = kernel_block(rows, cols, c,
-                     np.result_type(rows, cols, weights, float))
-    m *= weights
     return m
 
 
@@ -200,8 +189,8 @@ class GroundState:
         # the unfolded equations on the full grid: eps0 and Z check the
         # even block, eps0' the odd one
         lam = self.grid.nodes
-        kw = weighted_kernel(lam, lam, self.grid.weights / (2.0 * np.pi),
-                             self.params.c)
+        kw = kernel_block(lam, lam, self.params.c)
+        kw *= self.grid.weights / (2.0 * np.pi)
         residual = max(np.max(np.abs(f.values - kw @ f.values - f.rhs_fn(lam)))
                        for f in (self.eps0, self.eps0_prime, self.Z))
         if residual > 1e-10 * max(h, 1.0):

@@ -5,8 +5,8 @@ closed-form barycentric interpolation and differentiation on each panel,
 mirror folds on negation-closed node sets, Nystrom solution of second-kind
 linear integral equations by such a fold, Fredholm determinants on
 intervals and closed contours (a conjugation-symmetric one through a real
-matrix of the same size), and Cauchy transforms with singularity
-subtraction near the integration domain.
+matrix of the same size), and Cauchy transforms: one far-field sum, and
+singularity subtraction near the integration interval.
 """
 
 from __future__ import annotations
@@ -388,6 +388,17 @@ class ConjugatePairing:
 # Cauchy transforms
 # ---------------------------------------------------------------------------
 
+def cauchy_sum(nodes, weighted, omega):
+    """sum_j weighted_j / (nodes_j - omega) for omega far from the nodes,
+    a complex number at a scalar omega, else an array.  x - omega, built
+    C-ordered as (-omega) - (-x), is exact but for the sign of a zero
+    imaginary part, which a numpy sum, never -0, cannot pass on."""
+    om = np.asarray(omega, dtype=complex)
+    d = np.subtract.outer(-om, -nodes)
+    out = np.sum(np.divide(weighted, d, out=d), axis=-1)
+    return complex(out) if om.ndim == 0 else out
+
+
 def cauchy_transform(f: SampledFunction, omega):
     """L[f](omega) = int_a^b f(x) / (x - omega) dx for omega off [a, b].
 
@@ -412,16 +423,12 @@ def cauchy_transform(f: SampledFunction, omega):
     dist = np.where(inside, np.abs(flat.imag), np.minimum(dist_a, dist_b))
     near = dist <= 4.0 * spacing
     far = ~near
-    # far points subtract nothing: w f / (x - omega), w f formed once, is the
-    # subtracted formula's arithmetic on its exact zero.  x - omega, built
-    # C-ordered as (-omega) - (-x) so that rows sum contiguous memory, is
-    # exact but for the sign of a zero imaginary part; a numpy sum is never
-    # -0, so neither that sign nor the far points' closed-form term (0 times
-    # finite logs, so +-0) can change a bit of the result
-    d = np.subtract.outer(-flat[far], -f.nodes)
-    wf = np.multiply(f.weights, f.values, dtype=complex)
+    # far points subtract nothing: ``cauchy_sum`` of w f, formed once, is the
+    # subtracted formula's arithmetic on its exact zero, and the far points'
+    # closed-form term (0 times finite logs, so +-0) cannot change a bit
     reg = np.empty(flat.shape, dtype=complex)
-    reg[far] = np.sum(np.divide(wf, d, out=d), axis=1)
+    reg[far] = cauchy_sum(f.nodes, np.multiply(f.weights, f.values,
+                                               dtype=complex), flat[far])
     if np.any(near):
         z = flat[near]
         f_near = np.asarray(f(np.clip(z.real, a, b)), dtype=complex)

@@ -4,7 +4,8 @@ failure names the quantity, its value and its limit."""
 
 import operator
 
-from bosegas.verification import CHECKS
+from bosegas.numerics import ConjugatePairing
+from bosegas.verification import CHECKS, run_checks
 
 OPS = {"<=": operator.le, ">=": operator.ge}
 
@@ -44,6 +45,17 @@ def test_gamma_integral_identity(workspace):
 
 def test_smooth_amplitude_invariances(workspace):
     assert_bounds("smooth-amplitude", workspace)
+
+
+def test_smooth_amplitude_sees_a_determinant_offset(monkeypatch):
+    # the plan's real-form log-determinant off by 1e-4 moves B_smooth by
+    # 2e-4: theta_dev, which holds the plan against the complex route,
+    # fails, while near_one_err reads 2e-4 and stays inside its 1e-3
+    logabsdet = ConjugatePairing.logabsdet
+    monkeypatch.setattr(ConjugatePairing, "logabsdet",
+                        lambda self, t: logabsdet(self, t) + 1e-4)
+    result, = run_checks(["smooth-amplitude"])
+    assert not result.passed and not result.bounds["theta_dev"].holds
 
 
 def test_discrete_factor_limit(workspace):

@@ -10,18 +10,16 @@ import pytest
 
 from bosegas.amplitude import (AmplitudePlan, amplitude_tilde, bd_finite_T,
                                c0_functional, c1_functional, cauchy_det_sq,
-                               contour_cauchy, discrete_amplitude,
-                               double_integral, k_alpha, r_factor,
+                               discrete_amplitude, double_integral, r_factor,
                                smooth_amplitude, w_series)
 from bosegas.excitation import (ExcitationClass, _driving_term,
                                 decay_rate_numeric, root_offsets, solve_u)
-from bosegas.groundstate import (ModelParams, build_ground_state,
-                                 kernel_block, weighted_kernel)
+from bosegas.groundstate import ModelParams, build_ground_state, kernel_block
 from bosegas.numerics import (Contour, NumericsError, SampledFunction,
-                               cauchy_transform, composite_grid,
-                               fredholm_logdet)
+                               cauchy_sum, cauchy_transform, composite_grid)
 from bosegas.thermal import _fixed_point, solve_yang_yang
 from bosegas.verification import (decay_rate_closed, edge_charge_integral,
+                                  row_scaled_kernel, two_determinants,
                                   u1_function, u2_function,
                                   verify_cauchy_edge, verify_double_integral,
                                   w_closed)
@@ -346,15 +344,15 @@ class TestAllRootKinds:
 
     def test_batched_root_factors(self, all_kinds_sols):
         # one call per factor at all four roots, against the per-root
-        # formulas: the Cauchy transform bit for bit, bd_finite_T as the
+        # formulas: the Cauchy sum bit for bit, bd_finite_T as the
         # product of one factor per root to rounding (measured 3.3e-14)
         for sol in all_kinds_sols:
             g, wz, T = sol.contour.nodes, sol.contour.weights * sol.z, \
                 sol.params.T
-            batched = contour_cauchy(sol, sol.points)
+            batched = cauchy_sum(g, wz, sol.points)
             assert batched.shape == sol.points.shape
             for s, value in zip(sol.points, batched):
-                assert complex(value) == contour_cauchy(sol, s) \
+                assert complex(value) == cauchy_sum(g, wz, s) \
                     == complex(np.sum(wz / (g - s)))
             ref = np.exp(double_integral(sol)) * cauchy_det_sq(
                 [s for r, s in zip(sol.roots, sol.points) if r.half > 0],
@@ -362,7 +360,7 @@ class TestAllRootKinds:
             for r, s in zip(sol.roots, sol.points):
                 deriv = (-sol.u_prime_at(s) * np.exp(-sol.u_at(s) / T)
                          / (T * (1.0 + np.exp(-sol.thermal.eps_at(s) / T))))
-                ref *= np.exp(-2.0 * r.half * contour_cauchy(sol, s)) / deriv
+                ref *= np.exp(-2.0 * r.half * cauchy_sum(g, wz, s)) / deriv
             assert abs(bd_finite_T(sol) - ref) <= 1e-12 * abs(ref)
 
     def test_approaches_discrete_amplitude(self, gs, all_kinds_sols):
@@ -454,11 +452,12 @@ class TestAssembledAmplitude:
             assert res.B_smooth.imag == 0.0, (alpha, ell)
             assert res.A_tilde.imag == 0.0, (alpha, ell)
 
-    def test_theta_pair_independence(self, gs):
-        q = gs.q
-        a = amplitude_tilde(gs, 0.2, 1).A_tilde
-        for theta in (0.6 * q, 0.0):
-            b = amplitude_tilde(gs, 0.2, 1, theta=theta).A_tilde
+    def test_theta_pair_independence(self, plan):
+        # the plan's reference pair is (-q, q); the complex route takes any
+        a = plan.amplitude(0.2, 1).B_smooth
+        for theta in (0.6 * plan.gs.q, 0.0):
+            b = twist_prefactor(0.2) * two_determinants(plan, 0.2, 1,
+                                                        theta)[2]
             assert abs(b - a) <= 1e-6 * abs(a), theta
 
 
@@ -488,20 +487,6 @@ class TestAmplitudePlan:
         assert abs(res.B_smooth - b_ref) <= 1e-12 * abs(b_ref)
         assert abs(res.A_tilde - a_ref) <= 1e-12 * abs(a_ref)
 
-    def test_weighted_kernel_is_the_block_times_weights(self, gs, plan):
-        # the T = 0 path keeps its bits: on k_zero's inputs (complex rows,
-        # nodes and weights) and on GroundState._check's (all real), the
-        # weighted kernel is the unweighted block times the weights
-        w, c = plan.contour.nodes, gs.params.c
-        lam = gs.grid.nodes
-        for rows, cols, weights in (
-                (w[plan.pairing.rows], w, plan.contour.weights),
-                (lam, lam, gs.grid.weights / (2.0 * np.pi))):
-            got = weighted_kernel(rows, cols, weights, c)
-            ref = kernel_block(rows, cols, c) * weights
-            assert got.dtype == ref.dtype
-            assert got.tobytes() == ref.tobytes()
-
     def test_wrappers_share_the_plan(self, gs, plan):
         res = plan.amplitude(0.2, 1)
         assert amplitude_tilde(gs, 0.2, 1).A_tilde == res.A_tilde
@@ -513,16 +498,13 @@ class TestAmplitudePlan:
         assert plan.amplitude(0.0, 1).A_tilde == 0.0 + 0.0j
 
     def test_complex_values_refused(self, plan):
-        # a complex twist or reference pair raises; a real value of complex
-        # dtype is taken as real
-        q = plan.gs.q
+        # a complex twist raises; a real value of complex dtype is taken
+        # as real
         with pytest.raises(ValueError, match="real"):
             plan.amplitude(0.2 + 1e-3j, 1)
-        with pytest.raises(ValueError, match="real"):
-            plan.amplitude(0.2, 1, q - 0.1j * q)
         real = plan.amplitude(0.2, 1)
-        assert plan.amplitude(0.2 + 0j, 1, q + 0j) == real
-        assert plan.amplitude(0.2, 1, np.complex128(q)) == real
+        assert plan.amplitude(0.2 + 0j, 1) == real
+        assert plan.amplitude(np.complex128(0.2), 1) == real
 
     def test_c1_homogeneous_of_degree_two(self, gs, plan):
         al = 1.2
@@ -542,47 +524,13 @@ class TestAmplitudePlan:
             plan.amplitude(0.2, 1)
 
 
-def row_scaled_kernel(plan, alpha, ell, theta=None):
-    """The kernel of the smooth factor's first determinant, from the plan's
-    fields: k_alpha(w_i - w_j) - k_alpha(-theta - w_j), row-scaled by
-    -e^{-al L}/denom1 at reference point -theta (by default -q)."""
-    c, w = plan.gs.params.c, plan.contour.nodes
-    theta = plan.gs.q if theta is None else theta
+def winding(plan, alpha, ell):
+    """The winding number of denom1 over the contour nodes: the number of
+    its zeros inside the contour."""
     al, phase = alpha + ell, np.exp(2j * np.pi * alpha)
-    ka = k_alpha(w[:, None] - w[None, :], phase, c)
     denom1 = np.exp(-al * plan.lz_up) - phase * np.exp(-al * plan.lz_dn)
-    row = (-np.exp(-al * plan.lz) / denom1)[:, None]
-    return row * (ka - k_alpha(-theta - w[None, :], phase, c))
-
-
-def two_determinants(plan, alpha, ell, theta=None):
-    """The smooth factor as a product of its two determinants, each
-    computed from the plan's fields: the row-scaled kernel at reference
-    point -theta and the kernel column-scaled by e^{al L}/denom2 at theta
-    (by default q). Returns both log-determinants, the factor and the
-    winding number of denom1 over the contour nodes (the number of its
-    zeros inside the contour)."""
-    gs, c = plan.gs, plan.gs.params.c
-    theta = gs.q if theta is None else theta
-    w = plan.contour.nodes
-    al, phase = alpha + ell, np.exp(2j * np.pi * alpha)
-    ka = k_alpha(w[:, None] - w[None, :], phase, c)
-    denom1 = np.exp(-al * plan.lz_up) - phase * np.exp(-al * plan.lz_dn)
-    denom2 = np.exp(al * plan.lz_dn) - phase * np.exp(al * plan.lz_up)
-    pref = 1.0 / (2j * np.pi)
-    col = (np.exp(al * plan.lz) / denom2)[None, :]
-    ld1 = fredholm_logdet(row_scaled_kernel(plan, alpha, ell, theta),
-                          plan.contour, pref)
-    ld2 = fredholm_logdet((ka - k_alpha(w[:, None] - theta, phase, c)) * col,
-                          plan.contour, pref)
-    up1, dn1, dn2, up2 = cauchy_transform(gs.Z, np.array(
-        [-theta + 1j * c, -theta - 1j * c, theta - 1j * c, theta + 1j * c]))
-    bracket1 = np.exp(-al * up1) - phase * np.exp(-al * dn1)
-    bracket2 = np.exp(al * dn2) - phase * np.exp(al * up2)
-    factor = (np.exp(-al ** 2 * plan.c0 + ld1 + ld2 - 2.0 * plan.ld_k)
-              / (bracket1 * bracket2))
-    winding = np.sum(np.angle(np.roll(denom1, -1) / denom1)) / (2.0 * np.pi)
-    return ld1, ld2, factor, round(winding)
+    return round(np.sum(np.angle(np.roll(denom1, -1) / denom1))
+                 / (2.0 * np.pi))
 
 
 def twist_prefactor(alpha):
@@ -612,12 +560,13 @@ ILL_CONDITIONED = {(0.3, 2, 0.5)}
                 ids=lambda p: f"h/c2={p[0]}-n={p[1]}")
 def plan_cases(request):
     """A plan at h = 1 and the given h/c^2 and contour size (n/2 odd at
-    6 and 130), with the two-determinant reference at every (ell, alpha)
-    where no zero of denom is enclosed."""
+    6 and 130), with the two-determinant reference and the winding of
+    denom at every (ell, alpha) where no zero of denom is enclosed."""
     ratio, n = request.param
     plan = AmplitudePlan(build_ground_state(
         ModelParams(c=ratio ** -0.5, h=1.0)), n)
-    refs = {(ell, alpha): two_determinants(plan, alpha, ell)
+    refs = {(ell, alpha): (*two_determinants(plan, alpha, ell),
+                           winding(plan, alpha, ell))
             for ell in (-2, -1, 1, 2) for alpha in TWISTS
             if (ratio, ell, alpha) not in ENCLOSED | ILL_CONDITIONED}
     return plan, refs
@@ -625,9 +574,9 @@ def plan_cases(request):
 
 class TestOneDeterminant:
     """The smooth factor's two determinants are equal (w -> -w symmetry),
-    so the plan computes one and squares it; at real twist and reference
-    pair it takes that one in real form, against the complex determinants
-    here."""
+    so the plan computes one and squares it; at real twist it takes that
+    one in real form, against the complex determinants of
+    ``verification.two_determinants`` here."""
 
     def test_determinants_agree(self, plan_cases):
         # measured <= 1.1e-14
@@ -657,19 +606,26 @@ class TestOneDeterminant:
             assert abs(value - ref) <= 1e-12 * abs(ref), (ell, alpha)
 
     def test_real_reference_pair(self, plan_cases):
-        # theta != q: the reference column takes a rank-one change;
-        # measured <= 1.5e-14
+        # the plan's pair (-q, q) against the complex route's at other
+        # theta, which moves the value by the quadrature error: measured
+        # 1.2e-2 or more on 6 nodes (so the agreement is no identity of the
+        # discretization), <= 2.4e-11 on 130 and <= 1.5e-14 from 256 on
         plan, refs = plan_cases
-        theta = 0.6 * plan.gs.q
+        n = plan.contour.nodes.size
         for ell, alpha in refs:
             if alpha != 0.2:
                 continue
-            _, _, factor, _ = two_determinants(plan, alpha, ell, theta)
-            value = plan.amplitude(alpha, ell, theta).A_tilde
-            ref = (twist_prefactor(alpha) * factor
-                   * plan._discrete_factor(alpha + ell))
-            assert value.imag == 0.0, ell
-            assert abs(value - ref) <= 1e-12 * abs(ref), ell
+            value = plan.amplitude(alpha, ell).A_tilde
+            for theta in (0.6 * plan.gs.q, 0.0):
+                factor = two_determinants(plan, alpha, ell, theta)[2]
+                ref = (twist_prefactor(alpha) * factor
+                       * plan._discrete_factor(alpha + ell))
+                gap = abs(value - ref) / abs(ref)
+                if n < 130:
+                    assert gap > 1e-3, (ell, theta, gap)
+                else:
+                    assert gap <= (1e-10 if n < 256 else 1e-12), \
+                        (ell, theta, gap)
 
     def test_lz_dn_by_conjugation(self, plan_cases):
         # bitwise equal here: the contour nodes are exactly symmetric

@@ -10,8 +10,8 @@ from scipy.optimize import brentq
 
 from bosegas import groundstate
 from bosegas.groundstate import (FERMI_NODES, ModelParams,
-                                 build_ground_state, kernel,
-                                 solve_fermi_boundary, weighted_kernel)
+                                 build_ground_state, kernel, kernel_block,
+                                 solve_fermi_boundary)
 from bosegas.numerics import (NumericsError, ParityInverse, composite_grid,
                               nystrom_factorize, nystrom_solve)
 
@@ -52,8 +52,9 @@ def _mix(rng, n, complex_):
 
 
 class TestWeightedKernel:
-    """The one-buffer quadrature matrix against the broadcast expression;
-    the buffer takes the dtype of all three inputs, not of the rows."""
+    """The quadrature matrix as the T = 0 path forms it, the one-buffer
+    kernel block times the weights, against the broadcast expression; the
+    block takes the dtype of rows and columns, not of the rows alone."""
 
     @pytest.mark.parametrize("rows_c,cols_c,weights_c", [
         (False, False, False),   # real grid (Yang-Yang)
@@ -66,14 +67,14 @@ class TestWeightedKernel:
         r, s, w = (_mix(rng, n, f) for n, f in
                    ((9, rows_c), (11, cols_c), (11, weights_c)))
         ref = kernel(np.subtract.outer(r, s), 0.8) * w
-        got = weighted_kernel(r, s, w, 0.8)
+        got = kernel_block(r, s, 0.8) * w
         assert got.shape == ref.shape and got.dtype == ref.dtype
         np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0.0)
 
     def test_real_inputs_bit_identical(self):
         x = np.linspace(-2.0, 2.0, 13)
         w = np.full(13, 0.3)
-        assert np.array_equal(weighted_kernel(x, x, w, 1.1),
+        assert np.array_equal(kernel_block(x, x, 1.1) * w,
                               kernel(x[:, None] - x[None, :], 1.1) * w)
 
 

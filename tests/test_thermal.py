@@ -15,7 +15,7 @@ import bosegas.thermal
 from bosegas.cli import main
 from bosegas.excitation import excitation_contour, solve_u
 from bosegas.groundstate import (ModelParams, build_ground_state, kernel,
-                                 kernel_block, weighted_kernel)
+                                 kernel_block)
 from bosegas.numerics import (MirrorFold, NumericsError, unfold_even,
                               upper_half)
 from bosegas.thermal import (_fixed_point, continuation, mirror_fold,
@@ -281,7 +281,7 @@ class TestMirrorFold:
                               n_per_panel=n_per_panel)
         contour = excitation_contour(sol, CHANNEL_U1)
         nodes, weights, c = contour.nodes, contour.weights, sol.params.c
-        full = weighted_kernel(nodes, nodes, weights, c)
+        full = kernel_block(nodes, nodes, c) * weights
         direct, swap, w = mirror_fold(nodes, weights, c)
         folded = MirrorFold.from_blocks(direct, swap)
         # the weights go into the vector, the middle one halved
