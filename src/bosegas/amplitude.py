@@ -12,11 +12,11 @@ finite-temperature factor are checks, in ``verification``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .excitation import USolution
+from .excitation import USolution, contour_lift
 from .groundstate import GroundState, kernel, kernel_block
 from .numerics import (ConjugatePairing, Contour, NumericsError,
                        SampledFunction, cauchy_sum, cauchy_transform,
@@ -80,14 +80,24 @@ def smooth_contour(gs: GroundState, n: int) -> Contour:
 # discrete amplitude (Gamma / Barnes factors over quantum numbers)
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _pairs(n: int):
+    """Index pairs (j, k), j < k, of n points, in row-major order, built
+    once per n."""
+    pairs = np.triu_indices(n, 1)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
+
+
 def cauchy_det_sq(xs, ys) -> complex:
     """Squared Cauchy determinant det[1/(x_j - y_k)]^2 in product form,
     prod_{j<k} (x_j - x_k)^2 (y_j - y_k)^2 / prod_{j,k} (x_j - y_k)^2."""
     xs, ys = np.asarray(xs), np.asarray(ys)
-    vander = [np.prod((v[:, None] - v[None, :])[np.triu_indices(v.size, 1)])
-              for v in (xs, ys)]
+    (xj, xk), (yj, yk) = _pairs(xs.size), _pairs(ys.size)
+    vander = np.prod(xs[xj] - xs[xk]) * np.prod(ys[yj] - ys[yk])
     cross = np.prod(xs[:, None] - ys[None, :])
-    return complex((vander[0] * vander[1] / cross) ** 2)
+    return complex((vander / cross) ** 2)
 
 
 def r_factor(ps, hs, nu: complex) -> complex:
@@ -352,7 +362,8 @@ def double_integral(sol: USolution) -> complex:
 
     The inner transform is evaluated in the exact zero-offset limit:
     two-term Taylor subtraction at each node regularizes the quadrature,
-    the subtracted terms integrate in closed form, and the left-shifted
+    the subtracted terms integrate in closed form between the contour's
+    ends, the lifted grid ends gamma(a) and gamma(b), and the left-shifted
     pole contributes the +i pi half-residue to the logarithmic term.
     Off the diagonal, whose term is z''_j / 2, the sum over i of (z_i - z_j
     - z'_j dl) / dl^2 is sum z_i P^2 - z_j sum P^2 - z'_j sum P, P = 1/dl.
@@ -381,7 +392,8 @@ def double_integral(sol: USolution) -> complex:
     reg = (s_z + s_zr[::-1] - zc * (s_p2 + s_p2[::-1])
            - zp * (s_p - s_p[::-1]) + 0.5 * w * zpp)
 
-    a, b = base.a, base.b
+    a, b = contour_lift(sol.thermal, sol.roots.u1_at_q,
+                        np.array([base.a, base.b]))[0]
     i2 = 1.0 / (a - g) - 1.0 / (b - g)
     i1 = np.log(b - g) - np.log(g - a) + 1j * np.pi
     j_vec = reg + z * i2 + zp * i1

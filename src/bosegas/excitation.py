@@ -119,10 +119,10 @@ def root_offsets(gs: GroundState, cls: ExcitationClass,
     return RootTable(tuple(roots), u1)
 
 
-def excitation_contour(thermal: ThermalSolution, u1_at_q: complex) -> Contour:
-    """Integration contour for the excited sector: the real thermal grid
-    lifted by an odd pair of smooth bumps at +-q, with the grid weights
-    times dgamma/dx.
+def contour_lift(thermal: ThermalSolution, u1_at_q: complex, x):
+    """The excited-sector contour over the real points x: gamma(x) =
+    x + i height bump(x), an odd pair of smooth bumps at +-q, and
+    dgamma/dx.
 
     The bump height is chosen halfway through the channel between the
     nearest migrated root of 1+e^{-u/T} (at height (|Im u1|-pi)T/eps0')
@@ -141,12 +141,17 @@ def excitation_contour(thermal: ThermalSolution, u1_at_q: complex) -> Contour:
     height = -u1_at_q.imag * T / (2.0 * epsp)
     # the plateau must cover the crossover window |Re u| <~ 40 T
     width = min(80.0 * T / epsp, 0.5 * min(gs.q, thermal.params.c))
-    x = thermal.grid.nodes
     sp, sm = (x - gs.q) / width, (x + gs.q) / width
     bump = np.exp(-sp * sp) - np.exp(-sm * sm)
     dbump = (-2.0 * sp * np.exp(-sp * sp) + 2.0 * sm * np.exp(-sm * sm)) / width
-    return Contour(x + 1j * height * bump,
-                   thermal.grid.weights * (1.0 + 1j * height * dbump))
+    return x + 1j * height * bump, 1.0 + 1j * height * dbump
+
+
+def excitation_contour(thermal: ThermalSolution, u1_at_q: complex) -> Contour:
+    """Integration contour for the excited sector: the real thermal grid
+    lifted by ``contour_lift``, with the grid weights times dgamma/dx."""
+    nodes, dgamma = contour_lift(thermal, u1_at_q, thermal.grid.nodes)
+    return Contour(nodes, thermal.grid.weights * dgamma)
 
 
 def theta_odd(lam, c: float):
@@ -208,10 +213,12 @@ def solve_u(params: ModelParams, cls: ExcitationClass,
     their leading-order positions, by the solve that also serves the
     thermal energy.
 
-    The equation is solved on the deformed contour of excitation_contour,
-    which realizes the analytic continuation in alpha of the
+    The equation is solved on the deformed contour of excitation_contour
+    over the live panels of ``thermal`` (``ThermalSolution.live``), which
+    realizes the analytic continuation in alpha of the
     constraint-satisfying regime; all closed low-temperature forms refer
-    to that continuation.  The contour is odd, so the kernel acts on it by
+    to that continuation.  The solution carries that restriction as its
+    ``thermal``.  The contour is odd, so the kernel acts on it by
     its mirror fold, and eps, which is even, is continued on its upper
     half; that eps, which the phase z needs, also starts the solve.
     ``thermal`` carries the ground state; one of other parameters,
@@ -232,6 +239,7 @@ def solve_u(params: ModelParams, cls: ExcitationClass,
         raise ValueError("roots drift too far from the Fermi points; lower T")
     points = roots.points(gs.q, T)
 
+    thermal = thermal.live()
     contour = excitation_contour(thermal, roots.u1_at_q)
     lam = contour.nodes
     eps = unfold_even(thermal.eps_at(upper_half(lam, contour.weights)[0]),

@@ -8,13 +8,14 @@ Kernel blocks carry no quadrature weights: both the solve and the
 continuation multiply the weights into the vector they apply the kernel to.
 Both node sets are closed under negation, so the kernel is halved by its
 mirror fold: even eps solves on the half line with the even block, and u
-goes through both blocks of ``numerics.MirrorFold``.
+goes through both blocks of ``numerics.MirrorFold``.  u is solved on the
+live panels of eps alone, where eps < 40 T (``ThermalSolution.live``).
 The low-temperature correction law of eps is a check, in ``verification``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,6 +25,9 @@ from .numerics import (Grid, SampledFunction, NumericsError, composite_grid,
                        graded_breakpoints, unfold_even, upper_half)
 
 PANEL_NODES = 16  # Gauss-Legendre nodes per panel of the real-line grid
+# eps / T beyond which the thermal weight log(1 + e^{-eps/T}) < 5e-18 is
+# dead: it places the grid's cutoff and bounds the live panels
+DEAD_EPS_OVER_T = 40.0
 # first-step damping, Anderson mixing depth, iteration cap and relative
 # tolerance of the shared fixed point
 _DAMPING = 0.5
@@ -55,9 +59,9 @@ def thermal_cutoff(params: ModelParams, gs: GroundState) -> float:
     eps0 < 40 T at that radius it moves out to the root of eps0 = 40 T, by
     Newton's method: eps0' is d eps0/d lambda off [-q, q], as eps0(+-q) = 0.
     """
-    core = np.sqrt(params.h + 40.0 * params.T)
+    target = DEAD_EPS_OVER_T * params.T
+    core = np.sqrt(params.h + target)
     lam = core + 1.5 * min(params.c, core)
-    target = 40.0 * params.T
     if gs.eps0(lam) >= target:
         return lam
     for _ in range(50):
@@ -114,6 +118,26 @@ class ThermalSolution:
         """Analytic continuation of eps via its own integral equation."""
         return continuation(np.asarray(lam), lambda x: x ** 2 - self.params.h,
                             self.grid, self.log_weight, self.params)
+
+    def live(self) -> "ThermalSolution":
+        """This solution on its live panels: the smallest mirror-closed run
+        of whole panels that holds every node with eps < DEAD_EPS_OVER_T T.
+        Its nodes, weights, eps and log weight are slices of these; a
+        solution live on every panel is returned as it is."""
+        grid = self.grid
+        panels = grid.breakpoints.size - 1
+        per_panel = grid.size // panels
+        alive = np.flatnonzero(self.eps.values
+                               < DEAD_EPS_OVER_T * self.params.T)
+        lo = min(alive[0] // per_panel, panels - 1 - alive[-1] // per_panel)
+        if lo == 0:
+            return self
+        bp = grid.breakpoints[lo:panels + 1 - lo]
+        cut = slice(lo * per_panel, (panels - lo) * per_panel)
+        live = Grid(bp[0], bp[-1], bp, grid.nodes[cut], grid.weights[cut])
+        return replace(self, grid=live,
+                       eps=SampledFunction(live, self.eps.values[cut]),
+                       log_weight=self.log_weight[cut])
 
 
 def _fixed_point(bare, start, kmat, weights, T: float, tol: float):

@@ -5,10 +5,12 @@ rates."""
 import numpy as np
 import pytest
 
+import bosegas.thermal
 from bosegas.excitation import (ConstraintError, ExcitationClass,
-                                decay_rate_numeric, root_offsets, solve_u,
-                                theta_odd, u1_value)
+                                decay_rate_numeric, excitation_contour,
+                                root_offsets, solve_u, theta_odd, u1_value)
 from bosegas.groundstate import ModelParams, build_ground_state
+from bosegas.numerics import NumericsError
 from bosegas.thermal import solve_yang_yang
 from bosegas.verification import (BENCHMARK_CLASS, decay_rate_closed,
                                   u1_function)
@@ -176,6 +178,26 @@ class TestSolveU:
         alone = solve_u(params, BENCHMARK_CLASS, thermal=thermal)
         both = solve_u(params, BENCHMARK_CLASS, thermal=thermal, gs=gs128)
         assert np.array_equal(alone.u_values, both.u_values)
+
+    def test_contour_on_the_live_panels(self, workspace):
+        thermal = workspace.thermal(0.02)
+        sol = workspace.benchmark_solution(0.02)
+        full = excitation_contour(thermal, sol.roots.u1_at_q)
+        n = sol.contour.nodes.size
+        lo = (thermal.grid.size - n) // 2
+        assert sol.thermal.grid.size == n < thermal.grid.size
+        assert np.array_equal(sol.thermal.grid.nodes,
+                              thermal.grid.nodes[lo:lo + n])
+        assert np.array_equal(sol.contour.nodes, full.nodes[lo:lo + n])
+        assert np.array_equal(sol.contour.weights, full.weights[lo:lo + n])
+
+    def test_tail_refusal_at_the_live_ends(self, workspace, monkeypatch):
+        # a dead level of 5 T puts the live contour's ends inside the
+        # thermal tail, where the log weight of u has not decayed
+        thermal = workspace.thermal(0.02)
+        monkeypatch.setattr(bosegas.thermal, "DEAD_EPS_OVER_T", 5.0)
+        with pytest.raises(NumericsError, match="does not decay"):
+            solve_u(thermal.params, BENCHMARK_CLASS, thermal)
 
     def test_benchmark_converges(self, workspace):
         sol = workspace.benchmark_solution(0.01)

@@ -315,6 +315,65 @@ class TestMirrorFold:
             mirror_fold(nodes, weights, 1.0)
 
 
+def assert_live_panels(sol):
+    """``sol.live()`` keeps whole panels, mirror-closed, as a bitwise slice
+    of ``sol``; every node it drops has eps >= 40 T, and its outermost
+    panels each hold a node with eps < 40 T."""
+    live, grid, dead = sol.live(), sol.grid, 40.0 * sol.params.T
+    per_panel = grid.size // (grid.breakpoints.size - 1)
+    lo, rest = divmod((grid.size - live.grid.size) // 2, per_panel)
+    assert rest == 0
+    cut = slice(lo * per_panel, grid.size - lo * per_panel)
+    for full, part in ((grid.nodes, live.grid.nodes),
+                       (grid.weights, live.grid.weights),
+                       (sol.eps.values, live.eps.values),
+                       (sol.log_weight, live.log_weight)):
+        assert np.array_equal(full[cut], part)
+    bp = live.grid.breakpoints
+    assert np.array_equal(bp, grid.breakpoints[lo:grid.breakpoints.size - lo])
+    assert (live.grid.a, live.grid.b) == (bp[0], bp[-1])
+    assert np.array_equal(live.grid.nodes[::-1], -live.grid.nodes)
+    assert np.array_equal(live.grid.weights[::-1], live.grid.weights)
+    dropped = np.ones(grid.size, dtype=bool)
+    dropped[cut] = False
+    assert np.all(sol.eps.values[dropped] >= dead)
+    assert np.any(live.eps.values[:per_panel] < dead)
+    assert np.any(live.eps.values[-per_panel:] < dead)
+    return live
+
+
+class TestLivePanels:
+    """The thermal solution on its live panels, the domain of the excited
+    sector."""
+
+    @pytest.mark.parametrize("ratio", PARITY_RATIOS)
+    def test_mirror_closed_slice(self, ratio):
+        gs = ground_state_at(ratio)
+        for t_over_h in PARITY_T_OVER_H:
+            sol = solve_yang_yang(coupling_params(ratio, t_over_h), gs)
+            assert_live_panels(sol)
+
+    def test_odd_grid_keeps_its_node_at_zero(self):
+        sol = solve_yang_yang(coupling_params(1.98, 0.02),
+                              ground_state_at(1.98), n_per_panel=15)
+        live = assert_live_panels(sol)
+        assert live.grid.size < sol.grid.size and live.grid.size % 2 == 1
+        assert live.grid.nodes[live.grid.size // 2] == 0.0
+
+    def test_one_level_for_cutoff_and_live_panels(self, gs, monkeypatch):
+        params = ModelParams(c=1.0, h=1.0, T=0.02)
+        sol = solve_yang_yang(params, gs)
+        kept = sol.live().grid.size
+        monkeypatch.setattr(bosegas.thermal, "DEAD_EPS_OVER_T", 10.0)
+        core = np.sqrt(params.h + 10.0 * params.T)
+        assert bosegas.thermal.thermal_cutoff(params, gs) \
+            == core + 1.5 * min(params.c, core)
+        live = sol.live()
+        assert live.grid.size < kept
+        assert np.all(sol.eps.values[np.abs(sol.grid.nodes)
+                                     > live.grid.b] >= 10.0 * params.T)
+
+
 def full_grid_solve(sol):
     """The unfolded Yang-Yang fixed point on the full grid of ``sol``."""
     params, grid = sol.params, sol.grid
@@ -403,6 +462,12 @@ class TestWeakCouplingCutoff:
         ref = solve_yang_yang(self.params, gs)
         assert ref.grid.b > sol.grid.b + 0.99
         assert abs(sol.eps_at(0.0) - ref.eps_at(0.0)) <= 1e-10
+
+    def test_live_on_every_panel(self, gs):
+        # the grid ends at eps0 = 40 T, where eps is just below it
+        sol = solve_yang_yang(self.params, gs)
+        assert np.max(sol.eps.values) < 40.0 * self.params.T
+        assert sol.live() is sol
 
     def test_truncated_grid_refused(self, gs, monkeypatch):
         monkeypatch.setattr(bosegas.thermal, "thermal_cutoff", old_cutoff)
