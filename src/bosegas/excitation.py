@@ -214,12 +214,11 @@ def solve_u(params: ModelParams, cls: ExcitationClass,
     thermal energy.
 
     The equation is solved on the deformed contour of excitation_contour
-    over the live panels of ``thermal`` (``ThermalSolution.live``), which
-    realizes the analytic continuation in alpha of the
-    constraint-satisfying regime; all closed low-temperature forms refer
-    to that continuation.  The solution carries that restriction as its
-    ``thermal``.  The contour is odd, so the kernel acts on it by
-    its mirror fold, and eps, which is even, is continued on its upper
+    over the grid of ``thermal``, which ends where the thermal weight
+    dies; the contour realizes the analytic continuation in alpha of the
+    constraint-satisfying regime, and all closed low-temperature forms
+    refer to that continuation.  The contour is odd, so the kernel acts on
+    it by its mirror fold, and eps, which is even, is continued on its upper
     half; that eps, which the phase z needs, also starts the solve.
     ``thermal`` carries the ground state; one of other parameters,
     or on a ground state other than ``gs``, is refused.
@@ -239,7 +238,6 @@ def solve_u(params: ModelParams, cls: ExcitationClass,
         raise ValueError("roots drift too far from the Fermi points; lower T")
     points = roots.points(gs.q, T)
 
-    thermal = thermal.live()
     contour = excitation_contour(thermal, roots.u1_at_q)
     lam = contour.nodes
     eps = unfold_even(thermal.eps_at(upper_half(lam, contour.weights)[0]),

@@ -8,14 +8,15 @@ Kernel blocks carry no quadrature weights: both the solve and the
 continuation multiply the weights into the vector they apply the kernel to.
 Both node sets are closed under negation, so the kernel is halved by its
 mirror fold: even eps solves on the half line with the even block, and u
-goes through both blocks of ``numerics.MirrorFold``.  u is solved on the
-live panels of eps alone, where eps < 40 T (``ThermalSolution.live``).
+goes through both blocks of ``numerics.MirrorFold``.  The real grid ends
+where the thermal weight dies, at the root of eps0 = 40 T, so every panel
+holds a node with eps < 40 T, and u is solved over the whole grid.
 The low-temperature correction law of eps is a check, in ``verification``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .numerics import (Grid, SampledFunction, NumericsError, composite_grid,
 
 PANEL_NODES = 16  # Gauss-Legendre nodes per panel of the real-line grid
 # eps / T beyond which the thermal weight log(1 + e^{-eps/T}) < 5e-18 is
-# dead: it places the grid's cutoff and bounds the live panels
+# dead: the grid ends at the root of eps0 = DEAD_EPS_OVER_T T
 DEAD_EPS_OVER_T = 40.0
 # first-step damping, Anderson mixing depth, iteration cap and relative
 # tolerance of the shared fixed point
@@ -51,19 +52,15 @@ def stable_log1pexp(x):
 
 
 def thermal_cutoff(params: ModelParams, gs: GroundState) -> float:
-    """Truncation radius: the thermal tail is dead beyond eps ~ 40 T, plus a
-    kernel-width margin capped at the thermal scale (a margin of order c
-    itself would be astronomically wasteful at large coupling).
+    """Truncation radius: the root of eps0 = DEAD_EPS_OVER_T T, beyond which
+    the thermal weight is dead, by Newton's method.
 
-    At weak coupling eps0 lies far below the bare lambda^2 - h, so where
-    eps0 < 40 T at that radius it moves out to the root of eps0 = 40 T, by
-    Newton's method: eps0' is d eps0/d lambda off [-q, q], as eps0(+-q) = 0.
+    Off [-q, q], eps0 < lambda^2 - h, so the root lies beyond
+    sqrt(h + 40 T), where the search starts; eps0' is d eps0/d lambda off
+    [-q, q], as eps0(+-q) = 0.
     """
     target = DEAD_EPS_OVER_T * params.T
-    core = np.sqrt(params.h + target)
-    lam = core + 1.5 * min(params.c, core)
-    if gs.eps0(lam) >= target:
-        return lam
+    lam = core = np.sqrt(params.h + target)
     for _ in range(50):
         step = (gs.eps0(lam) - target) / gs.eps0_prime(lam)
         lam -= step
@@ -118,26 +115,6 @@ class ThermalSolution:
         """Analytic continuation of eps via its own integral equation."""
         return continuation(np.asarray(lam), lambda x: x ** 2 - self.params.h,
                             self.grid, self.log_weight, self.params)
-
-    def live(self) -> "ThermalSolution":
-        """This solution on its live panels: the smallest mirror-closed run
-        of whole panels that holds every node with eps < DEAD_EPS_OVER_T T.
-        Its nodes, weights, eps and log weight are slices of these; a
-        solution live on every panel is returned as it is."""
-        grid = self.grid
-        panels = grid.breakpoints.size - 1
-        per_panel = grid.size // panels
-        alive = np.flatnonzero(self.eps.values
-                               < DEAD_EPS_OVER_T * self.params.T)
-        lo = min(alive[0] // per_panel, panels - 1 - alive[-1] // per_panel)
-        if lo == 0:
-            return self
-        bp = grid.breakpoints[lo:panels + 1 - lo]
-        cut = slice(lo * per_panel, (panels - lo) * per_panel)
-        live = Grid(bp[0], bp[-1], bp, grid.nodes[cut], grid.weights[cut])
-        return replace(self, grid=live,
-                       eps=SampledFunction(live, self.eps.values[cut]),
-                       log_weight=self.log_weight[cut])
 
 
 def _fixed_point(bare, start, kmat, weights, T: float, tol: float):

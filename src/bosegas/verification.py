@@ -377,7 +377,7 @@ def check_smooth_amplitude(ws: Workspace):
                * two_determinants(plan, 0.2, 1, 0.6 * plan.gs.q)[2])
     step = 1e-6
     bounds = {"theta_dev": (abs(b_route / b_smooth(0.2, 1) - 1.0), "<=", 1e-6),
-              "near_one_err": (abs(b_smooth(1e-4, 0) - 1.0), "<=", 1e-3),
+              "near_one_err": (abs(b_smooth(1e-4, 0) - 1.0), "<=", 1e-6),
               "at_integer": (abs(b_smooth(0.0, 1)), "<=", 0.0),
               "fd_slope": (abs(b_smooth(step, 1) - b_smooth(-step, 1))
                            / (2.0 * step), "<=", 1e-6)}

@@ -50,12 +50,13 @@ def test_smooth_amplitude_invariances(workspace):
 def test_smooth_amplitude_sees_a_determinant_offset(monkeypatch):
     # the plan's real-form log-determinant off by 1e-4 moves B_smooth by
     # 2e-4: theta_dev, which holds the plan against the complex route,
-    # fails, while near_one_err reads 2e-4 and stays inside its 1e-3
+    # fails, and so does near_one_err, which reads 2e-4 against its 1e-6
     logabsdet = ConjugatePairing.logabsdet
     monkeypatch.setattr(ConjugatePairing, "logabsdet",
                         lambda self, t: logabsdet(self, t) + 1e-4)
     result, = run_checks(["smooth-amplitude"])
     assert not result.passed and not result.bounds["theta_dev"].holds
+    assert not result.bounds["near_one_err"].holds
 
 
 def test_discrete_factor_limit(workspace):

@@ -8,6 +8,7 @@ import itertools
 import numpy as np
 import pytest
 
+import bosegas.thermal
 from bosegas.amplitude import (AmplitudePlan, amplitude_tilde, bd_finite_T,
                                c0_functional, c1_functional, cauchy_det_sq,
                                discrete_amplitude, double_integral, r_factor,
@@ -17,7 +18,7 @@ from bosegas.excitation import (ExcitationClass, _driving_term, contour_lift,
 from bosegas.groundstate import ModelParams, build_ground_state, kernel_block
 from bosegas.numerics import (Contour, NumericsError, SampledFunction,
                                cauchy_sum, cauchy_transform, composite_grid)
-from bosegas.thermal import ThermalSolution, _fixed_point, solve_yang_yang
+from bosegas.thermal import _fixed_point, solve_yang_yang
 from bosegas.verification import (BENCHMARK_CLASS, decay_rate_closed,
                                   edge_charge_integral,
                                   row_scaled_kernel, two_determinants,
@@ -208,13 +209,6 @@ def double_integral_reference(sol):
     return complex(np.sum(w * z * (w @ mat + z * i2 + zp * i1)))
 
 
-def full_grid_solve_u(params, cls, thermal):
-    """``solve_u`` on every panel of ``thermal``, none dropped."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ThermalSolution, "live", lambda self: self)
-        return solve_u(params, cls, thermal)
-
-
 @pytest.fixture(scope="module")
 def weak_and_strong_gs():
     return {ratio: build_ground_state(ModelParams(c=ratio ** -0.5, h=1.0))
@@ -235,10 +229,10 @@ class TestFiniteTemperatureFactor:
         assert abs(double_integral(sol) - ref) <= 1e-12 * abs(ref)
 
     def test_double_integral_closes_at_the_lifted_ends(self, workspace):
-        # on the full grid at T/h = 0.02 the bump has not decayed at the
-        # grid ends; closed forms taken at the real ends were 8.9e-8 off
+        # at T/h = 0.02 the bump has not decayed at the grid ends; closed
+        # forms taken at the real ends would be off by far more than 1e-12
         thermal = workspace.thermal(0.02)
-        sol = full_grid_solve_u(thermal.params, BENCHMARK_CLASS, thermal)
+        sol = solve_u(thermal.params, BENCHMARK_CLASS, thermal)
         assert sol.thermal is thermal
         assert sol.contour.nodes[-1].imag != 0.0
         ref = double_integral_reference(sol)
@@ -247,32 +241,25 @@ class TestFiniteTemperatureFactor:
     @pytest.mark.parametrize("t_over_h", [0.005, 0.02])
     @pytest.mark.parametrize("ratio", [0.01, 1.0, 2.0])
     def test_dropped_panels_change_nothing(self, weak_and_strong_gs, ratio,
-                                           t_over_h):
+                                           t_over_h, monkeypatch):
+        # the panels past the dead level, on a grid one unit longer, move
+        # nothing.  Both fixed points run to 1e-15 max(h, T): at the default
+        # stop the 1/T-amplified phase moves bd_finite_T by up to 5e-10
+        # between two solves of the same u, which would hide the panels
         gs = weak_and_strong_gs[ratio]
         params = ModelParams(c=gs.params.c, h=1.0, T=t_over_h)
-        thermal = solve_yang_yang(params, gs)
-        full = full_grid_solve_u(params, BENCHMARK_CLASS, thermal)
-        sol = solve_u(params, BENCHMARK_CLASS, thermal)
-        n = sol.contour.nodes.size
-        lo = (full.contour.nodes.size - n) // 2
-        cut = slice(lo, lo + n)
-        assert lo > 0
-        assert np.array_equal(sol.contour.nodes, full.contour.nodes[cut])
-        assert np.array_equal(sol.contour.weights, full.contour.weights[cut])
-        # the live solve stops within the fixed point's tolerance of the
-        # full one; the 1/T-amplified phase moves bd_finite_T by up to
-        # 7e-11 that way, so the quadrature is checked on the full values
-        assert np.max(np.abs(sol.u_values - full.u_values[cut])) \
+        monkeypatch.setattr(bosegas.thermal, "_TOL_FACTOR", 1e-15)
+        sol = solve_u(params, BENCHMARK_CLASS, solve_yang_yang(params, gs))
+        cutoff = bosegas.thermal.thermal_cutoff
+        monkeypatch.setattr(bosegas.thermal, "thermal_cutoff",
+                            lambda params, gs: cutoff(params, gs) + 1.0)
+        full = solve_u(params, BENCHMARK_CLASS, solve_yang_yang(params, gs))
+        assert full.thermal.grid.b > sol.thermal.grid.b + 0.99
+        assert np.max(np.abs(sol.u_values - full.u_at(sol.contour.nodes))) \
             <= 1e-12 * np.max(np.abs(full.u_values))
-        rate = decay_rate_numeric(full)
-        assert abs(decay_rate_numeric(sol) - rate) <= 1e-12 * abs(rate)
-        trimmed = dataclasses.replace(
-            full, thermal=sol.thermal, contour=sol.contour,
-            u_values=full.u_values[cut], log_weight=full.log_weight[cut],
-            z=full.z[cut])
         for value in (double_integral, decay_rate_numeric, bd_finite_T):
             ref = value(full)
-            assert abs(value(trimmed) - ref) <= 1e-12 * abs(ref), value
+            assert abs(value(sol) - ref) <= 1e-12 * abs(ref), value
 
     def test_trivial_class_gives_unity(self, trivial_sol):
         assert abs(bd_finite_T(trivial_sol) - 1.0) < 1e-9

@@ -180,24 +180,23 @@ class TestSolveU:
         assert np.array_equal(alone.u_values, both.u_values)
 
     def test_contour_on_the_live_panels(self, workspace):
+        # every panel of the thermal grid is live, so the contour is the
+        # whole grid lifted: its real parts are the nodes, bit for bit
         thermal = workspace.thermal(0.02)
         sol = workspace.benchmark_solution(0.02)
         full = excitation_contour(thermal, sol.roots.u1_at_q)
-        n = sol.contour.nodes.size
-        lo = (thermal.grid.size - n) // 2
-        assert sol.thermal.grid.size == n < thermal.grid.size
-        assert np.array_equal(sol.thermal.grid.nodes,
-                              thermal.grid.nodes[lo:lo + n])
-        assert np.array_equal(sol.contour.nodes, full.nodes[lo:lo + n])
-        assert np.array_equal(sol.contour.weights, full.weights[lo:lo + n])
+        assert sol.thermal is thermal
+        assert np.array_equal(sol.contour.nodes.real, thermal.grid.nodes)
+        assert np.array_equal(sol.contour.nodes, full.nodes)
+        assert np.array_equal(sol.contour.weights, full.weights)
 
     def test_tail_refusal_at_the_live_ends(self, workspace, monkeypatch):
-        # a dead level of 5 T puts the live contour's ends inside the
-        # thermal tail, where the log weight of u has not decayed
-        thermal = workspace.thermal(0.02)
+        # a dead level of 5 T ends the grid inside the thermal tail, where
+        # the log weight of eps has not decayed: Yang-Yang itself refuses
+        params = workspace.thermal(0.02).params
         monkeypatch.setattr(bosegas.thermal, "DEAD_EPS_OVER_T", 5.0)
         with pytest.raises(NumericsError, match="does not decay"):
-            solve_u(thermal.params, BENCHMARK_CLASS, thermal)
+            solve_yang_yang(params, workspace.ground_state())
 
     def test_benchmark_converges(self, workspace):
         sol = workspace.benchmark_solution(0.01)

@@ -143,8 +143,9 @@ class TestYangYangSolve:
 
     def test_tail_below_bare(self, thermal):
         # the tail integral is positive, so eps sits below the bare
-        # dispersion, by an amount bounded by the slow kernel tail
-        lam = 0.95 * thermal.grid.b
+        # dispersion, by an amount bounded by the slow kernel tail; read at
+        # a fixed lambda past the grid's end, where the gap is 0.109
+        lam = 2.70
         gap = (lam ** 2 - 1.0) - np.real(thermal.eps_at(lam))
         assert 0.0 < gap < 0.2
 
@@ -315,63 +316,52 @@ class TestMirrorFold:
             mirror_fold(nodes, weights, 1.0)
 
 
-def assert_live_panels(sol):
-    """``sol.live()`` keeps whole panels, mirror-closed, as a bitwise slice
-    of ``sol``; every node it drops has eps >= 40 T, and its outermost
-    panels each hold a node with eps < 40 T."""
-    live, grid, dead = sol.live(), sol.grid, 40.0 * sol.params.T
+def assert_every_panel_live(sol):
+    """The grid of ``sol`` ends at the dead level, the root of
+    eps0 = 40 T; every panel holds a node with eps < 40 T, eps at the outer
+    nodes is at least 20 T, and the excited contour lies over the nodes,
+    its real parts equal to them bit for bit."""
+    grid, dead = sol.grid, 40.0 * sol.params.T
+    assert abs(sol.gs.eps0(grid.b) / dead - 1.0) <= 1e-9
     per_panel = grid.size // (grid.breakpoints.size - 1)
-    lo, rest = divmod((grid.size - live.grid.size) // 2, per_panel)
-    assert rest == 0
-    cut = slice(lo * per_panel, grid.size - lo * per_panel)
-    for full, part in ((grid.nodes, live.grid.nodes),
-                       (grid.weights, live.grid.weights),
-                       (sol.eps.values, live.eps.values),
-                       (sol.log_weight, live.log_weight)):
-        assert np.array_equal(full[cut], part)
-    bp = live.grid.breakpoints
-    assert np.array_equal(bp, grid.breakpoints[lo:grid.breakpoints.size - lo])
-    assert (live.grid.a, live.grid.b) == (bp[0], bp[-1])
-    assert np.array_equal(live.grid.nodes[::-1], -live.grid.nodes)
-    assert np.array_equal(live.grid.weights[::-1], live.grid.weights)
-    dropped = np.ones(grid.size, dtype=bool)
-    dropped[cut] = False
-    assert np.all(sol.eps.values[dropped] >= dead)
-    assert np.any(live.eps.values[:per_panel] < dead)
-    assert np.any(live.eps.values[-per_panel:] < dead)
-    return live
+    assert np.all(sol.eps.values.reshape(-1, per_panel).min(axis=1) < dead)
+    assert np.all(sol.eps.values[[0, -1]] >= 0.5 * dead)
+    assert np.array_equal(excitation_contour(sol, CHANNEL_U1).nodes.real,
+                          grid.nodes)
 
 
 class TestLivePanels:
-    """The thermal solution on its live panels, the domain of the excited
-    sector."""
+    """The thermal grid, the domain of the excited sector, is the
+    mirror-closed run of its live panels: it ends where the thermal weight
+    dies."""
 
     @pytest.mark.parametrize("ratio", PARITY_RATIOS)
     def test_mirror_closed_slice(self, ratio):
         gs = ground_state_at(ratio)
         for t_over_h in PARITY_T_OVER_H:
             sol = solve_yang_yang(coupling_params(ratio, t_over_h), gs)
-            assert_live_panels(sol)
+            assert np.array_equal(sol.grid.nodes[::-1], -sol.grid.nodes)
+            assert_every_panel_live(sol)
 
     def test_odd_grid_keeps_its_node_at_zero(self):
         sol = solve_yang_yang(coupling_params(1.98, 0.02),
                               ground_state_at(1.98), n_per_panel=15)
-        live = assert_live_panels(sol)
-        assert live.grid.size < sol.grid.size and live.grid.size % 2 == 1
-        assert live.grid.nodes[live.grid.size // 2] == 0.0
+        assert_every_panel_live(sol)
+        assert sol.grid.size % 2 == 1
+        assert sol.grid.nodes[sol.grid.size // 2] == 0.0
 
     def test_one_level_for_cutoff_and_live_panels(self, gs, monkeypatch):
+        # DEAD_EPS_OVER_T alone places the cutoff: at 10 the grid ends at
+        # the root of eps0 = 10 T, fewer panels in.  Yang-Yang refuses to
+        # solve on it (test_tail_refusal_at_the_live_ends)
         params = ModelParams(c=1.0, h=1.0, T=0.02)
-        sol = solve_yang_yang(params, gs)
-        kept = sol.live().grid.size
+        kept = thermal_grid(params, gs, 16)
         monkeypatch.setattr(bosegas.thermal, "DEAD_EPS_OVER_T", 10.0)
-        core = np.sqrt(params.h + 10.0 * params.T)
-        assert bosegas.thermal.thermal_cutoff(params, gs) \
-            == core + 1.5 * min(params.c, core)
-        live = sol.live()
-        assert live.grid.size < kept
-        assert np.all(sol.eps.values[np.abs(sol.grid.nodes)
-                                     > live.grid.b] >= 10.0 * params.T)
+        cutoff = bosegas.thermal.thermal_cutoff(params, gs)
+        assert abs(gs.eps0(cutoff) / (10.0 * params.T) - 1.0) <= 1e-9
+        grid = thermal_grid(params, gs, 16)
+        assert grid.b == cutoff
+        assert grid.size < kept.size
 
 
 def full_grid_solve(sol):
@@ -437,6 +427,31 @@ def test_weak_coupling_converges_and_survives_doubling(T):
     assert np.max(np.abs(values[1] - values[0])) <= 1e-11
 
 
+def assert_matches_longer_cutoff(params, gs, monkeypatch):
+    """eps at 0, q/2, q and 3q/2 and the pressure (T/2pi) sum w lw on the
+    grid that ends at the dead level match those on a grid one unit
+    longer, to 1e-11 max(h, T)."""
+    sol = solve_yang_yang(params, gs)
+    cutoff = bosegas.thermal.thermal_cutoff
+    monkeypatch.setattr(bosegas.thermal, "thermal_cutoff",
+                        lambda params, gs: cutoff(params, gs) + 1.0)
+    ref = solve_yang_yang(params, gs)
+    assert ref.grid.b > sol.grid.b + 0.99
+    lam = np.array([0.0, 0.5, 1.0, 1.5]) * gs.q
+    pressure = [params.T / (2.0 * np.pi) * (th.grid.weights @ th.log_weight)
+                for th in (sol, ref)]
+    bound = 1e-11 * max(params.h, params.T)
+    assert np.max(np.abs(sol.eps_at(lam) - ref.eps_at(lam))) <= bound
+    assert abs(pressure[0] - pressure[1]) <= bound
+
+
+@pytest.mark.parametrize("t_over_h", [0.002, 0.05])
+@pytest.mark.parametrize("ratio", [0.01, 1.0, 16.0])
+def test_cutoff_matches_longer_cutoff(ratio, t_over_h, monkeypatch):
+    assert_matches_longer_cutoff(coupling_params(ratio, t_over_h),
+                                 ground_state_at(ratio), monkeypatch)
+
+
 def old_cutoff(params, gs):
     """The cutoff rule that ignored eps0: sqrt(h + 40 T) plus a margin."""
     core = np.sqrt(params.h + 40.0 * params.T)
@@ -453,21 +468,17 @@ class TestWeakCouplingCutoff:
         return build_ground_state(ModelParams(c=0.1, h=1.0), n_nodes=192)
 
     def test_matches_longer_cutoff(self, gs, monkeypatch):
-        sol = solve_yang_yang(self.params, gs)
         # the cutoff sits at the root of eps0 = 40 T, beyond q
-        assert abs(gs.eps0(sol.grid.b) / (40.0 * self.params.T) - 1.0) < 1e-9
-        cutoff = bosegas.thermal.thermal_cutoff
-        monkeypatch.setattr(bosegas.thermal, "thermal_cutoff",
-                            lambda params, gs: cutoff(params, gs) + 1.0)
-        ref = solve_yang_yang(self.params, gs)
-        assert ref.grid.b > sol.grid.b + 0.99
-        assert abs(sol.eps_at(0.0) - ref.eps_at(0.0)) <= 1e-10
+        cutoff = thermal_grid(self.params, gs, 16).b
+        assert cutoff > gs.q
+        assert abs(gs.eps0(cutoff) / (40.0 * self.params.T) - 1.0) < 1e-9
+        assert_matches_longer_cutoff(self.params, gs, monkeypatch)
 
     def test_live_on_every_panel(self, gs):
         # the grid ends at eps0 = 40 T, where eps is just below it
         sol = solve_yang_yang(self.params, gs)
         assert np.max(sol.eps.values) < 40.0 * self.params.T
-        assert sol.live() is sol
+        assert_every_panel_live(sol)
 
     def test_truncated_grid_refused(self, gs, monkeypatch):
         monkeypatch.setattr(bosegas.thermal, "thermal_cutoff", old_cutoff)
