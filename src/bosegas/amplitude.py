@@ -385,8 +385,8 @@ def double_integral(sol: USolution) -> complex:
     p[diag] = 0.0
     s_p = wx @ p
     p *= p
-    # a constant drops out of z_i - z_j; taking z from its middle value, flat
-    # across the Fermi sea, keeps the large near-diagonal sums small there
+    # a constant drops out of z_i - z_j; taking z from its value beside 0,
+    # flat across the Fermi sea, keeps the large near-diagonal sums small there
     zc = z - z[half]
     s_z, s_zr, s_p2 = np.stack([wx * zc[half:], wx * zc[::-1][half:], wx]) @ p
     reg = (s_z + s_zr[::-1] - zc * (s_p2 + s_p2[::-1])

@@ -98,11 +98,9 @@ class CorrelatorSeries:
 
 def ell0_closed(gs: GroundState, x: float, T: float) -> float:
     """Non-oscillating term -(T Zq/v0)^2 / 2 sinh^2(a), a = pi T x / v0, as
-    -(Zq/pi)^2 (a/sinh a / x)^2 / 2 by expm1, finite as T -> 0."""
-    a = np.pi * T * x / gs.v0
-    base = (2.0 * a * np.exp(-a) / -np.expm1(-2.0 * a) if a > 0 else 1.0) / x
-    with np.errstate(over="ignore"):
-        return float(-0.5 * (gs.Zq / np.pi * base) ** 2)
+    -(Zq/pi)^2 ((a/sinh a) / x)^2 / 2, the square the envelope power 2,
+    finite as T -> 0."""
+    return -0.5 * (gs.Zq / np.pi) ** 2 * envelope_power(gs, x, T, 2).real
 
 
 def density_correlator(plan: AmplitudePlan, x, T: float, ell_max: int = 2):

@@ -240,11 +240,10 @@ def solve_u(params: ModelParams, cls: ExcitationClass,
 
     contour = excitation_contour(thermal, roots.u1_at_q)
     lam = contour.nodes
-    eps = unfold_even(thermal.eps_at(upper_half(lam, contour.weights)[0]),
-                      lam.size)
+    eps = unfold_even(thermal.eps_at(upper_half(lam, contour.weights)[0]))
     direct, swap, w = mirror_fold(lam, contour.weights, params.c)
     u, lw, it, residual = solve_on(
-        MirrorFold.from_blocks(direct, swap), unfold_even(w, lam.size),
+        MirrorFold.from_blocks(direct, swap), unfold_even(w),
         _driving_term(lam, params, roots, points), eps, params)
     # the phase z = -(1/2 pi i) log[(1+e^{-u/T})/(1+e^{-eps/T})] vanishes
     # at both contour ends.  log(1 + e^{-eps/T}) takes the two-sided stable

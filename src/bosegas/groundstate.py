@@ -74,12 +74,11 @@ _MAX_NEWTON = 50
 
 
 def _drives(params: ModelParams, q: float):
-    """Right-hand sides of eps0, eps0', Z, R(., q) and R(., -q) on [-q, q]."""
+    """Right-hand sides of eps0, eps0', Z and R(., -q) on [-q, q]."""
     c, h = params.c, params.h
     return (lambda lam: lam ** 2 - h,
             lambda lam: 2.0 * lam,
             lambda lam: np.ones_like(np.asarray(lam, dtype=float)),
-            lambda lam: kernel(lam - q, c) / (2.0 * np.pi),
             lambda lam: kernel(lam + q, c) / (2.0 * np.pi))
 
 
@@ -108,7 +107,7 @@ def _newton(params: ModelParams, kern, q: float, n_nodes: int):
     for _ in range(_MAX_NEWTON):
         grid = fermi_grid(q, n_nodes)
         inv = nystrom_factorize(kern, grid)
-        energy, slope, _, _, drive_minus = _drives(params, q)
+        energy, slope, _, drive_minus = _drives(params, q)
         terms = (energy, slope, drive_minus)
         values = [inv @ f(grid.nodes) for f in terms]
         # the three at q by the natural Nystrom formula on one kernel row,
@@ -128,15 +127,15 @@ def _newton(params: ModelParams, kern, q: float, n_nodes: int):
 
 def solve_fermi_boundary(params: ModelParams, n_nodes: int):
     """Fermi boundary q, where eps0(q|q) = 0, and the interval solutions
-    eps0, eps0', Z, R(., q) and R(., -q).
+    eps0, eps0', Z and R(., -q).
 
     Newton iteration on E(q) = eps0(q|q), twice with one loop body: from
     q = sqrt(h), where E < 0, on a coarse grid, then on the full grid from
     the coarse root.  As d eps0(lambda|q)/dq = E [R(lambda, q) +
     R(lambda, -q)], the exact slope dE/dq = eps0'(q) + 2 E R(q, -q) comes
     from the same factorization as E; each iterate solves only eps0, eps0'
-    and R(., -q), Z is solved once, at the accepted q, and R(l, q) =
-    R(-l, -q) is its exact mirror.
+    and R(., -q), and Z is solved once, at the accepted q; R(l, q) is the
+    mirror R(-l, -q).
     The Gauss-Legendre rate ``_rate`` worsens as q grows, and the root lies
     above sqrt(h): a grid unresolved at sqrt(h) is refused before any
     solve, and the full grid is checked again at the root, not on the way,
@@ -153,10 +152,9 @@ def solve_fermi_boundary(params: ModelParams, n_nodes: int):
     q, grid, inv, (eps0, eps0_prime, R_minus) = _newton(params, kern, q,
                                                         n_nodes)
     _check_resolution(params, q, n_nodes, "=")
-    _, _, charge, drive_plus, _ = _drives(params, q)
+    _, _, charge, _ = _drives(params, q)
     Z = nystrom_solve(kern, grid, inv, charge)
-    R_plus = NystromSolution(grid, R_minus.values[::-1], kern, drive_plus)
-    return q, (eps0, eps0_prime, Z, R_plus, R_minus)
+    return q, (eps0, eps0_prime, Z, R_minus)
 
 
 @dataclass(frozen=True)
@@ -169,7 +167,6 @@ class GroundState:
     eps0: NystromSolution = field(repr=False)        # dressed energy
     eps0_prime: NystromSolution = field(repr=False)  # its dressed derivative
     Z: NystromSolution = field(repr=False)           # dressed charge
-    R_plus: NystromSolution = field(repr=False)      # resolvent R(., +q)
     R_minus: NystromSolution = field(repr=False)     # resolvent R(., -q)
     Zq: float
     eps0_prime_q: float
@@ -204,14 +201,13 @@ class GroundState:
 def build_ground_state(params: ModelParams,
                        n_nodes: int = FERMI_NODES) -> GroundState:
     """All T=0 functions, from the last Newton iterate of the boundary."""
-    q, (eps0, eps0_prime, Z, R_plus, R_minus) = solve_fermi_boundary(
+    q, (eps0, eps0_prime, Z, R_minus) = solve_fermi_boundary(
         params, n_nodes=n_nodes)
     Zq = float(np.real(Z(q)))
     epsp = float(np.real(eps0_prime(q)))
     D = float(np.real(Z.integral())) / (2.0 * np.pi)
     gs = GroundState(params=params, q=q, grid=Z.grid, eps0=eps0,
-                     eps0_prime=eps0_prime, Z=Z, R_plus=R_plus,
-                     R_minus=R_minus, Zq=Zq, eps0_prime_q=epsp,
-                     D=D, kF=np.pi * D, v0=epsp / Zq)
+                     eps0_prime=eps0_prime, Z=Z, R_minus=R_minus, Zq=Zq,
+                     eps0_prime_q=epsp, D=D, kF=np.pi * D, v0=epsp / Zq)
     gs._check()
     return gs

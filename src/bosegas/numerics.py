@@ -1,6 +1,6 @@
 """Quadrature and linear-algebra substrate.
 
-Gauss-Legendre grids (single interval or graded composite panels) with
+Gauss-Legendre grids (single interval or composite panels) with
 closed-form barycentric interpolation and differentiation on each panel,
 mirror folds on negation-closed node sets, Nystrom solution of second-kind
 linear integral equations by such a fold, Fredholm determinants on
@@ -138,41 +138,6 @@ def composite_grid(breakpoints, n_per_panel: int) -> Grid:
                 (half * rule.weights).reshape(-1))
 
 
-def graded_breakpoints(a: float, b: float, centers, w0: float, wmax: float):
-    """Breakpoints refined geometrically towards each point in ``centers``.
-
-    Panel widths start at w0 next to a center and triple away from it; long
-    panels are capped at ``wmax``.
-    """
-    span = b - a
-    pts = {a, b}
-    for s in centers:
-        if not a < s < b:
-            continue
-        pts.add(s)
-        off = w0
-        while off < span:
-            for x in (s - off, s + off):
-                if a < x < b:
-                    pts.add(x)
-            off *= 3.0
-    bp = np.array(sorted(pts))
-    # drop breakpoints closer than w0/2 to their neighbour (keep ends/centers)
-    keep = [bp[0]]
-    protected = set(centers) | {a, b}
-    for x in bp[1:]:
-        if x - keep[-1] >= 0.49 * w0 or x in protected:
-            if x in protected and x - keep[-1] < 0.49 * w0 and keep[-1] not in protected:
-                keep.pop()
-            keep.append(x)
-    out = [keep[0]]
-    for lo, hi in zip(keep, keep[1:]):
-        nsplit = int(np.ceil((hi - lo) / wmax))
-        out.extend(lo + (hi - lo) * j / nsplit for j in range(1, nsplit))
-        out.append(hi)
-    return np.array(out)
-
-
 # ---------------------------------------------------------------------------
 # contours
 # ---------------------------------------------------------------------------
@@ -233,17 +198,15 @@ class NystromSolution(SampledFunction):
 
 
 def upper_half(nodes, weights):
-    """x = nodes[n//2:] and weights w with sum f(nodes) weights =
-    sum (f(x) + f(-x)) w, a node at 0 keeping half its weight; a node set
-    whose nodes are not exactly odd and weights even raises ValueError."""
+    """x = nodes[n//2:] and its weights w, a copy, with sum f(nodes) weights
+    = sum (f(x) + f(-x)) w; a node set of odd size, or whose nodes are not
+    exactly odd and weights even, raises ValueError."""
     n = nodes.size
-    if not (np.array_equal(nodes[::-1], -nodes)
-            and np.array_equal(weights[::-1], weights)):
-        raise ValueError("nodes are not mirror-symmetric with even weights")
-    w = weights[n // 2:].copy()
-    if n % 2:
-        w[0] *= 0.5
-    return nodes[n // 2:], w
+    if n % 2 or not (np.array_equal(nodes[::-1], -nodes)
+                     and np.array_equal(weights[::-1], weights)):
+        raise ValueError(
+            "nodes are not mirror-symmetric of even size with even weights")
+    return nodes[n // 2:], weights[n // 2:].copy()
 
 
 @dataclass(frozen=True)
@@ -251,7 +214,7 @@ class MirrorFold:
     """An operator with M(-x, -y) = M(x, y) on a negation-closed node set,
     applied by ``@`` through its blocks on the upper nodes of ``upper_half``:
     ``even`` on the even part of a vector and ``odd`` on its odd part, so
-    parity is exact.  For odd n the middle node, 0, is its own image."""
+    parity is exact."""
 
     even: np.ndarray
     odd: np.ndarray
@@ -266,13 +229,13 @@ class MirrorFold:
         upper, mirror = v[half:], v[::-1][half:]
         even = self.even @ (0.5 * (upper + mirror))
         odd = self.odd @ (0.5 * (upper - mirror))
-        return np.concatenate([(even - odd)[::-1][:half], even + odd])
+        return np.concatenate([(even - odd)[::-1], even + odd])
 
 
-def unfold_even(upper, n: int):
-    """An even function on the n nodes of a negation-closed set from its
+def unfold_even(upper):
+    """An even function on all nodes of a negation-closed set from its
     values on the upper nodes of ``upper_half``."""
-    return np.concatenate([upper[::-1][:n // 2], upper])
+    return np.concatenate([upper[::-1], upper])
 
 
 @dataclass(frozen=True)
@@ -291,8 +254,6 @@ def nystrom_factorize(kernel, grid: Grid) -> ParityInverse:
     columns are (I - kd) over ks and A^-1's (inv_e + inv_o)/2 over
     (inv_e - inv_o)/2, so the blocks give cond_1(A) = ||A||_1 ||A^-1||_1;
     above 1e13 the operator is refused."""
-    if grid.size % 2:
-        raise ValueError("Nystrom grid is not mirror-symmetric of even size")
     x, w = upper_half(grid.nodes, grid.weights)
     w /= 2.0 * np.pi
     direct = np.eye(x.size) - kernel(x[:, None], x[None, :]) * w

@@ -6,9 +6,10 @@ a deformed contour): one Anderson-accelerated solve with its tolerance and
 its refusal of an undecayed log weight, and one continuation off the nodes.
 Kernel blocks carry no quadrature weights: both the solve and the
 continuation multiply the weights into the vector they apply the kernel to.
-Both node sets are closed under negation, so the kernel is halved by its
-mirror fold: even eps solves on the half line with the even block, and u
-goes through both blocks of ``numerics.MirrorFold``.  The real grid ends
+Both node sets are closed under negation and of even size, as the real
+grid is built on the half line and mirrored, so the kernel is halved by
+its mirror fold: even eps solves on the half line with the even block,
+and u goes through both blocks of ``numerics.MirrorFold``.  The real grid ends
 where the thermal weight dies, at the root of eps0 = 40 T, so every panel
 holds a node with eps < 40 T, and u is solved over the whole grid.
 The low-temperature correction law of eps is a check, in ``verification``.
@@ -23,7 +24,7 @@ import numpy as np
 from .groundstate import GroundState, ModelParams, kernel_block
 from .groundstate import build_ground_state  # kept for bench/test_bench.py
 from .numerics import (Grid, SampledFunction, NumericsError, composite_grid,
-                       graded_breakpoints, unfold_even, upper_half)
+                       unfold_even, upper_half)
 
 PANEL_NODES = 16  # Gauss-Legendre nodes per panel of the real-line grid
 # eps / T beyond which the thermal weight log(1 + e^{-eps/T}) < 5e-18 is
@@ -71,21 +72,31 @@ def thermal_cutoff(params: ModelParams, gs: GroundState) -> float:
 
 def thermal_grid(params: ModelParams, gs: GroundState,
                  n_per_panel: int) -> Grid:
-    """Real-line grid graded towards the Fermi points +-q, mirror-symmetric
-    exactly: nodes odd and weights even under x -> -x.
+    """Real-line grid graded towards the Fermi points +-q, built on the
+    half line [0, Lambda] and mirrored: nodes odd and weights even under
+    x -> -x exactly, 0 an edge and never a node, so the size is even.
 
-    The crossover windows of the Fermi weight have width ~ T / eps0'(q), so
-    panel widths start at that scale next to +-q and grow geometrically.
-    The left-to-right pruning of the graded sequence can keep different
-    neighbours on the two sides, so the positive breakpoints (and 0, if it
-    is one) are mirrored onto the negative half line.
+    The crossover window of the Fermi weight has width ~ T / eps0'(q), so
+    the edges are 0, q, Lambda and q +- w0 3^k, w0 that width, less the
+    graded points within w0/2 of 0 or Lambda; each gap is then split
+    evenly into panels no wider than 0.8 min(c, Lambda).
     """
-    lam = thermal_cutoff(params, gs)
-    w0 = max(2.0 * params.T / gs.eps0_prime_q, 1e-4 * gs.q)
-    bp = graded_breakpoints(-lam, lam, [-gs.q, gs.q], w0,
-                            0.8 * min(params.c, lam))
-    pos = bp[bp > 0]
-    return composite_grid(np.concatenate([-pos[::-1], bp[bp == 0], pos]),
+    lam, q = thermal_cutoff(params, gs), gs.q
+    w0 = max(2.0 * params.T / gs.eps0_prime_q, 1e-4 * q)
+    edges = {0.0, q, lam}
+    off = w0
+    while off < lam:
+        edges.update(x for x in (q - off, q + off)
+                     if 0.49 * w0 <= x <= lam - 0.49 * w0)
+        off *= 3.0
+    edges = sorted(edges)
+    wmax = 0.8 * min(params.c, lam)
+    pos = []
+    for lo, hi in zip(edges, edges[1:]):
+        k = int(np.ceil((hi - lo) / wmax))
+        pos += [lo + (hi - lo) * j / k for j in range(1, k)] + [hi]
+    pos = np.array(pos)
+    return composite_grid(np.concatenate([-pos[::-1], [0.0], pos]),
                           n_per_panel)
 
 
@@ -93,8 +104,7 @@ def mirror_fold(nodes, weights, c: float):
     """The kernel on a negation-closed node set folded onto its upper half
     x (``upper_half``): A = K(x - y), B = K(x + y) and the weights w of x.
     K is even, so A + B acts on even functions and A - B on odd ones, each
-    times w; a node at 0 has half its weight in w, as A + B counts it
-    twice."""
+    times w."""
     x, w = upper_half(nodes, weights)
     return kernel_block(x, x, c), kernel_block(x, -x, c), w
 
@@ -226,13 +236,12 @@ def solve_yang_yang(params: ModelParams, gs: GroundState,
     if (gs.params.c, gs.params.h) != (params.c, params.h):
         raise ValueError("ground state was built for another (c, h)")
     grid = thermal_grid(params, gs, n_per_panel)
-    n = grid.size
     kmat, swap, w = mirror_fold(grid.nodes, grid.weights, params.c)
     kmat += swap
-    x = grid.nodes[n // 2:]
+    x = grid.nodes[grid.size // 2:]
     eps, lw, it, residual = solve_on(kmat, w, x ** 2 - params.h, gs.eps0(x),
                                      params, ends=(-1,))
-    eps, lw = unfold_even(eps, n), unfold_even(lw, n)
+    eps, lw = unfold_even(eps), unfold_even(lw)
     return ThermalSolution(params=params, gs=gs, grid=grid,
                            eps=SampledFunction(grid, eps), log_weight=lw,
                            iterations=it, residual=residual)

@@ -140,9 +140,10 @@ def check_free_fermion(ws: Workspace):
 
 
 def eps2_at(gs: GroundState, lam):
-    """Quadratic thermal correction of eps, off the grid."""
+    """Quadratic thermal correction of eps, off the grid; R(l, q) is the
+    mirror R(-l, -q)."""
     return -(np.pi ** 2 / (6.0 * gs.eps0_prime_q)) * (
-        gs.R_plus(lam) + gs.R_minus(lam))
+        gs.R_minus(-lam) + gs.R_minus(lam))
 
 
 def check_thermal_low_t(ws: Workspace):
@@ -181,7 +182,8 @@ def u2_function(gs: GroundState, roots: RootTable) -> SampledFunction:
     common = (np.pi ** 2 / 3.0 + u1 ** 2) / (2.0 * gs.eps0_prime_q)
     coef = {side: 2.0 * np.pi * sum(r.offset for r in roots if r.side == side)
             - common for side in (1, -1)}
-    vals = coef[1] * gs.R_plus.values + coef[-1] * gs.R_minus.values
+    # R(l, q) is the mirror R(-l, -q) on the mirrored nodes
+    vals = coef[1] * gs.R_minus.values[::-1] + coef[-1] * gs.R_minus.values
     return SampledFunction(gs.grid, vals)
 
 

@@ -428,9 +428,9 @@ def unfolded_u(sol):
 
 
 @pytest.fixture(scope="module")
-def odd_contour_sol():
+def odd_panel_sol():
     """The benchmark class near the top of its range (h/c^2 = 1.98) on 15
-    nodes per panel: an odd contour (405 nodes), the middle one at 0."""
+    nodes per panel, whose contour is even-sized all the same."""
     gs = build_ground_state(ModelParams(c=0.71, h=1.0))
     params = ModelParams(c=0.71, h=1.0, T=0.02)
     return solve_u(params, ExcitationClass(ell=1, p_plus=(1,), h_minus=(1,)),
@@ -451,25 +451,25 @@ class TestMirrorFold:
     the full-contour formulas (measured gaps: u 6e-16, the double
     integral 1.0e-15, relative)."""
 
-    def test_odd_contour_has_a_self_image_node(self, odd_contour_sol):
-        nodes = odd_contour_sol.contour.nodes
-        assert nodes.size % 2 == 1 and nodes[nodes.size // 2] == 0.0
+    def test_odd_panel_contour_has_no_self_image_node(self, odd_panel_sol):
+        nodes = odd_panel_sol.contour.nodes
+        assert nodes.size % 2 == 0 and not np.any(nodes == 0.0)
 
-    def test_solve_u_matches_unfolded(self, all_kinds_sols, odd_contour_sol,
+    def test_solve_u_matches_unfolded(self, all_kinds_sols, odd_panel_sol,
                                       one_sided_sol):
-        for sol in all_kinds_sols + [odd_contour_sol, one_sided_sol]:
+        for sol in all_kinds_sols + [odd_panel_sol, one_sided_sol]:
             ref = unfolded_u(sol)
             assert np.max(np.abs(sol.u_values - ref)) \
                 <= 1e-12 * np.max(np.abs(ref))
 
     def test_double_integral_matches_unfolded(self, all_kinds_sols,
-                                              odd_contour_sol, one_sided_sol):
-        for sol in all_kinds_sols + [odd_contour_sol, one_sided_sol]:
+                                              odd_panel_sol, one_sided_sol):
+        for sol in all_kinds_sols + [odd_panel_sol, one_sided_sol]:
             ref = double_integral_reference(sol)
             assert abs(double_integral(sol) - ref) <= 1e-14 * abs(ref)
 
-    def test_unmirrored_contour_refused(self, odd_contour_sol):
-        sol = odd_contour_sol
+    def test_unmirrored_contour_refused(self, odd_panel_sol):
+        sol = odd_panel_sol
         shifted = dataclasses.replace(sol, contour=Contour(
             sol.contour.nodes + 1e-9, sol.contour.weights))
         with pytest.raises(ValueError, match="mirror"):

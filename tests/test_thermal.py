@@ -19,7 +19,8 @@ from bosegas.groundstate import (ModelParams, build_ground_state, kernel,
 from bosegas.numerics import (MirrorFold, NumericsError, unfold_even,
                               upper_half)
 from bosegas.thermal import (_fixed_point, continuation, mirror_fold,
-                             solve_yang_yang, stable_log1pexp, thermal_grid)
+                             solve_yang_yang, stable_log1pexp, thermal_cutoff,
+                             thermal_grid)
 from bosegas.verification import BENCHMARK_CLASS, eps2_at
 
 
@@ -237,11 +238,6 @@ CHANNEL_U1 = -1.0j * np.pi
 
 
 class TestExactParity:
-    # on the unmirrored graded sequence about 1 in 4 of these grids was
-    # asymmetric: the geometric sequence from +q spills past -q, and the
-    # left-to-right pruning keeps a different neighbour on each side (at
-    # h/c^2 = 2, T/h = 0.005 the inner panel beside -q was
-    # [-1.21569, -1.21356], the one beside +q [1.21236, 1.21569])
     @pytest.mark.parametrize("ratio", PARITY_RATIOS)
     def test_grid_mirror_symmetric(self, ratio):
         gs = ground_state_at(ratio)
@@ -260,6 +256,69 @@ class TestExactParity:
             assert np.any(contour.nodes.imag != 0.0)
             assert np.array_equal(contour.nodes[::-1], -contour.nodes)
             assert np.array_equal(contour.weights[::-1], contour.weights)
+
+
+def grading(params, gs):
+    """w0, the finest panel width, and wmax, the widest, of the thermal
+    grid at ``params``."""
+    w0 = max(2.0 * params.T / gs.eps0_prime_q, 1e-4 * gs.q)
+    return w0, 0.8 * min(params.c, thermal_cutoff(params, gs))
+
+
+class TestHalfLineGrid:
+    """The thermal grid is built on [0, Lambda] and mirrored: its edges
+    there are 0, q, Lambda and q +- w0 3^k, and even splits of the gaps
+    between them."""
+
+    @pytest.mark.parametrize("ratio", PARITY_RATIOS)
+    def test_positive_edges_follow_the_rule(self, ratio):
+        gs = ground_state_at(ratio)
+        for t_over_h in PARITY_T_OVER_H:
+            params = coupling_params(ratio, t_over_h)
+            w0, wmax = grading(params, gs)
+            bp = thermal_grid(params, gs, 16).breakpoints
+            pos = bp[bp.size // 2:]
+            lam = pos[-1]
+            assert pos[0] == 0.0 and lam == thermal_cutoff(params, gs)
+            offsets = w0 * 3.0 ** np.arange(40)
+            graded = np.concatenate([gs.q - offsets, gs.q + offsets])
+            edges = np.concatenate([[0.0, gs.q, lam], graded[
+                (graded >= 0.49 * w0) & (graded <= lam - 0.49 * w0)]])
+            edges = np.unique(edges)
+            # every edge is a breakpoint (3^k by repeated products: ulps)
+            at = np.searchsorted(pos, edges - 1e-13 * lam)
+            assert np.allclose(pos[at], edges, rtol=1e-14, atol=0.0)
+            # and between two edges the panels split the gap evenly, as
+            # few of them as the cap allows
+            for lo, hi in zip(at, at[1:]):
+                widths = np.diff(pos[lo:hi + 1])
+                assert widths.size == np.ceil((pos[hi] - pos[lo]) / wmax)
+                assert np.ptp(widths) <= 1e-12 * widths[0]
+
+    def test_graded_towards_q(self, gs):
+        params = ModelParams(c=1.0, h=1.0, T=0.02)
+        w0, wmax = grading(params, gs)
+        grid = thermal_grid(params, gs, 16)
+        bp, lam = grid.breakpoints, thermal_cutoff(params, gs)
+        assert grid.a == bp[0] == -lam and grid.b == bp[-1] == lam
+        assert np.all(np.diff(bp) > 0)
+        assert gs.q in bp and -gs.q in bp
+        # the finest panels sit next to q, and none is wider than the cap
+        widths = np.diff(bp)
+        at_q = np.flatnonzero(bp == gs.q)[0]
+        assert max(widths[at_q - 1], widths[at_q]) <= 2.0 * w0
+        assert np.all(widths <= wmax)
+
+    @pytest.mark.parametrize("n_per_panel", [15, 16, 17])
+    def test_even_size_with_zero_an_edge(self, n_per_panel):
+        for ratio, t_over_h in itertools.product((0.01, 1.0, 16.0),
+                                                 (0.002, 0.05)):
+            grid = thermal_grid(coupling_params(ratio, t_over_h),
+                                ground_state_at(ratio), n_per_panel)
+            assert grid.size % 2 == 0
+            assert grid.breakpoints[grid.breakpoints.size // 2] == 0.0
+            assert not np.any(grid.nodes == 0.0)
+            assert np.array_equal(grid.nodes[::-1], -grid.nodes)
 
 
 class TestMirrorFold:
@@ -285,8 +344,8 @@ class TestMirrorFold:
         full = kernel_block(nodes, nodes, c) * weights
         direct, swap, w = mirror_fold(nodes, weights, c)
         folded = MirrorFold.from_blocks(direct, swap)
-        # the weights go into the vector, the middle one halved
-        w = unfold_even(w, nodes.size)
+        # the weights go into the vector
+        w = unfold_even(w)
         rng = np.random.default_rng(7)
         for v in (rng.standard_normal(nodes.size),
                   np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, nodes.size))):
@@ -305,13 +364,19 @@ class TestMirrorFold:
         assert np.array_equal(direct + swap, ref)
         assert np.array_equal(w, grid.weights[grid.size // 2:])
 
-    @pytest.mark.parametrize("case", ["shifted", "uneven-weights"])
+    @pytest.mark.parametrize("case", ["shifted", "uneven-weights",
+                                      "odd-size"])
     def test_unmirrored_nodes_refused(self, thermal, case):
         nodes, weights = thermal.grid.nodes, thermal.grid.weights.copy()
         if case == "shifted":
             nodes = nodes + 1e-9
-        else:
+        elif case == "uneven-weights":
             weights[0] *= 1.0 + 1e-15
+        else:
+            # mirror-closed, but with a node at 0, its own image
+            half = nodes.size // 2
+            nodes = np.insert(nodes, half, 0.0)
+            weights = np.insert(weights, half, weights[half])
         with pytest.raises(ValueError, match="mirror"):
             mirror_fold(nodes, weights, 1.0)
 
@@ -343,12 +408,12 @@ class TestLivePanels:
             assert np.array_equal(sol.grid.nodes[::-1], -sol.grid.nodes)
             assert_every_panel_live(sol)
 
-    def test_odd_grid_keeps_its_node_at_zero(self):
+    def test_odd_panel_grid_has_no_node_at_zero(self):
         sol = solve_yang_yang(coupling_params(1.98, 0.02),
                               ground_state_at(1.98), n_per_panel=15)
         assert_every_panel_live(sol)
-        assert sol.grid.size % 2 == 1
-        assert sol.grid.nodes[sol.grid.size // 2] == 0.0
+        assert sol.grid.size % 2 == 0
+        assert not np.any(sol.grid.nodes == 0.0)
 
     def test_one_level_for_cutoff_and_live_panels(self, gs, monkeypatch):
         # DEAD_EPS_OVER_T alone places the cutoff: at 10 the grid ends at
@@ -380,23 +445,18 @@ class TestFoldAgainstFullGrid:
     def test_eps_matches(self, ratio, t_over_h, n_per_panel):
         sol = solve_yang_yang(coupling_params(ratio, t_over_h),
                               ground_state_at(ratio), n_per_panel=n_per_panel)
-        # an odd-sized grid has a node at 0, which is its own image
-        assert sol.grid.size % 2 == 0 \
-            or sol.grid.nodes[sol.grid.size // 2] == 0.0
+        # 0 is an edge, so any panel size gives an even grid
+        assert sol.grid.size % 2 == 0
         eps, lw, _, _ = full_grid_solve(sol)
         scale = np.max(np.abs(eps))
         assert np.max(np.abs(sol.eps.values - eps)) <= 1e-12 * scale
         assert np.max(np.abs(sol.log_weight - lw)) \
             <= 1e-12 * np.max(np.abs(lw))
 
-    def test_odd_panel_puts_a_node_at_zero(self, thermal):
-        sol = solve_yang_yang(thermal.params, thermal.gs, n_per_panel=15)
-        assert sol.grid.size % 2 == 1
-
     def test_negation_closed_continuation(self):
         # solve_u continues eps on the upper half of the odd excited
         # contour and unfolds it; the plain continuation evaluates every
-        # node.  An odd contour has a node at 0, its own image
+        # node
         for n_per_panel, ratio, t_over_h in itertools.product(
                 (15, 16, 17), (1.0, 1.98), (0.02, 0.005)):
             thermal = solve_yang_yang(coupling_params(ratio, t_over_h),
@@ -405,7 +465,7 @@ class TestFoldAgainstFullGrid:
             contour = excitation_contour(thermal, CHANNEL_U1)
             lam = contour.nodes
             upper, _ = upper_half(lam, contour.weights)
-            folded = unfold_even(thermal.eps_at(upper), lam.size)
+            folded = unfold_even(thermal.eps_at(upper))
             ref = continuation(lam, lambda x: x ** 2 - thermal.params.h,
                                thermal.grid, thermal.log_weight,
                                thermal.params)
@@ -507,5 +567,5 @@ class TestLowTemperatureLaw:
 
     def test_sampled_matches_pointwise(self, gs):
         vals = -(np.pi ** 2 / (6.0 * gs.eps0_prime_q)) * (
-            gs.R_plus.values + gs.R_minus.values)
+            gs.R_minus.values[::-1] + gs.R_minus.values)
         assert np.max(np.abs(vals - eps2_at(gs, gs.grid.nodes))) < 1e-13
