@@ -12,7 +12,6 @@ from .excitation import (ConstraintError, ExcitationClass, USolution,
 from .groundstate import GroundState, ModelParams, build_ground_state
 from .numerics import NumericsError
 from .thermal import ThermalSolution, solve_yang_yang
-from .verification import CheckResult, run_checks
 
 __version__ = "0.1.0"
 
@@ -25,3 +24,11 @@ __all__ = [
     "ell0_closed", "generating_asymptotics", "harmonic_amplitude",
     "run_checks", "smooth_amplitude", "solve_u", "solve_yang_yang",
 ]
+
+
+def __getattr__(name):
+    # the checks load on first use: the output path never needs them
+    if name in ("CheckResult", "run_checks"):
+        from . import verification
+        return getattr(verification, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

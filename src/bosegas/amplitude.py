@@ -11,8 +11,8 @@ finite-temperature factor are checks, in ``verification``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -166,8 +166,7 @@ def w_series(nu: complex, r: int, tau: float, cutoff: int) -> complex:
 # assembled term amplitude
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AmplitudeResult:
+class AmplitudeResult(NamedTuple):
     """Term amplitude of one umklapp sector and its smooth part."""
 
     B_smooth: complex

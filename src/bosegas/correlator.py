@@ -10,7 +10,7 @@ function here takes its amplitudes, and its ground state, from one
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +31,7 @@ def envelope_power(gs: GroundState, x: float, T: float, exponent) -> complex:
         return complex(np.exp(exponent * log_base))
 
 
-@dataclass(frozen=True)
-class AsymptoticTerm:
+class AsymptoticTerm(NamedTuple):
     """One harmonic of the generating function or of the correlator at
     fixed x, T."""
 
@@ -84,15 +83,14 @@ def harmonic_amplitude(gs: GroundState, ell: int,
     return AmplitudePlan(gs, contour_n).harmonic(ell)
 
 
-@dataclass(frozen=True)
-class CorrelatorSeries:
+class CorrelatorSeries(NamedTuple):
     """Assembled long-distance density-density correlator at one (x, T)."""
 
     x: float
     T: float
     constant: float               # D^2
     ell0_term: float              # hyperbolic non-oscillating correction
-    harmonics: tuple = field(repr=False)
+    harmonics: tuple
     total: complex = 0.0
 
 

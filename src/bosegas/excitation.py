@@ -10,7 +10,6 @@ forms of u and of the decay rate are checks, in ``verification``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -36,29 +35,36 @@ def _validate_qn(seq, name):
     return ints
 
 
-@dataclass(frozen=True)
-class ExcitationClass:
+class _QuantumNumbers(NamedTuple):
+    ell: int
+    p_plus: tuple
+    h_plus: tuple
+    p_minus: tuple
+    h_minus: tuple
+
+
+class ExcitationClass(_QuantumNumbers):
     """Integer data of one excited sector: umklapp number ell and the
     particle/hole quantum numbers attached to the right (+q) and left (-q)
-    Fermi points."""
+    Fermi points; checked and made int tuples on construction, equal and
+    hashed by value."""
 
-    ell: int
-    p_plus: tuple = ()
-    h_plus: tuple = ()
-    p_minus: tuple = ()
-    h_minus: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "p_plus", _validate_qn(self.p_plus, "p+"))
-        object.__setattr__(self, "h_plus", _validate_qn(self.h_plus, "h+"))
-        object.__setattr__(self, "p_minus", _validate_qn(self.p_minus, "p-"))
-        object.__setattr__(self, "h_minus", _validate_qn(self.h_minus, "h-"))
-        if len(self.p_plus) + len(self.p_minus) != \
-                len(self.h_plus) + len(self.h_minus):
+    def __new__(cls, ell: int, p_plus=(), h_plus=(), p_minus=(), h_minus=()):
+        p_plus = _validate_qn(p_plus, "p+")
+        h_plus = _validate_qn(h_plus, "h+")
+        p_minus = _validate_qn(p_minus, "p-")
+        h_minus = _validate_qn(h_minus, "h-")
+        if len(p_plus) + len(p_minus) != len(h_plus) + len(h_minus):
             raise ValueError("particle and hole counts must agree")
-        if len(self.p_plus) - len(self.h_plus) != self.ell or \
-                len(self.h_minus) - len(self.p_minus) != self.ell:
+        if len(p_plus) - len(h_plus) != ell or \
+                len(h_minus) - len(p_minus) != ell:
             raise ValueError("quantum-number counts incompatible with ell")
+        return super().__new__(cls, ell, p_plus, h_plus, p_minus, h_minus)
+
+    # ``_replace`` builds its copy through ``_make``: check it as well
+    _make = classmethod(lambda cls, values: cls(*values))
 
     @property
     def n(self) -> int:
@@ -79,13 +85,15 @@ class Root(NamedTuple):
     offset: complex  # (2 pi (k - 1/2) + i side half u1) / eps0'
 
 
-@dataclass(frozen=True)
 class RootTable:
     """The complex roots of one excited class, one entry per quantum
     number, with the edge value u1 that fixes their offsets."""
 
-    roots: tuple
-    u1_at_q: complex
+    __slots__ = ("roots", "u1_at_q")
+
+    def __init__(self, roots: tuple, u1_at_q: complex):
+        self.roots = roots
+        self.u1_at_q = u1_at_q
 
     def __iter__(self):
         return iter(self.roots)
@@ -171,19 +179,18 @@ def _driving_term(lam, params: ModelParams, roots: RootTable, points):
     return lam ** 2 - h_alpha + 1j * T * src
 
 
-@dataclass(frozen=True)
-class USolution:
+class USolution(NamedTuple):
     """Excited-state energy u on the deformed contour, with its roots."""
 
     params: ModelParams
-    cls: ExcitationClass = field(repr=False)
-    thermal: ThermalSolution = field(repr=False)
-    contour: Contour = field(repr=False)
-    u_values: np.ndarray = field(repr=False)
-    log_weight: np.ndarray = field(repr=False)  # log(1 + e^{-u/T})
-    z: np.ndarray = field(repr=False)           # phase function on the nodes
-    roots: RootTable = field(repr=False)
-    points: np.ndarray                          # root positions, as roots
+    cls: ExcitationClass
+    thermal: ThermalSolution
+    contour: Contour
+    u_values: np.ndarray
+    log_weight: np.ndarray  # log(1 + e^{-u/T})
+    z: np.ndarray           # phase function on the nodes
+    roots: RootTable
+    points: np.ndarray      # root positions, as roots
     iterations: int
     residual: float
 

@@ -8,7 +8,7 @@ boundary, average density, Fermi momentum, sound velocity).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,25 +38,34 @@ def kernel_block(rows, cols, c: float):
     return m
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """Physical inputs: coupling c, chemical potential h, temperature T,
-    and the twist parameter alpha of the generating function."""
-
+class _Params(NamedTuple):
     c: float
     h: float
-    T: float = 0.0
-    alpha: complex = 0.0
+    T: float
+    alpha: complex
 
-    def __post_init__(self):
-        if not 0 < self.c < np.inf:
+
+class ModelParams(_Params):
+    """Physical inputs: coupling c, chemical potential h, temperature T,
+    and the twist parameter alpha of the generating function; checked on
+    construction, equal and hashed by value."""
+
+    __slots__ = ()
+
+    def __new__(cls, c: float, h: float, T: float = 0.0,
+                alpha: complex = 0.0):
+        if not 0 < c < np.inf:
             raise ValueError("coupling c must be positive and finite")
-        if not 0 < self.h < np.inf:
+        if not 0 < h < np.inf:
             raise ValueError("chemical potential must be positive and finite")
-        if not 0 <= self.T < np.inf:
+        if not 0 <= T < np.inf:
             raise ValueError("temperature must be non-negative and finite")
-        if not np.isfinite(self.alpha):
+        if not np.isfinite(alpha):
             raise ValueError("twist alpha must be finite")
+        return super().__new__(cls, c, h, T, alpha)
+
+    # ``_replace`` builds its copy through ``_make``: check it as well
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
 def fermi_grid(q: float, n_nodes: int) -> Grid:
@@ -157,17 +166,16 @@ def solve_fermi_boundary(params: ModelParams, n_nodes: int):
     return q, (eps0, eps0_prime, Z, R_minus)
 
 
-@dataclass(frozen=True)
-class GroundState:
+class GroundState(NamedTuple):
     """T=0 data: Fermi boundary, sampled functions and derived scalars."""
 
     params: ModelParams
     q: float
-    grid: Grid = field(repr=False)
-    eps0: NystromSolution = field(repr=False)        # dressed energy
-    eps0_prime: NystromSolution = field(repr=False)  # its dressed derivative
-    Z: NystromSolution = field(repr=False)           # dressed charge
-    R_minus: NystromSolution = field(repr=False)     # resolvent R(., -q)
+    grid: Grid
+    eps0: NystromSolution        # dressed energy
+    eps0_prime: NystromSolution  # its dressed derivative
+    Z: NystromSolution           # dressed charge
+    R_minus: NystromSolution     # resolvent R(., -q)
     Zq: float
     eps0_prime_q: float
     D: float

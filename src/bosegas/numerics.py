@@ -11,8 +11,8 @@ singularity subtraction near the integration interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -26,8 +26,7 @@ class NumericsError(Exception):
 # grids
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _ReferenceRule:
+class _ReferenceRule(NamedTuple):
     """n-point Gauss-Legendre rule on [-1, 1] with its barycentric weights
     (-1)^j sqrt((1 - x_j^2) w_j) (Wang, Huybrechs & Vandewalle, Math. Comp.
     83 (2014) 2893) and differentiation matrix D_ij = (bary_j / bary_i) /
@@ -55,8 +54,7 @@ def _reference_rule(n: int) -> _ReferenceRule:
     return _ReferenceRule(x, w, bary, diff)
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(NamedTuple):
     """Composite Gauss-Legendre quadrature grid on [a, b].
 
     ``breakpoints`` bound the panels; nodes/weights are the concatenation of
@@ -87,16 +85,16 @@ class Grid:
         return out.reshape(-1)
 
 
-@dataclass(frozen=True)
 class SampledFunction:
     """Values of a function on a quadrature grid; the universal carrier."""
 
-    grid: Grid
-    values: np.ndarray
+    __slots__ = ("grid", "values")
 
-    def __post_init__(self):
-        if self.values.shape != self.grid.nodes.shape:
+    def __init__(self, grid: Grid, values: np.ndarray):
+        if values.shape != grid.nodes.shape:
             raise ValueError("values do not match the grid")
+        self.grid = grid
+        self.values = values
 
     @property
     def nodes(self):
@@ -142,8 +140,7 @@ def composite_grid(breakpoints, n_per_panel: int) -> Grid:
 # contours
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Contour:
+class Contour(NamedTuple):
     """Contour discretized by its nodes and quadrature weights.
 
     ``weights`` are the complex measures dz at each node, so that
@@ -184,10 +181,12 @@ class NystromSolution(SampledFunction):
     which keeps the full quadrature accuracy away from the grid.
     """
 
+    __slots__ = ("kernel", "rhs_fn")
+
     def __init__(self, grid, values, kernel, rhs_fn):
         super().__init__(grid, values)
-        object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "rhs_fn", rhs_fn)
+        self.kernel = kernel
+        self.rhs_fn = rhs_fn
 
     def __call__(self, x):
         x = np.asarray(x)
@@ -209,8 +208,7 @@ def upper_half(nodes, weights):
     return nodes[n // 2:], weights[n // 2:].copy()
 
 
-@dataclass(frozen=True)
-class MirrorFold:
+class MirrorFold(NamedTuple):
     """An operator with M(-x, -y) = M(x, y) on a negation-closed node set,
     applied by ``@`` through its blocks on the upper nodes of ``upper_half``:
     ``even`` on the even part of a vector and ``odd`` on its odd part, so
@@ -238,12 +236,16 @@ def unfold_even(upper):
     return np.concatenate([upper[::-1], upper])
 
 
-@dataclass(frozen=True)
-class ParityInverse(MirrorFold):
-    """Mirror fold of a Nystrom operator's inverse, and the exact 1-norm
-    condition number of the full operator."""
+class ParityInverse(NamedTuple):
+    """Mirror fold of a Nystrom operator's inverse, applied by ``@`` as a
+    ``MirrorFold``, and the exact 1-norm condition number of the full
+    operator."""
 
+    even: np.ndarray
+    odd: np.ndarray
     cond: float
+
+    __matmul__ = MirrorFold.__matmul__
 
 
 def nystrom_factorize(kernel, grid: Grid) -> ParityInverse:
@@ -298,8 +300,7 @@ def fredholm_logdet(matrix, domain, prefactor: complex) -> complex:
     return complex(np.log(sign) + logabs)
 
 
-@dataclass(frozen=True)
-class ConjugatePairing:
+class ConjugatePairing(NamedTuple):
     """Node indices of a set closed under conjugation: the ``real`` nodes
     are their own conjugates, and node ``pairs[k, 1]`` is the conjugate of
     node ``pairs[k, 0]``.

@@ -17,7 +17,7 @@ The low-temperature correction law of eps is a check, in ``verification``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,15 +109,14 @@ def mirror_fold(nodes, weights, c: float):
     return kernel_block(x, x, c), kernel_block(x, -x, c), w
 
 
-@dataclass(frozen=True)
-class ThermalSolution:
+class ThermalSolution(NamedTuple):
     """Solved thermal excitation energy on a truncated real-line grid."""
 
     params: ModelParams
-    gs: GroundState = field(repr=False)
-    grid: Grid = field(repr=False)
-    eps: SampledFunction = field(repr=False)
-    log_weight: np.ndarray = field(repr=False)  # log(1+e^{-eps/T}) on nodes
+    gs: GroundState
+    grid: Grid
+    eps: SampledFunction
+    log_weight: np.ndarray  # log(1+e^{-eps/T}) on nodes
     iterations: int
     residual: float
 

@@ -2,7 +2,6 @@
 contour-determinant invariances, Gamma-weight factors, configuration sums
 and the finite-temperature discrete factor."""
 
-import dataclasses
 import itertools
 
 import numpy as np
@@ -470,7 +469,7 @@ class TestMirrorFold:
 
     def test_unmirrored_contour_refused(self, odd_panel_sol):
         sol = odd_panel_sol
-        shifted = dataclasses.replace(sol, contour=Contour(
+        shifted = sol._replace(contour=Contour(
             sol.contour.nodes + 1e-9, sol.contour.weights))
         with pytest.raises(ValueError, match="mirror"):
             double_integral(shifted)

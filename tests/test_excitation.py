@@ -66,6 +66,17 @@ class TestExcitationClass:
         with pytest.raises(ValueError):
             ExcitationClass(ell=2, p_plus=(1,), h_minus=(1,))
 
+    def test_int_tuples_equal_and_hashed_by_value(self):
+        a = ExcitationClass(1, p_plus=(1.0,), h_minus=(1,))
+        b = ExcitationClass(ell=1, p_plus=[1], h_minus=(1.0,))
+        assert a.p_plus == a.h_minus == (1,)
+        assert all(type(k) is int for k in a.p_plus + a.h_minus)
+        assert a == b and hash(a) == hash(b) and {a: "a"}[b] == "a"
+        assert a != ExcitationClass(1, p_plus=(2,), h_minus=(1,))
+        assert a._replace(p_plus=(2.0,)).p_plus == (2,)
+        with pytest.raises(ValueError):
+            a._replace(p_plus=(0,))
+
 
 class TestLinearCorrection:
     def test_edge_value(self, gs):

@@ -1,7 +1,6 @@
 """Zero-temperature solves: parameter validation, strong-coupling anchors,
 pinned benchmark scalars, structural symmetries and the boundary search."""
 
-import dataclasses
 from functools import lru_cache
 
 import numpy as np
@@ -23,6 +22,8 @@ class TestModelParams:
             ModelParams(c=0.0, h=1.0)
         with pytest.raises(ValueError):
             ModelParams(c=-1.0, h=1.0)
+        with pytest.raises(ValueError):
+            ModelParams(c=1.0, h=1.0)._replace(c=0.0)
 
     def test_bad_chemical_potential(self):
         with pytest.raises(ValueError):
@@ -37,6 +38,11 @@ class TestModelParams:
     def test_non_finite(self, field, value):
         with pytest.raises(ValueError, match="finite"):
             ModelParams(**{"c": 1.0, "h": 1.0, "T": 0.1, field: value})
+
+    def test_equal_and_hashed_by_value(self):
+        a, b = ModelParams(1.0, 2.0, 0.1), ModelParams(c=1, h=2, T=0.1)
+        assert a == b and hash(a) == hash(b) and {a: "a"}[b] == "a"
+        assert a != ModelParams(1.0, 2.0, 0.2)
 
 
 class TestKernel:
@@ -241,7 +247,7 @@ class TestParitySplit:
         swapped = ParityInverse(inv.odd, inv.even, inv.cond)
         wrong = nystrom_solve(kern, gs.grid, swapped, drive)
         with pytest.raises(ArithmeticError, match="residual"):
-            dataclasses.replace(gs, **{name: wrong})._check()
+            gs._replace(**{name: wrong})._check()
 
 
 def _edge_energy(c, h, q, n_nodes):

@@ -121,12 +121,21 @@ def test_allowlist_is_needed():
 
 
 def test_import_loads_no_scipy():
-    # scipy is a test-only oracle; a fresh interpreter shows what the
-    # package itself pulls in
+    # scipy is a test-only oracle, and the checks in ``verification``, the
+    # CLI and ``dataclasses`` are off the output path; a fresh interpreter
+    # shows what the package itself pulls in.  The checks then load on
+    # first use, and every exported name resolves, also through ``*``
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH")))))
-    code = ("import sys, bosegas; print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))")
+    code = ("import sys, bosegas\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+            " or m in ('bosegas.verification', 'bosegas.cli', 'dataclasses')))\n"
+            "first = bosegas.run_checks, bosegas.CheckResult\n"
+            "checks = sys.modules['bosegas.verification']\n"
+            "assert first == (checks.run_checks, checks.CheckResult)\n"
+            "names = {}\n"
+            "exec('from bosegas import *', names)\n"
+            "print(sorted(set(bosegas.__all__) - set(names)))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split("\n") == ["[]", "[]", ""]
